@@ -8,9 +8,13 @@ regressing (Y_{i+1} - C_i) dW_i / dt, which leaves the conditional expectation
 unchanged (E[C_i dW_i | state_i] = 0) and removes most of the sampling
 variance of the plain Y_{i+1} dW_i / dt estimator.
 
-A flow solves one BSDE per start index s on [s, T] over a shared path set;
-its diagonal samples member s at time s. Recurrent systems solve an ordered
-list of specs, feeding each driver the (Y, Z) grids of its dependencies.
+A flow has one BSDE per start index s on [s, T] over a shared path set; its
+diagonal samples member s at time s. All members at a date project onto the
+same state row, so a flow costs O(n) dates, not O(n^2) rows: a family of
+identical members is one solve whose row s is member s, and any other family
+fits its live members together, one matrix-matrix regression per date.
+Recurrent systems solve an ordered list of specs, feeding each driver the
+(Y, Z) grids of its dependencies.
 """
 from __future__ import annotations
 
@@ -175,7 +179,9 @@ class _Regression:
 
     Gram system B'B c = B'y solved through SVD of the (d+1) x (d+1) Gram
     matrix; rank deficiency raises unless the state is constant, where the
-    basis drops to the intercept.
+    basis drops to the intercept. The basis columns are the increasing powers
+    of the standardized state, each the previous column times x (the same
+    products as ``np.vander(x, d + 1, increasing=True)``).
     """
 
     def __init__(self, state_row: np.ndarray, degree: int):
@@ -185,7 +191,11 @@ class _Regression:
             self.B = np.ones((state_row.size, 1))
         else:
             x = (state_row - mean) / std
-            self.B = np.vander(x, degree + 1, increasing=True)
+            self.B = np.empty((x.size, degree + 1))
+            self.B[:, 0] = 1.0
+            self.B[:, 1] = x
+            for k in range(2, degree + 1):
+                np.multiply(self.B[:, k - 1], x, out=self.B[:, k])
         G = self.B.T @ self.B
         U, s, Vt = np.linalg.svd(G)
         if s[0] <= 0.0 or s[-1] <= 1e-13 * s[0]:
@@ -200,15 +210,43 @@ class _Regression:
         coeffs = self._Vt.T @ ((self._U.T @ rhs) / self._s)
         return self.B @ coeffs
 
+    def fit_rows(self, targets: np.ndarray) -> np.ndarray:
+        """``fit_values`` of every row of a (members x paths) target matrix,
+        as one matrix-matrix product per side of the Gram solve."""
+        coeffs = ((targets @ self.B) @ self._U / self._s) @ self._Vt
+        return coeffs @ self.B.T
 
-def _regression_bank(fp: FactorPaths, degree: int) -> list[_Regression | None]:
-    """Lazily filled per-time regression cache shared across flow members."""
-    return [None] * (fp.grid_n + 1)
+
+def _check_options(basis_degree: int, picard: int, z_estimator: str) -> None:
+    if basis_degree < 1:
+        raise ValidationError(f"basis degree must be >= 1, got {basis_degree}")
+    if z_estimator not in ("centered", "plain"):
+        raise ValidationError(f"z_estimator must be 'centered' or 'plain', got {z_estimator!r}")
+    if picard < 1:
+        raise ValidationError(f"picard iterations must be >= 1, got {picard}")
+
+
+def _check_deps(spec: DriverSpec, deps: Sequence[BsdeGrid]) -> None:
+    if any(d >= len(deps) for d in spec.depends_on):
+        raise ValidationError("driver dependencies not supplied to solve_bsde")
+
+
+def _check_terminal(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("terminal condition produced non-finite values")
+
+
+def _warn_saturated(saturated: int, total: int, z_bound: float) -> None:
+    if total > 0 and saturated > 0.01 * total:
+        warnings.warn(
+            f"{saturated / total:.1%} of Z values hit the truncation bound {z_bound}",
+            ZTruncationSaturated,
+            stacklevel=3,
+        )
 
 
 def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
-               start_index: int = 0, flow_index: int | None = None,
-               z_bound: float = 50.0, picard: int = 1,
+               start_index: int = 0, z_bound: float = 50.0, picard: int = 1,
                z_estimator: str = "centered",
                deps: Sequence[BsdeGrid] = (),
                _bank: list | None = None) -> BsdeGrid:
@@ -216,26 +254,20 @@ def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
 
     Rows with index below ``start_index`` are left at zero (flow members live
     on their own subinterval). Y_0 statistics refer to the first solved row.
+    ``_bank`` is a per-date cache of regression operators (one slot per grid
+    node, filled lazily) shared by solves on the same paths.
     """
-    if basis_degree < 1:
-        raise ValidationError(f"basis degree must be >= 1, got {basis_degree}")
-    if z_estimator not in ("centered", "plain"):
-        raise ValidationError(f"z_estimator must be 'centered' or 'plain', got {z_estimator!r}")
-    if picard < 1:
-        raise ValidationError(f"picard iterations must be >= 1, got {picard}")
+    _check_options(basis_degree, picard, z_estimator)
     n, paths, dt = fp.grid_n, fp.paths, fp.dt
     if not 0 <= start_index <= n:
         raise ValidationError(f"start_index {start_index} outside [0, {n}]")
-    s_idx = start_index if flow_index is None else flow_index
-    if any(d >= len(deps) for d in spec.depends_on):
-        raise ValidationError("driver dependencies not supplied to solve_bsde")
+    _check_deps(spec, deps)
 
     Y = np.zeros((n + 1, paths))
     Z = np.zeros((n + 1, paths))
-    Y[n] = np.broadcast_to(np.asarray(spec.terminal(fp, s_idx), dtype=float), (paths,))
-    if not np.all(np.isfinite(Y[n])):
-        raise ValidationError("terminal condition produced non-finite values")
-    bank = _bank if _bank is not None else _regression_bank(fp, basis_degree)
+    Y[n] = np.broadcast_to(np.asarray(spec.terminal(fp, start_index), dtype=float), (paths,))
+    _check_terminal(Y[n])
+    bank = _bank if _bank is not None else [None] * (n + 1)
     quad = spec.growth_class == "quadratic_in_z"
     saturated = 0
     total = 0
@@ -268,12 +300,7 @@ def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
         Y[i] = y_pred
         y0_samples = Y[i + 1] + np.asarray(f_val, dtype=float) * dt if i == start_index else y0_samples
 
-    if quad and total > 0 and saturated > 0.01 * total:
-        warnings.warn(
-            f"{saturated / total:.1%} of Z values hit the truncation bound {z_bound}",
-            ZTruncationSaturated,
-            stacklevel=2,
-        )
+    _warn_saturated(saturated, total, z_bound)
     y0_mean = float(np.mean(Y[start_index]))
     y0_se = float(np.std(y0_samples, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     return BsdeGrid(
@@ -303,24 +330,76 @@ class DiagonalProcess:
 
 
 def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
-                        basis_degree: int = 3, **solver_kwargs) -> DiagonalProcess:
-    """Solve one BSDE per grid index s on [s, T] over the shared path set and
-    extract member s at time s. Regression operators are reused across
-    members (identical state rows), so a family constant in s reproduces the
-    single-solve rows bitwise."""
-    n = fp.grid_n
-    bank = _regression_bank(fp, basis_degree)
-    y_diag = np.zeros(n + 1)
-    y_paths = np.zeros((n + 1, fp.paths))
+                        basis_degree: int = 3, *, z_bound: float = 50.0,
+                        picard: int = 1, z_estimator: str = "centered",
+                        deps: Sequence[BsdeGrid] = ()) -> DiagonalProcess:
+    """Solve the flow of BSDEs ``family(s)`` on [s, T], s = 0..n, over the
+    shared path set and extract member s at time s.
+
+    The options are those of ``solve_bsde``. When every member is the same
+    ``DriverSpec`` object and all terminals are bitwise equal, the members
+    differ only in where they start, so one ``solve_bsde`` on [0, T] gives
+    them all: its row s is member s at time s, bitwise. Otherwise the live
+    members (s <= i) at date i are rows of one (members x paths) matrix,
+    regressed together on the date's state row; each member's driver is then
+    called on its own row. Z truncation warns at most once per flow, counting
+    over all quadratic members.
+    """
+    _check_options(basis_degree, picard, z_estimator)
+    n, dt = fp.grid_n, fp.dt
+    specs = [family(s) for s in range(n + 1)]
+    for spec in specs:
+        _check_deps(spec, deps)
+    # row s holds member s: its terminal, then its Y at each earlier date down
+    # to s, after which it is final (member s at its own start time)
+    Y = np.empty((n + 1, fp.paths))
+    for s, spec in enumerate(specs):
+        Y[s] = np.broadcast_to(np.asarray(spec.terminal(fp, s), dtype=float), (fp.paths,))
+    _check_terminal(Y)
     z_diag = np.zeros(n + 1)
-    for s in range(n, -1, -1):
-        grid = solve_bsde(family(s), fp, basis_degree, start_index=s,
-                          flow_index=s, _bank=bank, **solver_kwargs)
-        y_paths[s] = grid.Y[s]
-        y_diag[s] = float(np.mean(grid.Y[s]))
-        if s < n:
-            z_diag[s] = float(np.mean(grid.Z[s]))
-    return DiagonalProcess(fp.times, y_diag, y_paths, z_diag)
+
+    if all(spec is specs[0] for spec in specs) \
+            and np.all(Y.view(np.uint64) == Y[0].view(np.uint64)):
+        del Y
+        grid = solve_bsde(specs[0], fp, basis_degree, z_bound=z_bound, picard=picard,
+                          z_estimator=z_estimator, deps=deps)
+        Y = grid.Y
+        z_diag[:n] = [float(np.mean(row)) for row in grid.Z[:n]]
+    else:
+        members = [(spec.driver, spec.growth_class == "quadratic_in_z", spec.depends_on)
+                   for spec in specs]
+        saturated = 0
+        total = 0
+        for i in range(n - 1, -1, -1):
+            reg = _Regression(fp.state[i], basis_degree)
+            live = Y[:i + 1]
+            C = reg.fit_rows(live)
+            if z_estimator == "centered":
+                z_target = (live - C) * fp.dW[i] / dt
+            else:
+                z_target = live * fp.dW[i] / dt
+            Zfit = reg.fit_rows(z_target)
+            z_diag[i] = float(np.mean(Zfit[i]))
+            t, state = float(fp.times[i]), fp.state[i]
+            dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
+            for k, (driver, quad, depends_on) in enumerate(members[:i + 1]):
+                z_in = Zfit[k]
+                if quad:
+                    saturated += int(np.count_nonzero(np.abs(z_in) >= z_bound))
+                    total += z_in.size
+                    z_in = np.clip(z_in, -z_bound, z_bound)
+                y_pred = C[k]
+                for _ in range(picard):
+                    if depends_on:
+                        f_val = driver(t, state, y_pred, z_in,
+                                       tuple(dep_rows[d] for d in depends_on))
+                    else:
+                        f_val = driver(t, state, y_pred, z_in)
+                    y_pred = C[k] + np.asarray(f_val, dtype=float) * dt
+                Y[k] = y_pred
+        _warn_saturated(saturated, total, z_bound)
+    y_diag = np.array([float(np.mean(row)) for row in Y])
+    return DiagonalProcess(fp.times, y_diag, Y, z_diag)
 
 
 def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
@@ -334,7 +413,7 @@ def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
                 f"spec {own} depends on indices {bad}; dependencies must be "
                 "strictly earlier in the list"
             )
-    bank = _regression_bank(fp, basis_degree)
+    bank = [None] * (fp.grid_n + 1)
     solved: list[BsdeGrid] = []
     for spec in specs:
         solved.append(

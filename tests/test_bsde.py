@@ -1,11 +1,13 @@
 """Regression Monte Carlo BSDE solver: manufactured solutions, flows, systems."""
 import math
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from eqmo import bsde
 from eqmo.bsde import (
     BsdeGrid,
     DriverSpec,
@@ -275,6 +277,115 @@ class TestFlows:
 
         diag = solve_flow_diagonal(family, fp)
         assert np.array_equal(diag.y_values, np.arange(5.0))
+
+
+def per_member_diagonal(family, fp, **kwargs):
+    """Reference flow diagonal: one standalone solve per member s on [s, T]."""
+    n = fp.grid_n
+    y_paths = np.zeros((n + 1, fp.paths))
+    z_values = np.zeros(n + 1)
+    for s in range(n + 1):
+        grid = solve_bsde(family(s), fp, start_index=s, **kwargs)
+        y_paths[s] = grid.Y[s]
+        if s < n:
+            z_values[s] = np.mean(grid.Z[s])
+    return np.mean(y_paths, axis=1), z_values, y_paths
+
+
+def assert_matches_per_member(diag, ref):
+    y_values, z_values, y_paths = ref
+    for got, want in ((diag.y_values, y_values), (diag.z_values, z_values),
+                      (diag.y_paths, y_paths)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestBatchedFlow:
+    def test_s_dependent_terminal_linear_driver(self):
+        fp = simulate_factors(brownian_factor(), grid_times(12), 3000, 37)
+
+        def family(s):
+            return DriverSpec(driver=lambda t, st, y, z: -0.3 * y + 0.1 * z,
+                              terminal=lambda f, idx: f.state[-1] ** 2 + 0.1 * idx)
+
+        assert_matches_per_member(solve_flow_diagonal(family, fp),
+                                  per_member_diagonal(family, fp))
+
+    def test_quadratic_truncation_and_picard(self):
+        fp = simulate_factors(brownian_factor(), grid_times(10), 2000, 41)
+
+        def family(s):
+            return DriverSpec(driver=lambda t, st, y, z: 0.1 * z ** 2 - 0.2 * y,
+                              terminal=lambda f, idx: f.state[-1] ** 2 * (1.0 + 0.05 * idx),
+                              growth_class="quadratic_in_z")
+
+        options = dict(z_bound=0.05, picard=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            diag = solve_flow_diagonal(family, fp, **options)
+        saturation = [w for w in caught if issubclass(w.category, ZTruncationSaturated)]
+        assert len(saturation) == 1  # one warning per flow, over all members
+        with pytest.warns(ZTruncationSaturated):
+            ref = per_member_diagonal(family, fp, **options)
+        assert_matches_per_member(diag, ref)
+
+    def test_driver_reads_dependencies(self):
+        fp = simulate_factors(brownian_factor(), grid_times(8), 2000, 43)
+        base = solve_bsde(DriverSpec(driver=ZERO_DRIVER,
+                                     terminal=lambda f, s: f.state[-1]), fp)
+
+        def family(s):
+            return DriverSpec(driver=lambda t, st, y, z, deps: deps[0][0] - 0.5 * deps[0][1],
+                              terminal=lambda f, idx: np.full(f.paths, float(idx)),
+                              depends_on=(0,))
+
+        diag = solve_flow_diagonal(family, fp, deps=[base])
+        assert_matches_per_member(diag, per_member_diagonal(family, fp, deps=[base]))
+        with pytest.raises(ValidationError):
+            solve_flow_diagonal(family, fp)
+
+    def test_identical_members_take_one_solve(self):
+        fp = simulate_factors(brownian_factor(), grid_times(6), 500, 47)
+        spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1] ** 2)
+        with mock.patch.object(bsde, "solve_bsde", wraps=solve_bsde) as solver:
+            solve_flow_diagonal(lambda s: spec, fp)
+        assert solver.call_count == 1
+
+    def test_shared_spec_with_index_terminal_is_not_single_solve(self):
+        n = 6
+        fp = simulate_factors(frozen_state_model(), grid_times(n), 64, 1)
+        spec = DriverSpec(driver=ZERO_DRIVER,
+                          terminal=lambda f, idx: np.full(f.paths, float(idx)))
+        with mock.patch.object(bsde, "solve_bsde", wraps=solve_bsde) as solver:
+            diag = solve_flow_diagonal(lambda s: spec, fp)
+        assert solver.call_count == 0
+        assert np.array_equal(diag.y_values, np.arange(n + 1.0))
+
+    def test_non_finite_member_terminal_rejected(self):
+        fp = simulate_factors(brownian_factor(), grid_times(6), 64, 1)
+
+        def family(s):
+            value = np.nan if s == 3 else 1.0
+            return DriverSpec(driver=ZERO_DRIVER,
+                              terminal=lambda f, idx: np.full(f.paths, value))
+
+        with pytest.raises(ValidationError):
+            solve_flow_diagonal(family, fp)
+
+
+class TestRegressionBasis:
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_basis_equals_vander_bitwise(self, degree):
+        state = simulate_factors(brownian_factor(), grid_times(4), 1000, 53).state[2]
+        x = (state - np.mean(state)) / np.std(state)
+        B = bsde._Regression(state, degree).B
+        expected = np.vander(x, degree + 1, increasing=True)
+        assert B.shape == expected.shape
+        assert np.array_equal(B.view(np.uint64), expected.view(np.uint64))
+
+    def test_constant_state_row_is_intercept_only(self):
+        B = bsde._Regression(np.full(100, 0.37), 3).B
+        assert B.shape == (100, 1)
+        assert np.all(B == 1.0)
 
 
 class TestRecurrentSystems:
