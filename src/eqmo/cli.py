@@ -34,7 +34,9 @@ from .bsde import (
 from .equilibrium import _mv_gamma2, backward_sweep, homogeneity_check_numeric, \
     homogeneity_predicate
 from .errors import AmbiguousRoot, EqmoError, ParseError, SolverError, ValidationError
-from .moments import conditional_moments, mc_conditional_moments, objective_value
+from .moments import conditional_moments, mc_conditional_moments, moment_grid, \
+    objective_value
+from .sampling import SEED_LIMIT, check_seed
 from .scenario_io import ScenarioBundle, parse_scenario
 from .verify import equilibrium_report
 
@@ -64,6 +66,7 @@ class RunConfig:
             raise ValidationError(f"scheme must be explicit or implicit, got {self.scheme!r}")
         if self.grid_n < 1 or self.paths < 1:
             raise ValidationError("grid_n and paths must be positive")
+        check_seed(self.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,9 +174,10 @@ def _cmd_moments(bundle: ScenarioBundle, config: RunConfig):
     s = bundle.scenario
     _, strategy, _ = _swept_strategy(bundle, config)
     order = max(bundle.objective.max_order, 4)
+    grid = moment_grid(s, strategy)
     rows = []
     for i, t in enumerate(s.times):
-        mv = conditional_moments(s, strategy, float(t), s.x0, order)
+        mv = grid.at(i, s.x0, order)
         rows.append(
             (float(t), float(strategy.values[i]), mv.m1, mv.V)
             + mv.central + mv.cumulant
@@ -223,7 +227,7 @@ def _convergence_table(config: RunConfig) -> Table:
         mses = []
         for rep in range(reps):
             fp = simulate_factors(brownian_factor(), times, rep_paths,
-                                  config.seed + 7919 * grid_n + rep)
+                                  (config.seed + 7919 * grid_n + rep) % SEED_LIMIT)
             grid = solve_bsde(spec, fp)
             exact = fp.state ** 2 + (1.0 - times)[:, None]
             mses.append(float(np.mean((grid.Y - exact) ** 2)))

@@ -1,9 +1,11 @@
 """Named and randomized scenario/objective cases shared by tests and scripts.
 
 The named cases pin down the hand-derivable closed forms (constant-parameter
-mean-variance family and its higher-moment variants); the randomized corpus
+mean-variance family and its higher-moment variants); the affine corpus
 draws constant-parameter markets with risk parts affine in the variance, the
-class whose finite-window slopes reproduce the gain quadratic exactly.
+class whose finite-window slopes reproduce the gain quadratic exactly; the
+curved corpus draws time-varying markets with curved risk parts, which only
+the implicit sweep makes stationary.
 """
 from __future__ import annotations
 
@@ -140,6 +142,48 @@ def random_affine_corpus(seed: int = 20240811, count: int = 10) -> list[Case]:
                     weights[k] = float(rng.uniform(-1.0, 1.0))
         scenario = MarketScenario.constant(r, theta, sigma, T, x0, grid_n)
         cases.append(Case(f"random_affine_{i}", scenario, _objective(mode, weights)))
+    return cases
+
+
+def random_curved_corpus(seed: int = 20261017, count: int = 60) -> list[Case]:
+    """Time-varying markets with curved central-moment risk parts.
+
+    Each objective is w1 m1 + w2 m2 + w4 m4 + w6 m6 + w22 m2^2, so its
+    Gaussian risk part G(V) = w2 V + (3 w4 + w22) V^2 + 15 w6 V^3 is curved
+    and the implicit stationarity polynomial has degree 3 or 5. Small
+    positive w4, w6 and w22 are drawn on purpose: they can leave a step
+    without a root on the maximizer branch (D <= 0), which the sweep must
+    report as a typed error naming the step.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        grid_n = int(rng.choice([40, 80, 120]))
+        T = float(rng.choice([0.5, 1.0, 2.0]))
+        t = np.linspace(0.0, T, grid_n + 1)
+        freq = rng.uniform(0.5, 4.0, 3)
+        phase = rng.uniform(0.0, 2.0 * np.pi, 3)
+        wave = np.sin(freq[:, None] * t[None, :] + phase[:, None])
+        scenario = MarketScenario(
+            r=float(rng.uniform(0.0, 0.06)) + float(rng.uniform(0.0, 0.02)) * wave[0],
+            theta=float(rng.uniform(0.1, 0.35)) + float(rng.uniform(0.0, 0.1)) * wave[1],
+            sigma=float(rng.uniform(0.2, 0.25)) + float(rng.uniform(0.0, 0.1)) * wave[2],
+            T=T,
+            x0=float(rng.uniform(0.5, 2.0)),
+            grid_n=grid_n,
+        )
+        w1 = float(rng.uniform(0.5, 2.0))
+        objective = ObjectiveSpec(
+            "central",
+            (
+                ObjectiveTerm(((1, 1),), w1),
+                ObjectiveTerm(((2, 1),), -float(rng.uniform(0.5, 2.0)) * w1),
+                ObjectiveTerm(((4, 1),), float(rng.uniform(-0.6, 0.3))),
+                ObjectiveTerm(((6, 1),), float(rng.uniform(-0.1, 0.1))),
+                ObjectiveTerm(((2, 2),), float(rng.uniform(-0.5, 0.5))),
+            ),
+        )
+        cases.append(Case(f"random_curved_{i}", scenario, objective))
     return cases
 
 

@@ -98,7 +98,7 @@ def phi_profile(scenario: MarketScenario, objective: ObjectiveSpec,
     R = rate_to_horizon(scenario)
     _, V = moments_to_go(scenario, strategy)
     g = np.exp(R)
-    D = Dpoly(V) if not Dpoly.is_zero else np.zeros_like(V)
+    D = Dpoly(V)
     b = D * g * g * scenario.sigma ** 2
     a = w1 * g * scenario.theta + 2.0 * b * strategy.values
     return a, b
@@ -131,28 +131,67 @@ def _cauchy_root_bound(poly: Polynomial) -> float:
     return 1.0 + max(abs(c) for c in poly.coeffs[:-1]) / lead
 
 
-def _solve_step(objective: ObjectiveSpec, Dpoly: Polynomial, V_plus: float,
-                theta: float, sigma: float, g: float, dt: float,
-                prev_value: float, scheme: str, terminal: bool) -> float:
+def _compose_linear(outer: tuple[float, ...], a0: float, a1: float) -> list[float]:
+    """Coefficients of outer(a0 + a1 w) as plain floats.
+
+    Repeats the arithmetic of ``Polynomial(outer).compose(Polynomial((a0,
+    a1)))`` operation for operation (Horner over polynomial products, each
+    product coefficient summed from 0.0 in ascending order of the outer
+    index, trailing zeros stripped), so every coefficient is bitwise the one
+    the Polynomial objects would produce. Adding a zero constant term is
+    skipped: a product coefficient already starts from +0.0, so adding 0.0
+    leaves its bits unchanged.
+    """
+    inner = [a0, a1]
+    while inner and inner[-1] == 0.0:
+        inner.pop()
+    acc: list[float] = []
+    for c in reversed(outer):
+        prod: list[float] = []
+        if acc and inner:
+            prod = [0.0] * (len(acc) + len(inner) - 1)
+            for i, a in enumerate(acc):
+                for j, b in enumerate(inner):
+                    prod[i + j] += a * b
+            while prod and prod[-1] == 0.0:
+                prod.pop()
+        if c != 0.0:
+            acc = [prod[0] + c] + prod[1:] if prod else [c]
+        else:
+            acc = prod
+        while acc and acc[-1] == 0.0:
+            acc.pop()
+    return acc
+
+
+def _stationarity_coeffs(w1: float, Dpoly: Polynomial, V_plus: float,
+                         theta: float, g: float, s: float, dt: float) -> tuple[float, ...]:
+    """Coefficients in u of w1 g theta + 2 s u D(V_plus + dt s u^2), the
+    implicit stationarity polynomial, built without intermediate Polynomials."""
+    Dw = _compose_linear(Dpoly.coeffs, V_plus, dt * s)  # D as poly in w = u^2
+    coeffs = [0.0] * (2 * max(len(Dw), 1))
+    coeffs[0] = w1 * g * theta
+    for j, c in enumerate(Dw):
+        coeffs[2 * j + 1] += 2.0 * s * c
+    return tuple(coeffs)
+
+
+def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
+                     sigma: float, g: float, dt: float, prev_value: float,
+                     scheme: str, terminal: bool) -> float:
     """Stationarity root at one grid point given the future variance-to-go."""
-    w1 = objective.mean_weight()
     if theta == 0.0:
         return 0.0  # stationarity degenerates to 2 D e^{2R} sigma^2 u = 0
     s = g * g * sigma ** 2
     if scheme == "explicit" or terminal:
-        D = float(Dpoly(V_plus)) if not Dpoly.is_zero else 0.0
+        D = Dpoly(V_plus)
         if D == 0.0:
             raise NoSecondOrderTerm(f"D = 0 at variance-to-go {V_plus}")
         return -w1 * g * theta / (2.0 * D * s)
     # implicit: substitute V = V_plus + dt * e^{2R} sigma^2 u^2 into D(V)
     if Dpoly.is_zero:
         raise NoSecondOrderTerm("objective has no even-order risk sensitivity")
-    Dw = Dpoly.compose(Polynomial((V_plus, dt * s)))  # D as poly in w = u^2
-    coeffs = [0.0] * (2 * max(Dw.degree, 0) + 2)
-    coeffs[0] = w1 * g * theta
-    for j, c in enumerate(Dw.coeffs):
-        coeffs[2 * j + 1] += 2.0 * s * c
-    poly = Polynomial(tuple(coeffs))
+    poly = Polynomial(_stationarity_coeffs(w1, Dpoly, V_plus, theta, g, s, dt))
     if poly.degree < 1:
         raise NoSecondOrderTerm("stationarity polynomial degenerates to a constant")
     bound = _cauchy_root_bound(poly)
@@ -170,6 +209,22 @@ def _solve_step(objective: ObjectiveSpec, Dpoly: Polynomial, V_plus: float,
     return min(admissible, key=lambda u: abs(u - prev_value))
 
 
+def _solve_step(i: int, w1: float, Dpoly: Polynomial, V_plus: float,
+                theta: float, sigma: float, g: float, dt: float,
+                prev_value: float, scheme: str, terminal: bool) -> float:
+    """:func:`_stationary_root` at grid index i; a SolverError it raises is
+    re-raised with the step index and time."""
+    try:
+        return _stationary_root(w1, Dpoly, V_plus, theta, sigma, g, dt,
+                                prev_value, scheme, terminal)
+    except SolverError as e:
+        cls = type(e)
+        msg = f"step {i} (t = {i * dt:.6g}): {e}"
+        if isinstance(e, AmbiguousRoot):
+            raise cls(msg, candidates=e.candidates, step=i) from e
+        raise cls(msg, step=i) from e
+
+
 def stationarity_solve_step(scenario: MarketScenario, objective: ObjectiveSpec,
                             future_state: tuple[float, float], t: float,
                             prev_value: float, scheme: str = "explicit") -> float:
@@ -184,8 +239,8 @@ def stationarity_solve_step(scenario: MarketScenario, objective: ObjectiveSpec,
     V_plus = float(future_state[0])
     R = rate_to_horizon(scenario)
     return _solve_step(
-        objective, gaussian_risk_polynomial(objective).derivative(), V_plus,
-        float(scenario.theta[i]), float(scenario.sigma[i]), math.exp(R[i]),
+        i, objective.mean_weight(), gaussian_risk_polynomial(objective).derivative(),
+        V_plus, float(scenario.theta[i]), float(scenario.sigma[i]), math.exp(R[i]),
         scenario.dt, prev_value, scheme, terminal=(i == scenario.grid_n),
     )
 
@@ -206,37 +261,26 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     R = rate_to_horizon(scenario)
     n = scenario.grid_n
     dt = scenario.dt
-    u = np.zeros(n + 1)
-    V = np.zeros(n + 1)
-    D = np.zeros(n + 1)
-    res = np.zeros(n + 1)
-
-    def solve_at(i: int, V_plus: float, prev: float, terminal: bool) -> float:
-        try:
-            return _solve_step(
-                objective, Dpoly, V_plus, float(scenario.theta[i]),
-                float(scenario.sigma[i]), math.exp(R[i]), dt, prev, scheme,
-                terminal,
-            )
-        except SolverError as e:
-            cls = type(e)
-            msg = f"step {i} (t = {i * dt:.6g}): {e}"
-            if isinstance(e, AmbiguousRoot):
-                raise cls(msg, candidates=e.candidates, step=i) from e
-            raise cls(msg, step=i) from e
-
-    u[n] = solve_at(n, 0.0, 0.0, terminal=True)
+    theta = scenario.theta.tolist()
+    sigma = scenario.sigma.tolist()
+    g = [math.exp(x) for x in R.tolist()]
+    u = [0.0] * (n + 1)
+    V = [0.0] * (n + 1)
+    u[n] = _solve_step(n, w1, Dpoly, 0.0, theta[n], sigma[n], g[n], dt, 0.0,
+                       scheme, terminal=True)
     for i in range(n - 1, -1, -1):
-        u[i] = solve_at(i, float(V[i + 1]), float(u[i + 1]), terminal=False)
-        g = math.exp(R[i])
-        V[i] = V[i + 1] + g * g * scenario.sigma[i] ** 2 * u[i] ** 2 * dt
-    D[:] = Dpoly(V) if not Dpoly.is_zero else 0.0
+        u[i] = _solve_step(i, w1, Dpoly, V[i + 1], theta[i], sigma[i], g[i], dt,
+                           u[i + 1], scheme, terminal=False)
+        V[i] = V[i + 1] + g[i] * g[i] * sigma[i] ** 2 * u[i] ** 2 * dt
+    u_arr = np.array(u)
+    V_arr = np.array(V)
+    D = Dpoly(V_arr)
     g_all = np.exp(R)
-    res[:] = np.abs(
+    res = np.abs(
         w1 * g_all * scenario.theta
-        + 2.0 * D * g_all * g_all * scenario.sigma ** 2 * u
+        + 2.0 * D * g_all * g_all * scenario.sigma ** 2 * u_arr
     )
-    return SweepResult(StrategyGrid(scenario.times, u), V, D, res, scheme)
+    return SweepResult(StrategyGrid(scenario.times, u_arr), V_arr, D, res, scheme)
 
 
 # ---------------------------------------------------------------------------

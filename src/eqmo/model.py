@@ -71,6 +71,12 @@ class Polynomial:
         return self.coeffs[power] if 0 <= power < len(self.coeffs) else 0.0
 
     def __call__(self, x):
+        if type(x) is float:
+            # the array path's Horner arithmetic, without numpy scalars
+            total = 0.0
+            for c in reversed(self.coeffs):
+                total = total * x + c
+            return total
         acc = np.zeros_like(np.asarray(x, dtype=float))
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -167,17 +173,29 @@ class MarketScenario:
         return idx
 
 
+def _sum_to_horizon(increments: np.ndarray) -> np.ndarray:
+    """Right-to-left partial sums: out[i] = out[i + 1] + increments[i] with
+    out[n] = 0, for n = len(increments).
+
+    A cumsum over the reversed increments behind a leading zero; numpy's
+    cumsum adds sequentially, so every sum is associated exactly as the
+    backward loop ``out[i] = out[i + 1] + increments[i]`` would associate it,
+    signed zeros included.
+    """
+    out = np.zeros(len(increments) + 1)
+    rev = out[::-1]
+    rev[1:] = increments[::-1]
+    np.cumsum(rev, out=rev)
+    return out
+
+
 def rate_to_horizon(scenario: MarketScenario) -> np.ndarray:
     """R(t_i) = integral of r over [t_i, T] under left-constant interpolation.
 
-    Accumulated right-to-left so every downstream module shares one float
-    association order; R[grid_n] = 0.
+    Accumulated right-to-left (:func:`_sum_to_horizon`) so every downstream
+    module shares one float association order; R[grid_n] = 0.
     """
-    R = np.zeros(scenario.grid_n + 1)
-    dt = scenario.dt
-    for i in range(scenario.grid_n - 1, -1, -1):
-        R[i] = R[i + 1] + scenario.r[i] * dt
-    return _readonly(R)
+    return _readonly(_sum_to_horizon(scenario.r[:scenario.grid_n] * scenario.dt))
 
 
 def rate_integral(scenario: MarketScenario, t1: float, t2: float) -> float:

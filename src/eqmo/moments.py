@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     NegativeVariance,
     OrderMismatch,
+    OutOfRange,
     TooFewPaths,
     UnsupportedOrder,
     ValidationError,
@@ -27,6 +28,7 @@ from .model import (
     ObjectiveSpec,
     StrategyGrid,
     _DOUBLE_FACTORIAL,
+    _sum_to_horizon,
     moments_to_cumulants,
     rate_to_horizon,
 )
@@ -103,22 +105,55 @@ def moments_to_go(scenario: MarketScenario, strategy: StrategyGrid):
     """Grid profiles (M, V): controlled mean contribution and variance of X_T
     accumulated over [t_i, T], so m1(t_i, x) = x e^{R_i} + M_i.
 
-    Single right-to-left accumulation shared by the analytic engine, the
-    equilibrium sweep, and the verifier, so their float arithmetic agrees
-    bitwise.
+    Shared by the analytic engine, the equilibrium sweep, and the verifier,
+    so their float arithmetic agrees bitwise. The convention:
+
+    - both profiles are reversed cumsums (:func:`eqmo.model._sum_to_horizon`),
+      which associate every sum right to left exactly as the backward loop
+      ``M[i] = M[i + 1] + g_i theta_i u_i dt`` does;
+    - the growth factors g_i = e^{R_i} come from libm's ``math.exp`` and the
+      squares sigma_i^2, u_i^2 from libm ``pow`` (``np.float_power``), as in
+      that scalar loop. ``np.exp`` differs from ``math.exp`` in the last bit
+      on about 4 % of inputs, and an array ``x ** 2`` (a multiply) from
+      ``pow`` on about 0.1 %; either would move V.
     """
     strategy.check_grid(scenario)
     R = rate_to_horizon(scenario)
     n = scenario.grid_n
     dt = scenario.dt
-    M = np.zeros(n + 1)
-    V = np.zeros(n + 1)
-    u = strategy.values
-    for i in range(n - 1, -1, -1):
-        g = math.exp(R[i])
-        M[i] = M[i + 1] + g * scenario.theta[i] * u[i] * dt
-        V[i] = V[i + 1] + g * g * scenario.sigma[i] ** 2 * u[i] ** 2 * dt
+    u = strategy.values[:n]
+    g = np.fromiter(map(math.exp, R[:n].tolist()), float, n)
+    M = _sum_to_horizon(g * scenario.theta[:n] * u * dt)
+    V = _sum_to_horizon(
+        g * g * np.float_power(scenario.sigma[:n], 2) * np.float_power(u, 2) * dt
+    )
     return M, V
+
+
+@dataclass(frozen=True)
+class MomentGrid:
+    """Exact conditional moments of X_T at every grid time from one
+    accumulation: m1(t_i, x) = x e^{R_i} + M_i, variance V_i."""
+
+    R: np.ndarray
+    M: np.ndarray
+    V: np.ndarray
+
+    def at(self, i: int, x: float, n: int) -> MomentVector:
+        """Moments of orders 1..n given wealth x at grid index i."""
+        if not 0 <= i < len(self.V):
+            raise OutOfRange(f"grid index {i} outside [0, {len(self.V) - 1}]")
+        m1 = x * math.exp(self.R[i]) + self.M[i]
+        v = float(self.V[i])
+        central = tuple(gaussian_central_moments(v, n))
+        cumulant = (v,) + (0.0,) * (n - 2)
+        return MomentVector(m1, v, central, cumulant, n)
+
+
+def moment_grid(scenario: MarketScenario, strategy: StrategyGrid) -> MomentGrid:
+    """Whole-grid conditional-moments engine: O(n) once, O(1) per index."""
+    M, V = moments_to_go(scenario, strategy)
+    return MomentGrid(rate_to_horizon(scenario), M, V)
 
 
 def conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
@@ -126,13 +161,7 @@ def conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
     """Exact conditional moments of X_T given (t, x) at a grid time t."""
     _check_moment_order(n)
     i = scenario.grid_index(t)
-    R = rate_to_horizon(scenario)
-    M, V = moments_to_go(scenario, strategy)
-    m1 = x * math.exp(R[i]) + M[i]
-    v = float(V[i])
-    central = tuple(gaussian_central_moments(v, n))
-    cumulant = (v,) + (0.0,) * (n - 2)
-    return MomentVector(m1, v, central, cumulant, n)
+    return moment_grid(scenario, strategy).at(i, x, n)
 
 
 def objective_value(objective: ObjectiveSpec, mv: MomentVector) -> float:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from eqmo.cli import DEFAULT_SEED, RunConfig, main
+from eqmo.cli import DEFAULT_SEED, RunConfig, _convergence_table, main
 from eqmo.errors import ValidationError
 
 SCN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -219,6 +219,10 @@ class TestSeedPrecedence:
             run("solve", scn, out)
         assert read_json(out / "solve_summary.json")["seed"] == 7
 
+    def test_negative_seed_flag_is_module_error(self, tmp_path, capsys):
+        assert run("solve", MV, tmp_path / "neg", "--seed", "-1") == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
     def test_bad_env_seed_is_module_error(self, tmp_path, capsys):
         with mock.patch.dict(os.environ, {"EQMO_SEED": "many"}):
             assert run("solve", MV, tmp_path / "bad") == 1
@@ -294,3 +298,14 @@ class TestRunConfig:
             self.make(grid_n=0)
         with pytest.raises(ValidationError):
             self.make(paths=0)
+
+    def test_seed_range(self):
+        assert self.make(seed=2 ** 63 - 1).seed == 2 ** 63 - 1
+        for seed in (-1, 2 ** 63):
+            with pytest.raises(ValidationError):
+                self.make(seed=seed)
+
+    def test_top_seed_still_runs_the_convergence_table(self):
+        # replicate seeds derived from the run seed wrap into [0, 2**63)
+        table = _convergence_table(self.make(seed=2 ** 63 - 1, paths=100))
+        assert [row[0] for row in table.rows] == [25, 50, 100]

@@ -11,12 +11,15 @@ from eqmo.corpus import (
     mv_discounted,
     named_corpus,
     random_affine_corpus,
+    random_curved_corpus,
     raw_m4,
     theta_zero,
     time_varying,
 )
 from eqmo.equilibrium import (
     PhiPolynomial,
+    _compose_linear,
+    _stationarity_coeffs,
     backward_sweep,
     mv_closed_form,
     phi_polynomial,
@@ -26,13 +29,16 @@ from eqmo.equilibrium import (
 from eqmo.errors import (
     AmbiguousRoot,
     EmptyRiskTerm,
+    NoRealRoot,
     NoSecondOrderTerm,
     ValidationError,
 )
 from eqmo.model import (
     MarketScenario,
     ObjectiveSpec,
+    Polynomial,
     StrategyGrid,
+    gaussian_risk_polynomial,
     mean_variance_objective,
     rate_to_horizon,
 )
@@ -117,9 +123,64 @@ class TestStationarityStep:
                                      "implicit")
         assert abs(ue - ui) < 1e-12
 
+    def test_standalone_errors_carry_step(self):
+        # t = 0.5 is grid index 50 of the 100-step mv_base grid
+        obj = ObjectiveSpec.from_weights("central", {1: 1.0, 2: 1.0})
+        with pytest.raises(AmbiguousRoot) as exc_info:
+            stationarity_solve_step(self.s, obj, (0.1, 0.0), 0.5, 0.0, "implicit")
+        assert exc_info.value.step == 50
+        assert exc_info.value.candidates
+        odd = ObjectiveSpec.from_weights("central", {1: 1.0, 3: 0.5})
+        with pytest.raises(NoSecondOrderTerm) as exc_info:
+            stationarity_solve_step(self.s, odd, (0.1, 0.0), 0.5, 0.0, "explicit")
+        assert exc_info.value.step == 50
+
     def test_scheme_validation(self):
         with pytest.raises(ValidationError):
             stationarity_solve_step(self.s, self.obj, (0.0, 0.0), 0.5, 0.0, "rk4")
+
+
+class TestFloatStationarityCoefficients:
+    """The implicit step builds its coefficients from plain floats; they must
+    equal the Polynomial-object construction bit for bit."""
+
+    @staticmethod
+    def reference(w1, Dpoly, V_plus, theta, g, s, dt):
+        Dw = Dpoly.compose(Polynomial((V_plus, dt * s)))
+        coeffs = [0.0] * (2 * max(Dw.degree, 0) + 2)
+        coeffs[0] = w1 * g * theta
+        for j, c in enumerate(Dw.coeffs):
+            coeffs[2 * j + 1] += 2.0 * s * c
+        return Polynomial(tuple(coeffs)).coeffs
+
+    def test_compose_linear_matches_polynomial_compose(self):
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            deg = int(rng.integers(0, 6))
+            outer = rng.normal(size=deg + 1) * 10.0 ** rng.integers(-4, 4, size=deg + 1)
+            outer[rng.random(deg + 1) < 0.25] = 0.0
+            outer = Polynomial(tuple(outer))
+            a0, a1 = (float(v) for v in rng.normal(size=2))
+            for inner in ((a0, a1), (0.0, a1), (-0.0, a1), (a0, 0.0), (0.0, 0.0)):
+                ref = outer.compose(Polynomial(inner)).coeffs
+                got = tuple(_compose_linear(outer.coeffs, *inner))
+                assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+    def test_stationarity_coeffs_match_compose_reference(self):
+        rng = np.random.default_rng(22)
+        cases = [case.objective for case in random_curved_corpus(count=20)]
+        cases += [raw_m4().objective, mean_variance_objective()]
+        for objective in cases:
+            Dpoly = gaussian_risk_polynomial(objective).derivative()
+            w1 = objective.mean_weight()
+            for _ in range(20):
+                V_plus = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+                theta, g, sigma = (float(v) for v in rng.uniform(0.05, 1.2, 3))
+                s = g * g * sigma ** 2
+                dt = float(rng.choice([1e-4, 0.01, 0.25]))
+                got = Polynomial(_stationarity_coeffs(w1, Dpoly, V_plus, theta, g, s, dt))
+                ref = self.reference(w1, Dpoly, V_plus, theta, g, s, dt)
+                assert np.array(got.coeffs).tobytes() == np.array(ref).tobytes()
 
 
 class TestBackwardSweep:
@@ -229,3 +290,25 @@ class TestRandomizedCorpusProperties:
         closed = mv_closed_form(s, gamma2)
         scale = max(1.0, float(np.max(np.abs(closed.values))))
         assert np.max(np.abs(sweep.strategy.values - closed.values)) < 1e-11 * scale
+
+    def test_curved_corpus_passes_or_fails_typed(self):
+        # curved risk parts on time-varying markets: every implicit sweep is
+        # certified by the Phi scan with round-off residuals, or it stops at
+        # a named step with a typed error; it never returns a wrong strategy
+        from eqmo.verify import equilibrium_report
+
+        cases = random_curved_corpus(seed=20261017, count=60)
+        passed = 0
+        for case in cases:
+            try:
+                sweep = backward_sweep(case.scenario, case.objective, "implicit")
+            except (AmbiguousRoot, NoRealRoot) as e:
+                assert e.step is not None, case.name
+                assert 0 <= e.step <= case.scenario.grid_n, case.name
+                continue
+            report = equilibrium_report(case.scenario, case.objective,
+                                        sweep.strategy, tolerance=1e-8)
+            assert report.passed, (case.name, report.max_phi)
+            assert np.max(sweep.residuals) <= 1e-9, case.name
+            passed += 1
+        assert passed >= 0.9 * len(cases)

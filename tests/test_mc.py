@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from eqmo.errors import TooFewPaths
+from eqmo.errors import TooFewPaths, ValidationError
 from eqmo.model import MarketScenario, StrategyGrid
 from eqmo.moments import (
     conditional_moments,
@@ -13,7 +13,7 @@ from eqmo.moments import (
     simulate_terminal_wealth,
     simulate_wealth_paths,
 )
-from eqmo.sampling import blocked_normals
+from eqmo.sampling import BLOCK, _pool_size, blocked_normals, worker_count
 
 
 def case(grid_n=40):
@@ -43,6 +43,48 @@ class TestBlockedNormals:
     def test_seed_sensitivity(self):
         assert not np.array_equal(blocked_normals(1, 1000, 1),
                                   blocked_normals(2, 1000, 1))
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("raw", ["two", "", "1.5", "0", "-3"])
+    def test_invalid_values_are_typed_errors(self, raw):
+        with mock.patch.dict(os.environ, {"EQMO_WORKERS": raw}):
+            with pytest.raises(ValidationError):
+                worker_count()
+            with pytest.raises(ValidationError):
+                blocked_normals(9, 10, 1)
+
+    def test_pool_is_capped_at_block_count(self):
+        # the computed pool size, checked without starting any thread
+        with mock.patch.dict(os.environ, {"EQMO_WORKERS": str(10 ** 9)}):
+            assert worker_count() == 10 ** 9
+            assert _pool_size(3) == 3
+            assert _pool_size(1) == 1
+        with mock.patch.dict(os.environ, {"EQMO_WORKERS": "2"}):
+            assert _pool_size(7) == 2
+
+    def test_single_block_with_huge_worker_count_runs_serially(self):
+        base = blocked_normals(9, BLOCK, 2)
+        with mock.patch.dict(os.environ, {"EQMO_WORKERS": str(10 ** 9)}):
+            assert np.array_equal(blocked_normals(9, BLOCK, 2), base)
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2 ** 63, 2 ** 64 - 1, 1.0, True])
+    def test_out_of_range_or_non_integer_seed_is_typed_error(self, seed):
+        with pytest.raises(ValidationError):
+            blocked_normals(seed, 10, 1)
+
+    @pytest.mark.parametrize("seed", [0, 9, 2 ** 32, 2 ** 63 - 1])
+    def test_in_range_streams_are_the_block_substreams(self, seed):
+        got = blocked_normals(seed, BLOCK + 5, 2)
+        for block, (lo, hi) in enumerate(((0, BLOCK), (BLOCK, BLOCK + 5))):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+            assert np.array_equal(got[lo:hi], rng.standard_normal((hi - lo, 2)))
+
+    def test_numpy_integer_seed_matches_int(self):
+        assert np.array_equal(blocked_normals(np.int64(9), 100, 2),
+                              blocked_normals(9, 100, 2))
 
 
 class TestWealthSimulation:

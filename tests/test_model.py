@@ -96,6 +96,45 @@ class TestPolynomial:
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
 
 
+class TestPolynomialScalarPath:
+    """A plain float takes a pure-float Horner loop; it must reproduce the
+    numpy path bit for bit, signed zeros, infinities and NaN included."""
+
+    @staticmethod
+    def bits(x: float) -> bytes:
+        return np.float64(x).tobytes()
+
+    def test_matches_array_path_bitwise(self):
+        rng = np.random.default_rng(11)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e-320]
+        polys = [Polynomial(()), Polynomial((0.0,)), Polynomial((2.5,)),
+                 Polynomial((-0.0, 0.0, 1.0))]
+        for _ in range(300):
+            deg = int(rng.integers(0, 8))
+            c = rng.normal(size=deg + 1) * 10.0 ** rng.integers(-3, 4, size=deg + 1)
+            c[rng.random(deg + 1) < 0.2] = 0.0
+            polys.append(Polynomial(tuple(c)))
+        xs = specials + [float(v) for v in rng.normal(size=40) * 10.0]
+        with np.errstate(all="ignore"):
+            for p in polys:
+                for x in xs:
+                    got = p(x)
+                    assert type(got) is float
+                    ref = float(p(np.array(x)))
+                    assert self.bits(got) == self.bits(ref) or (
+                        math.isnan(got) and math.isnan(ref)), (p.coeffs, x)
+
+    def test_zero_and_constant_polynomials(self):
+        assert self.bits(Polynomial(())(math.inf)) == self.bits(0.0)
+        assert Polynomial((4.0,))(-3.0) == 4.0
+        assert math.isnan(Polynomial((4.0,))(math.nan))
+
+    def test_numpy_scalars_keep_numpy_path(self):
+        p = Polynomial((1.0, -2.0, 3.0))
+        assert p(np.float64(2.0)) == 9.0
+        assert np.array_equal(p(np.array([2.0])), np.array([9.0]))
+
+
 # ---------------------------------------------------------------------------
 # MarketScenario
 
@@ -172,6 +211,17 @@ class TestRateIntegration:
         R = rate_to_horizon(s)
         for i, t in enumerate(s.times):
             assert abs(R[i] - rate_integral(s, float(t), s.T)) < 1e-13
+
+    def test_rate_to_horizon_equals_backward_loop_bitwise(self):
+        rng = np.random.default_rng(8)
+        r = rng.normal(0.0, 0.05, 2001)
+        r[rng.random(2001) < 0.05] = -0.0
+        r[1999] = -0.0  # the backward loop starts from +0.0: R[1999] is +0.0
+        s = MarketScenario(r=r, theta=0.3, sigma=0.2, T=3.0, x0=1.0, grid_n=2000)
+        ref = np.zeros(2001)
+        for i in range(1999, -1, -1):
+            ref[i] = ref[i + 1] + s.r[i] * s.dt
+        assert rate_to_horizon(s).tobytes() == ref.tobytes()
 
     def test_rate_integral_range_errors(self):
         s = MarketScenario.constant(0.05, 0.3, 0.2, 1.0, 1.0, 4)

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqmo.errors import NegativeVariance, OffGridTime, OrderMismatch, UnsupportedOrder
+from eqmo.corpus import time_varying
+from eqmo.equilibrium import backward_sweep
+from eqmo.errors import (
+    NegativeVariance,
+    OffGridTime,
+    OrderMismatch,
+    OutOfRange,
+    UnsupportedOrder,
+)
 from eqmo.model import (
     MarketScenario,
     ObjectiveSpec,
@@ -19,6 +27,7 @@ from eqmo.moments import (
     MomentVector,
     conditional_moments,
     gaussian_central_moments,
+    moment_grid,
     moments_to_go,
     objective_value,
 )
@@ -78,6 +87,30 @@ class TestMomentsToGo:
         assert np.array_equal(M, M2)
         assert np.array_equal(V, V2)
 
+    def test_equals_backward_loop_where_pow_and_multiply_differ(self):
+        # the squares follow libm pow, as the scalar loop's ``** 2`` does; a
+        # plain multiply differs from it on about one input in a thousand
+        rng = np.random.default_rng(4)
+        n = 200
+        pool = [v for v in rng.uniform(-3.0, 3.0, 10 ** 6).tolist() if v ** 2 != v * v]
+        u_values = np.array(pool[:n + 1])
+        assert u_values.size == n + 1
+        s = MarketScenario(r=rng.uniform(-0.05, 0.1, n + 1),
+                           theta=rng.uniform(-0.2, 0.4, n + 1),
+                           sigma=rng.uniform(0.1, 0.5, n + 1), T=2.0, x0=1.0,
+                           grid_n=n)
+        u = StrategyGrid.from_values(s, u_values)
+        M, V = moments_to_go(s, u)
+        R = rate_to_horizon(s)
+        M2 = np.zeros(n + 1)
+        V2 = np.zeros(n + 1)
+        for i in range(n - 1, -1, -1):
+            g = math.exp(R[i])
+            M2[i] = M2[i + 1] + g * s.theta[i] * u.values[i] * s.dt
+            V2[i] = V2[i + 1] + g * g * s.sigma[i] ** 2 * u.values[i] ** 2 * s.dt
+        assert M.tobytes() == M2.tobytes()
+        assert V.tobytes() == V2.tobytes()
+
     def test_variance_to_go_monotone(self):
         s, u = base_case(30)
         _, V = moments_to_go(s, u)
@@ -125,6 +158,41 @@ class TestConditionalMoments:
         t = float(s.times[i])
         mv = conditional_moments(s, u, t, x, 2)
         assert abs(mv.m1 - (x * np.exp(R[i]) + M[i])) < 1e-12
+
+
+class TestMomentGrid:
+    def test_every_index_equals_per_row_and_loop_reference(self):
+        case = time_varying(200)
+        s = case.scenario
+        u = backward_sweep(s, case.objective, "explicit").strategy
+        grid = moment_grid(s, u)
+        R = np.zeros(s.grid_n + 1)
+        M = np.zeros(s.grid_n + 1)
+        V = np.zeros(s.grid_n + 1)
+        for i in range(s.grid_n - 1, -1, -1):
+            R[i] = R[i + 1] + s.r[i] * s.dt
+            g = math.exp(R[i])
+            M[i] = M[i + 1] + g * s.theta[i] * u.values[i] * s.dt
+            V[i] = V[i + 1] + g * g * s.sigma[i] ** 2 * u.values[i] ** 2 * s.dt
+
+        def flat(mv):
+            return np.array((mv.m1, mv.V) + mv.central + mv.cumulant).tobytes()
+
+        for i, t in enumerate(s.times):
+            row = grid.at(i, 1.3, 6)
+            assert flat(row) == flat(conditional_moments(s, u, float(t), 1.3, 6))
+            v = float(V[i])
+            ref = (1.3 * math.exp(R[i]) + M[i], v) \
+                + tuple(gaussian_central_moments(v, 6)) + (v, 0.0, 0.0, 0.0, 0.0)
+            assert flat(row) == np.array(ref).tobytes(), i
+
+
+    def test_index_outside_grid_is_typed_error(self):
+        s, u = base_case(10)
+        grid = moment_grid(s, u)
+        for i in (-1, 11):
+            with pytest.raises(OutOfRange):
+                grid.at(i, 1.0, 4)
 
 
 class TestMomentVector:
