@@ -34,7 +34,7 @@ from .errors import (
 from .equilibrium import mv_closed_form
 from .model import MarketScenario, StrategyGrid, rate_to_horizon
 from .moments import simulate_wealth_paths
-from .sampling import blocked_normals
+from .sampling import time_major_normals
 
 # state counts as constant across paths below this spread; conditioning on a
 # constant is plain averaging, so those rows regress on the intercept only
@@ -98,28 +98,27 @@ def simulate_factors(model: FactorModel, times: np.ndarray, paths: int,
     variance dt. kind "none" freezes the state at theta0 but still carries
     Brownian increments so downstream projections stay well defined.
     """
-    if paths < 1:
-        raise ValidationError(f"paths must be >= 1, got {paths}")
     times = np.asarray(times, dtype=float)
     n = len(times) - 1
     dt = float(times[1] - times[0])
-    Z = blocked_normals(seed, paths, n)
-    dW = (math.sqrt(dt) * Z).T.copy()
+    Z = time_major_normals(seed, paths, n)
     state = np.empty((n + 1, paths))
     state[0] = model.theta0
     if model.kind == "none":
         state[1:] = model.theta0
-        return FactorPaths(times, state, dW, seed)
-    if model.kappa == 0.0:
-        decay = 1.0
-        sd = model.eta * math.sqrt(dt)
     else:
-        decay = math.exp(-model.kappa * dt)
-        sd = model.eta * math.sqrt(-math.expm1(-2.0 * model.kappa * dt) / (2.0 * model.kappa))
-    for i in range(n):
-        state[i + 1] = model.theta_bar + (state[i] - model.theta_bar) * decay \
-            + sd * Z[:, i]
-    return FactorPaths(times, state, dW, seed)
+        if model.kappa == 0.0:
+            decay = 1.0
+            sd = model.eta * math.sqrt(dt)
+        else:
+            decay = math.exp(-model.kappa * dt)
+            sd = model.eta * math.sqrt(-math.expm1(-2.0 * model.kappa * dt)
+                                       / (2.0 * model.kappa))
+        for i in range(n):
+            state[i + 1] = model.theta_bar + (state[i] - model.theta_bar) * decay \
+                + sd * Z[i]
+    Z *= math.sqrt(dt)  # in place: the normals become the increments dW
+    return FactorPaths(times, state, Z, seed)
 
 
 def wealth_factor_paths(scenario: MarketScenario, strategy: StrategyGrid,

@@ -36,7 +36,7 @@ from .equilibrium import _mv_gamma2, backward_sweep, homogeneity_check_numeric, 
 from .errors import AmbiguousRoot, EqmoError, ParseError, SolverError, ValidationError
 from .moments import conditional_moments, mc_conditional_moments, moment_grid, \
     objective_value
-from .sampling import SEED_LIMIT, check_seed
+from .sampling import SEED_LIMIT, check_paths, check_seed
 from .scenario_io import ScenarioBundle, parse_scenario
 from .verify import equilibrium_report
 
@@ -64,8 +64,9 @@ class RunConfig:
             raise ValidationError(f"format must be csv or json, got {self.format!r}")
         if self.scheme not in ("explicit", "implicit"):
             raise ValidationError(f"scheme must be explicit or implicit, got {self.scheme!r}")
-        if self.grid_n < 1 or self.paths < 1:
-            raise ValidationError("grid_n and paths must be positive")
+        if self.grid_n < 1:
+            raise ValidationError(f"grid_n must be positive, got {self.grid_n}")
+        check_paths(self.paths)
         check_seed(self.seed)
 
 

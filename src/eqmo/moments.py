@@ -6,6 +6,13 @@ given (t, x) is Gaussian with mean and variance given by finite left-endpoint
 sums. The Monte Carlo oracle uses the matching exact per-step update
 X_{i+1} = e^{r dt} (X_i + theta u dt + sigma u sqrt(dt) xi), which reproduces
 those sums with zero discretization bias.
+
+The terminal sampler streams its normals one 4096-path block at a time
+(`sampling.for_each_block`): each block is drawn and carried through every
+step before the next is drawn, on `EQMO_WORKERS` threads when that is above
+1. Memory is O(BLOCK * steps + paths), not O(paths * steps), and every path
+sees the same normals and the same float operations as the whole-matrix
+recursion, so samples are bitwise independent of the block schedule.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from .model import (
     moments_to_cumulants,
     rate_to_horizon,
 )
-from .sampling import blocked_normals
+from .sampling import check_paths, for_each_block, time_major_normals
 
 
 @dataclass(frozen=True)
@@ -193,16 +200,27 @@ def _wealth_step_coeffs(scenario: MarketScenario, strategy: StrategyGrid):
 
 def simulate_terminal_wealth(scenario: MarketScenario, strategy: StrategyGrid,
                              t: float, x: float, paths: int, seed: int) -> np.ndarray:
-    """Sample X_T from (t, x) under the strategy; exact discrete transitions."""
+    """Sample X_T from (t, x) under the strategy; exact discrete transitions.
+
+    Streams the normals one path block at a time, so memory is
+    O(BLOCK * steps + paths) rather than O(paths * steps).
+    """
     i0 = scenario.grid_index(t)
-    g, a, b = _wealth_step_coeffs(scenario, strategy)
+    g, a, b = (c[i0:].tolist() for c in _wealth_step_coeffs(scenario, strategy))
     steps = scenario.grid_n - i0
-    X = np.full(paths, float(x))
+    X = np.full(check_paths(paths), float(x))
     if steps == 0:
         return X
-    Z = blocked_normals(seed, paths, steps)
-    for j, i in enumerate(range(i0, scenario.grid_n)):
-        X = g[i] * (X + a[i] + b[i] * Z[:, j])
+
+    def advance(lo: int, hi: int, Z: np.ndarray) -> None:
+        # g * ((x + a) + b * z) in place: the same roundings in the same order
+        x_ = X[lo:hi]
+        for j in range(steps):
+            x_ += a[j]
+            x_ += b[j] * Z[:, j]
+            x_ *= g[j]
+
+    for_each_block(seed, paths, steps, advance)
     return X
 
 
@@ -212,13 +230,13 @@ def simulate_wealth_paths(scenario: MarketScenario, strategy: StrategyGrid,
     (grid_n, paths); same per-step law as :func:`simulate_terminal_wealth`."""
     g, a, b = _wealth_step_coeffs(scenario, strategy)
     n = scenario.grid_n
-    Z = blocked_normals(seed, paths, n)
-    sq = math.sqrt(scenario.dt)
+    Z = time_major_normals(seed, paths, n)
     X = np.empty((n + 1, paths))
     X[0] = scenario.x0
     for i in range(n):
-        X[i + 1] = g[i] * (X[i] + a[i] + b[i] * Z[:, i])
-    return X, (sq * Z).T.copy()
+        X[i + 1] = g[i] * (X[i] + a[i] + b[i] * Z[i])
+    Z *= math.sqrt(scenario.dt)  # in place: the normals become the increments dW
+    return X, Z
 
 
 def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,

@@ -1,10 +1,17 @@
 """Monte Carlo wealth simulation against the analytic moment engine."""
+import json
+import math
 import os
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from eqmo.bsde import brownian_factor, simulate_factors
+from eqmo.cli import RunConfig, main
+from eqmo.corpus import time_varying
 from eqmo.errors import TooFewPaths, ValidationError
 from eqmo.model import MarketScenario, StrategyGrid
 from eqmo.moments import (
@@ -14,6 +21,7 @@ from eqmo.moments import (
     simulate_wealth_paths,
 )
 from eqmo.sampling import BLOCK, _pool_size, blocked_normals, worker_count
+from eqmo.sampling import MAX_PATHS, check_paths, for_each_block, time_major_normals
 
 
 def case(grid_n=40):
@@ -152,3 +160,172 @@ class TestMcConditionalMoments:
         est = mc_conditional_moments(s, u, t, 1.3, 4, paths=30_000, seed=21)
         assert abs(est.moments.m1 - analytic.m1) <= 4.0 * est.standard_errors[0]
         assert abs(est.moments.V - analytic.V) <= 4.0 * est.standard_errors[1]
+
+
+# ---------------------------------------------------------------------------
+# streamed sampling: block-by-block draws against the full-matrix reference
+
+STREAM_PATHS = (1, BLOCK - 1, BLOCK, BLOCK + 5, 3 * BLOCK + 17)
+
+
+def varying_case(grid_n=12):
+    s = time_varying(grid_n).scenario
+    return s, StrategyGrid.from_values(s, 1.5 + 0.5 * np.sin(3.0 * s.times))
+
+
+def terminal_reference(s, u, i0, x, paths, seed):
+    """The full-matrix recursion the streamed sampler replaced."""
+    n = s.grid_n
+    g = np.exp(s.r[:n] * s.dt)
+    a = s.theta[:n] * u.values[:n] * s.dt
+    b = s.sigma[:n] * u.values[:n] * math.sqrt(s.dt)
+    X = np.full(paths, float(x))
+    if n == i0:
+        return X
+    Z = blocked_normals(seed, paths, n - i0)
+    for j, i in enumerate(range(i0, n)):
+        X = g[i] * (X + a[i] + b[i] * Z[:, j])
+    return X
+
+
+def assert_streamed_matches_reference(paths_list, seed):
+    s, u = varying_case()
+    for paths in paths_list:
+        for i0 in (0, 5, s.grid_n):
+            got = simulate_terminal_wealth(s, u, float(s.times[i0]), 1.25, paths, seed)
+            want = terminal_reference(s, u, i0, 1.25, paths, seed)
+            assert got.shape == (paths,)
+            assert np.array_equal(got, want), (paths, i0)
+
+
+def run_bounded(fn, timeout=60.0):
+    """Run fn on a daemon thread; fail instead of hanging if it never returns."""
+    errors = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:  # re-raised on the test thread below
+            errors.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"no result within {timeout} s"
+    if errors:
+        raise errors[0]
+
+
+class TestStreamedTerminalWealth:
+    def test_bitwise_equal_to_full_matrix_recursion(self):
+        assert_streamed_matches_reference(STREAM_PATHS, 31)
+
+    @pytest.mark.parametrize("workers", ["2", "5"])
+    def test_bitwise_equal_under_threads(self, workers):
+        # 6 * BLOCK + 3 paths give seven blocks, so 5 workers start 5 threads,
+        # more than this suite's machines have cores
+        paths = 6 * BLOCK + 3
+
+        def compare():
+            assert_streamed_matches_reference(STREAM_PATHS + (paths,), 32)
+            assert np.array_equal(time_major_normals(33, paths, 12),
+                                  blocked_normals(33, paths, 12).T)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.dict(os.environ, {"EQMO_WORKERS": workers}):
+                run_bounded(compare)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_visits_each_block_once_in_order(self):
+        seen = []
+        ref = blocked_normals(4, 2 * BLOCK + 9, 3)
+
+        def visit(lo, hi, Z):
+            assert np.array_equal(Z, ref[lo:hi])
+            seen.append((lo, hi))
+
+        for_each_block(4, 2 * BLOCK + 9, 3, visit)
+        assert seen == [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, 2 * BLOCK + 9)]
+
+
+class TestTimeMajorSamplers:
+    @pytest.mark.parametrize("paths", STREAM_PATHS)
+    def test_time_major_normals_is_the_transpose(self, paths):
+        got = time_major_normals(8, paths, 7)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, blocked_normals(8, paths, 7).T)
+
+    @pytest.mark.parametrize("paths", (BLOCK - 1, BLOCK + 5))
+    def test_wealth_path_increments_are_scaled_normals(self, paths):
+        s, u = varying_case()
+        X, dW = simulate_wealth_paths(s, u, paths, 14)
+        assert np.array_equal(dW, math.sqrt(s.dt) * blocked_normals(14, paths, s.grid_n).T)
+        assert np.array_equal(X[-1], terminal_reference(s, u, 0, s.x0, paths, 14))
+
+    @pytest.mark.parametrize("paths", (BLOCK - 1, BLOCK + 5))
+    def test_factor_increments_are_scaled_normals(self, paths):
+        times = np.linspace(0.0, 1.0, 9)
+        fp = simulate_factors(brownian_factor(), times, paths, 15)
+        Z = blocked_normals(15, paths, 8)
+        assert np.array_equal(fp.dW, math.sqrt(times[1]) * Z.T)
+        state = np.zeros(paths)
+        for i in range(8):
+            state = 0.0 + (state - 0.0) * 1.0 + math.sqrt(times[1]) * Z[:, i]
+            assert np.array_equal(fp.state[i + 1], state)
+
+
+def refuse_large_allocations():
+    """Patch numpy's allocators to fail on anything path-count sized."""
+    def guard(real):
+        def allocate(shape, *args, **kwargs):
+            size = math.prod(shape) if isinstance(shape, tuple) else shape
+            assert size <= 10 ** 6, f"allocated {shape}"
+            return real(shape, *args, **kwargs)
+        return allocate
+    return mock.patch.multiple(np, empty=guard(np.empty), full=guard(np.full),
+                               zeros=guard(np.zeros))
+
+
+class TestPathLimit:
+    @pytest.mark.parametrize("paths", [10 ** 12, MAX_PATHS + 1, 0, -1, 2.0, True])
+    def test_typed_error_before_any_allocation(self, paths):
+        s, u = varying_case()
+        calls = (
+            lambda: check_paths(paths),
+            lambda: blocked_normals(1, paths, 3),
+            lambda: for_each_block(1, paths, 3, lambda lo, hi, Z: None),
+            lambda: time_major_normals(1, paths, 3),
+            lambda: simulate_terminal_wealth(s, u, 0.0, 1.0, paths, 1),
+            lambda: simulate_wealth_paths(s, u, paths, 1),
+            lambda: simulate_factors(brownian_factor(), s.times, paths, 1),
+        )
+        with refuse_large_allocations():
+            for call in calls:
+                with pytest.raises(ValidationError):
+                    call()
+
+    def test_bound_itself_is_accepted(self):
+        assert check_paths(MAX_PATHS) == MAX_PATHS
+        assert check_paths(np.int64(7)) == 7
+
+    @pytest.mark.parametrize("paths", [10 ** 12, MAX_PATHS + 1])
+    def test_run_config_rejects(self, paths):
+        with pytest.raises(ValidationError):
+            RunConfig(command="mc", scenario_path="x.scn", out_dir="out", seed=1,
+                      grid_n=10, paths=paths, format="csv", scheme="explicit")
+        RunConfig(command="mc", scenario_path="x.scn", out_dir="out", seed=1,
+                  grid_n=10, paths=MAX_PATHS, format="csv", scheme="explicit")
+
+    def test_cli_exits_1_with_diagnostic(self, tmp_path, capsys):
+        scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "mv_base.scn")
+        with refuse_large_allocations():
+            rc = main(["--command", "mc", "--scenario", scn, "--out", str(tmp_path),
+                       "--paths", str(10 ** 12)])
+        assert rc == 1
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "ValidationError"
+        assert "paths" in diag["message"]
+        assert not any(tmp_path.iterdir())
