@@ -48,6 +48,7 @@ from .model import (
     ValidatedScenario,
     cumulants_to_moments,
     gaussian_risk_polynomial,
+    growth_factors,
     mean_variance_objective,
     moments_to_cumulants,
     rate_integral,

@@ -32,7 +32,7 @@ from .errors import (
     ZTruncationSaturated,
 )
 from .equilibrium import mv_closed_form
-from .model import MarketScenario, StrategyGrid, rate_to_horizon
+from .model import MarketScenario, StrategyGrid, growth_factors, rate_to_horizon
 from .moments import simulate_wealth_paths
 from .sampling import time_major_normals
 
@@ -460,7 +460,7 @@ def mv_flow_residual(scenario: MarketScenario, gamma2: float, paths: int,
     n = scenario.grid_n
     res = scenario.theta[:n] - 2.0 * gamma2 * scenario.sigma[:n] * diag.z_values[:n]
     R = rate_to_horizon(scenario)
-    implied = diag.z_values[:n] * np.exp(-R[:n]) / scenario.sigma[:n]
+    implied = diag.z_values[:n] * growth_factors(-R[:n]) / scenario.sigma[:n]
     return FlowDiagnostics(
         diagonal=diag,
         residuals=res,

@@ -145,7 +145,8 @@ def random_affine_corpus(seed: int = 20240811, count: int = 10) -> list[Case]:
     return cases
 
 
-def random_curved_corpus(seed: int = 20261017, count: int = 60) -> list[Case]:
+def random_curved_corpus(seed: int = 20261017, count: int = 60,
+                         grid_n: int | None = None) -> list[Case]:
     """Time-varying markets with curved central-moment risk parts.
 
     Each objective is w1 m1 + w2 m2 + w4 m4 + w6 m6 + w22 m2^2, so its
@@ -154,13 +155,18 @@ def random_curved_corpus(seed: int = 20261017, count: int = 60) -> list[Case]:
     positive w4, w6 and w22 are drawn on purpose: they can leave a step
     without a root on the maximizer branch (D <= 0), which the sweep must
     report as a typed error naming the step.
+
+    ``grid_n`` replaces every drawn grid size and leaves every other draw
+    as it is, so the same markets and objectives can be sampled on finer
+    grids; it exists for grid-refinement studies of the sweep.
     """
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(count):
-        grid_n = int(rng.choice([40, 80, 120]))
+        drawn = int(rng.choice([40, 80, 120]))
+        n = drawn if grid_n is None else grid_n
         T = float(rng.choice([0.5, 1.0, 2.0]))
-        t = np.linspace(0.0, T, grid_n + 1)
+        t = np.linspace(0.0, T, n + 1)
         freq = rng.uniform(0.5, 4.0, 3)
         phase = rng.uniform(0.0, 2.0 * np.pi, 3)
         wave = np.sin(freq[:, None] * t[None, :] + phase[:, None])
@@ -170,7 +176,7 @@ def random_curved_corpus(seed: int = 20261017, count: int = 60) -> list[Case]:
             sigma=float(rng.uniform(0.2, 0.25)) + float(rng.uniform(0.0, 0.1)) * wave[2],
             T=T,
             x0=float(rng.uniform(0.5, 2.0)),
-            grid_n=grid_n,
+            grid_n=n,
         )
         w1 = float(rng.uniform(0.5, 2.0))
         objective = ObjectiveSpec(

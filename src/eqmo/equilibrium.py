@@ -35,6 +35,7 @@ from .model import (
     Polynomial,
     StrategyGrid,
     gaussian_risk_polynomial,
+    growth_factors,
     rate_to_horizon,
     validate_scenario,
 )
@@ -97,7 +98,7 @@ def phi_profile(scenario: MarketScenario, objective: ObjectiveSpec,
     Dpoly = gaussian_risk_polynomial(objective).derivative()
     R = rate_to_horizon(scenario)
     _, V = moments_to_go(scenario, strategy)
-    g = np.exp(R)
+    g = growth_factors(R)
     D = Dpoly(V)
     b = D * g * g * scenario.sigma ** 2
     a = w1 * g * scenario.theta + 2.0 * b * strategy.values
@@ -121,14 +122,14 @@ def mv_closed_form(scenario: MarketScenario, gamma2: float) -> StrategyGrid:
     if gamma2 <= 0.0 or not math.isfinite(gamma2):
         raise ValidationError(f"gamma2 must be positive, got {gamma2}")
     R = rate_to_horizon(scenario)
-    values = scenario.theta * np.exp(-R) / (2.0 * gamma2 * scenario.sigma ** 2)
+    values = scenario.theta * growth_factors(-R) / (2.0 * gamma2 * scenario.sigma ** 2)
     return StrategyGrid(scenario.times, values)
 
 
 def _cauchy_root_bound(poly: Polynomial) -> float:
     """Radius containing every root: 1 + max |c_i| / |c_lead|."""
-    lead = abs(poly.coeffs[-1])
-    return 1.0 + max(abs(c) for c in poly.coeffs[:-1]) / lead
+    c = poly.coeffs
+    return 1.0 + max(map(abs, c[:-1])) / abs(c[-1])
 
 
 def _compose_linear(outer: tuple[float, ...], a0: float, a1: float) -> list[float]:
@@ -179,7 +180,20 @@ def _stationarity_coeffs(w1: float, Dpoly: Polynomial, V_plus: float,
 def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
                      sigma: float, g: float, dt: float, prev_value: float,
                      scheme: str, terminal: bool) -> float:
-    """Stationarity root at one grid point given the future variance-to-go."""
+    """Stationarity root at one grid point given the future variance-to-go.
+
+    Implicit steps ask :func:`real_roots` for the root nearest
+    ``prev_value`` (u at the next grid point, within O(dt) of the answer).
+    It returns a Newton root r alone when its Taylor certificate shows p'
+    has no zero within |r - prev_value| of ``prev_value``, so no other root,
+    touch root or merged pair of the full isolation is nearer. If r is off
+    the maximizer branch (D(V_plus + dt s r^2) > 0), every root is isolated
+    again without the shortcut; when the certificate fails the first call
+    already isolates every root. Either way the step filters the admissible
+    roots and takes the nearest, so errors and their candidates are those
+    of the full isolation. Degree-1 polynomials (variance-affine
+    objectives) keep the closed form -c0 / c1.
+    """
     if theta == 0.0:
         return 0.0  # stationarity degenerates to 2 D e^{2R} sigma^2 u = 0
     s = g * g * sigma ** 2
@@ -195,11 +209,15 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
     if poly.degree < 1:
         raise NoSecondOrderTerm("stationarity polynomial degenerates to a constant")
     bound = _cauchy_root_bound(poly)
-    candidates = real_roots(poly, -bound, bound)
-    if not candidates:
-        raise NoRealRoot("stationarity polynomial has no real root")
+    candidates = real_roots(poly, -bound, bound, near=prev_value)
     admissible = [u for u in candidates
                   if Dpoly(V_plus + dt * s * u * u) <= 0.0]
+    if candidates and not admissible:
+        candidates = real_roots(poly, -bound, bound)
+        admissible = [u for u in candidates
+                      if Dpoly(V_plus + dt * s * u * u) <= 0.0]
+    if not candidates:
+        raise NoRealRoot("stationarity polynomial has no real root")
     if not admissible:
         raise AmbiguousRoot(
             f"no stationarity root on the maximizer branch (D <= 0); "
@@ -263,7 +281,8 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     dt = scenario.dt
     theta = scenario.theta.tolist()
     sigma = scenario.sigma.tolist()
-    g = [math.exp(x) for x in R.tolist()]
+    g_all = growth_factors(R)
+    g = g_all.tolist()
     u = [0.0] * (n + 1)
     V = [0.0] * (n + 1)
     u[n] = _solve_step(n, w1, Dpoly, 0.0, theta[n], sigma[n], g[n], dt, 0.0,
@@ -275,7 +294,6 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     u_arr = np.array(u)
     V_arr = np.array(V)
     D = Dpoly(V_arr)
-    g_all = np.exp(R)
     res = np.abs(
         w1 * g_all * scenario.theta
         + 2.0 * D * g_all * g_all * scenario.sigma ** 2 * u_arr

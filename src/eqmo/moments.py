@@ -36,6 +36,7 @@ from .model import (
     StrategyGrid,
     _DOUBLE_FACTORIAL,
     _sum_to_horizon,
+    growth_factors,
     moments_to_cumulants,
     rate_to_horizon,
 )
@@ -118,18 +119,19 @@ def moments_to_go(scenario: MarketScenario, strategy: StrategyGrid):
     - both profiles are reversed cumsums (:func:`eqmo.model._sum_to_horizon`),
       which associate every sum right to left exactly as the backward loop
       ``M[i] = M[i + 1] + g_i theta_i u_i dt`` does;
-    - the growth factors g_i = e^{R_i} come from libm's ``math.exp`` and the
-      squares sigma_i^2, u_i^2 from libm ``pow`` (``np.float_power``), as in
-      that scalar loop. ``np.exp`` differs from ``math.exp`` in the last bit
-      on about 4 % of inputs, and an array ``x ** 2`` (a multiply) from
-      ``pow`` on about 0.1 %; either would move V.
+    - the growth factors g_i = e^{R_i} come from libm's ``math.exp``
+      (:func:`eqmo.model.growth_factors`) and the squares sigma_i^2, u_i^2
+      from libm ``pow`` (``np.float_power``), as in that scalar loop.
+      ``np.exp`` differs from ``math.exp`` in the last bit on about 4 % of
+      inputs, and an array ``x ** 2`` (a multiply) from ``pow`` on about
+      0.1 %; either would move V.
     """
     strategy.check_grid(scenario)
     R = rate_to_horizon(scenario)
     n = scenario.grid_n
     dt = scenario.dt
     u = strategy.values[:n]
-    g = np.fromiter(map(math.exp, R[:n].tolist()), float, n)
+    g = growth_factors(R[:n])
     M = _sum_to_horizon(g * scenario.theta[:n] * u * dt)
     V = _sum_to_horizon(
         g * g * np.float_power(scenario.sigma[:n], 2) * np.float_power(u, 2) * dt

@@ -5,8 +5,8 @@ Randoms are generated per fixed-size block of path indices from the substream
 only on (seed, p), never on how many threads produced it. `EQMO_WORKERS`
 selects the thread count (an integer >= 1, capped at the number of blocks);
 threads draw and consume disjoint row slices, which keeps every output
-bit-identical for any setting. Seeds must lie in [0, 2**63) and path counts
-in [1, MAX_PATHS].
+bit-identical for any setting. Seeds must lie in [0, 2**63), path counts
+in [1, MAX_PATHS] and time-major matrices hold at most MAX_CELLS normals.
 
 :func:`blocked_normals` returns the whole (paths, cols) matrix.
 :func:`for_each_block` hands one block of it at a time to a consumer, so a
@@ -27,6 +27,13 @@ from .errors import ValidationError
 BLOCK = 4096
 SEED_LIMIT = 2 ** 63
 MAX_PATHS = 10 ** 8
+MAX_CELLS = 3 * 10 ** 7
+"""Largest paths x cols matrix :func:`time_major_normals` fills. The
+regression route keeps every path at every date: the state and dW matrices,
+the solver's Y and Z, and per-date regression bases of degree + 1 columns.
+Its peak RSS measured about 40 MB + 62 bytes per cell of this matrix (about
+7.7 float64 per path and date) on ``bsde`` runs and s-dependent flows, so
+the bound keeps one run under about 1.9 GB."""
 
 
 def worker_count() -> int:
@@ -131,8 +138,18 @@ def for_each_block(seed: int, paths: int, cols: int,
 
 
 def time_major_normals(seed: int, paths: int, cols: int) -> np.ndarray:
-    """``blocked_normals(seed, paths, cols).T`` as a C-contiguous (cols, paths) array."""
-    out = np.empty((cols, check_paths(paths)))
+    """``blocked_normals(seed, paths, cols).T`` as a C-contiguous (cols, paths) array.
+
+    More than MAX_CELLS normals is a ValidationError, raised before anything
+    is allocated.
+    """
+    paths = check_paths(paths)
+    if paths * cols > MAX_CELLS:
+        raise ValidationError(
+            f"paths x steps = {paths} x {cols} exceeds the {MAX_CELLS} normals "
+            f"a time-major matrix may hold"
+        )
+    out = np.empty((cols, paths))
 
     def visit(lo: int, hi: int, Z: np.ndarray) -> None:
         out[:, lo:hi] = Z.T

@@ -21,7 +21,7 @@ from eqmo.moments import (
     simulate_wealth_paths,
 )
 from eqmo.sampling import BLOCK, _pool_size, blocked_normals, worker_count
-from eqmo.sampling import MAX_PATHS, check_paths, for_each_block, time_major_normals
+from eqmo.sampling import MAX_CELLS, MAX_PATHS, check_paths, for_each_block, time_major_normals
 
 
 def case(grid_n=40):
@@ -328,4 +328,49 @@ class TestPathLimit:
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"] == "ValidationError"
         assert "paths" in diag["message"]
+        assert not any(tmp_path.iterdir())
+
+
+class TestTimeMajorLimit:
+    """Time-major matrices (the regression route's normals) are bounded by
+    paths x steps, checked before anything is allocated."""
+
+    @pytest.mark.parametrize("paths, cols", [(MAX_CELLS // 25 + 1, 25),
+                                             (10 ** 7, 100), (MAX_PATHS, 2)])
+    def test_typed_error_before_any_allocation(self, paths, cols):
+        times = np.linspace(0.0, 1.0, cols + 1)
+        s = MarketScenario.constant(r=0.03, theta=0.3, sigma=0.25, T=1.0, x0=1.0,
+                                    grid_n=cols)
+        u = StrategyGrid.constant(s, 2.0)
+        calls = (
+            lambda: time_major_normals(1, paths, cols),
+            lambda: simulate_wealth_paths(s, u, paths, 1),
+            lambda: simulate_factors(brownian_factor(), times, paths, 1),
+        )
+        with refuse_large_allocations():
+            for call in calls:
+                with pytest.raises(ValidationError, match="exceeds"):
+                    call()
+
+    def test_bound_itself_is_accepted(self):
+        class Reached(Exception):
+            pass
+
+        def empty(shape, *args, **kwargs):
+            raise Reached(shape)
+
+        with mock.patch.object(np, "empty", empty):
+            with pytest.raises(Reached) as exc_info:
+                time_major_normals(1, MAX_CELLS // 25, 25)
+        assert exc_info.value.args[0] == (25, MAX_CELLS // 25)
+
+    def test_cli_bsde_exits_1_with_diagnostic(self, tmp_path, capsys):
+        scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "ou_factor.scn")
+        with refuse_large_allocations():
+            rc = main(["--command", "bsde", "--scenario", scn, "--out", str(tmp_path),
+                       "--paths", str(10 ** 8)])
+        assert rc == 1
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "ValidationError"
+        assert "paths x steps" in diag["message"]
         assert not any(tmp_path.iterdir())

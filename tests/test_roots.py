@@ -1,11 +1,17 @@
 """Real-root isolation on an interval, checked against numpy's companion
-matrix solver and constructed factorizations."""
+matrix solver and constructed factorizations, and the certified nearest-root
+Newton path behind ``near``."""
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqmo.model import Polynomial
+from eqmo import roots
+from eqmo.roots import _nearest_root as nearest_root
 from eqmo.roots import real_roots
 
 
@@ -112,3 +118,97 @@ class TestAgainstNumpyOracle:
         p = poly_from_roots([-1.1, 0.3, 0.9, 2.2])
         for r in real_roots(p, -5.0, 5.0):
             assert abs(p(r)) < 1e-11
+
+
+class TestNearestRoot:
+    """The certified Newton path: a root it returns is the nearest real root
+    of the full isolation; anything it cannot certify is None."""
+
+    def test_well_separated_cubic(self):
+        p = poly_from_roots([-1.0, 0.5, 2.0])
+        for x0, want in ((1.9, 2.0), (2.3, 2.0), (0.4, 0.5), (-1.2, -1.0)):
+            r = nearest_root(p.coeffs, x0)
+            assert r is not None
+            assert abs(r - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_matches_full_isolation(self):
+        p = Polynomial((0.3, -0.08, 0.0, -0.0096))
+        (full,) = real_roots(p, -100.0, 100.0)
+        r = nearest_root(p.coeffs, 3.0)
+        assert r is not None
+        assert abs(r - full) <= 1e-15 * abs(full)
+
+    def test_close_pair_around_start_is_not_certified(self):
+        # p' vanishes near 1.0005, between the roots 1 and 1.001: from a start
+        # nearer that critical point than either root, the interval reaching
+        # a root contains it
+        p = poly_from_roots([1.0, 1.001, -2.001])
+        for x0 in (1.0004, 1.0005, 1.0006):
+            assert nearest_root(p.coeffs, x0) is None
+        # from farther out the nearer root is certified
+        for x0, want in ((0.9999, 1.0), (1.0001, 1.0), (1.0009, 1.001), (1.0011, 1.001)):
+            assert abs(nearest_root(p.coeffs, x0) - want) <= 1e-13
+
+    def test_zero_derivative_at_start(self):
+        assert nearest_root((-1.0, 0.0, 1.0), 0.0) is None
+        assert nearest_root((3.0, 0.0, 0.0, -2.0), 0.0) is None
+
+    def test_newton_cycle_is_not_trusted(self):
+        # x^3 - 2x + 2 from 0: Newton cycles 0 -> 1 -> 0
+        assert nearest_root((2.0, -2.0, 0.0, 1.0), 0.0) is None
+
+    def test_non_finite_values(self):
+        assert nearest_root((-1.0, math.inf, 1.0), 0.5) is None
+        assert nearest_root((math.nan, 0.0, 1.0), 0.5) is None
+        assert nearest_root((-1.0, 0.0, 1e308), 1e200) is None
+
+    @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=2,
+                    max_size=6, unique=True),
+           st.floats(min_value=0.1, max_value=10.0),
+           st.floats(min_value=-7.0, max_value=7.0))
+    @settings(max_examples=200, deadline=None)
+    def test_certified_root_is_nearest_isolated_root(self, roots, scale, x0):
+        p = poly_from_roots(roots, scale=scale)
+        r = nearest_root(p.coeffs, x0)
+        if r is None:
+            return
+        isolated = real_roots(p, -7.0, 7.0)
+        nearest = min(isolated, key=lambda u: abs(u - x0))
+        assert abs(r - nearest) <= 1e-12 * max(1.0, abs(nearest))
+        for u in isolated:
+            if u != nearest:
+                assert abs(u - x0) > abs(r - x0)
+
+
+class TestNearArgument:
+    """``real_roots(..., near=x0)``: the certified nearest root alone, or the
+    full isolation when it cannot be certified; the recursion into the
+    derivative runs only for the full isolation."""
+
+    @staticmethod
+    def call(p, lo, hi, near):
+        with mock.patch.object(roots, "real_roots", wraps=roots.real_roots) as inner:
+            got = real_roots(p, lo, hi, near=near)
+        return got, inner.call_count > 0
+
+    def test_certified_root_alone(self):
+        p = poly_from_roots([-1.0, 0.5, 2.0])
+        got, isolated = self.call(p, -5.0, 5.0, 1.9)
+        assert not isolated
+        assert len(got) == 1 and abs(got[0] - 2.0) <= 1e-15 * 2.0
+
+    def test_uncertified_start_isolates_every_root(self):
+        p = poly_from_roots([1.0, 1.001, -2.001])
+        got, isolated = self.call(p, -5.0, 5.0, 1.0005)
+        assert isolated
+        assert got == real_roots(p, -5.0, 5.0)
+
+    def test_root_outside_interval_isolates(self):
+        p = poly_from_roots([-1.0, 0.5, 2.0])
+        got, isolated = self.call(p, -5.0, 1.0, 1.9)
+        assert isolated
+        assert got == real_roots(p, -5.0, 1.0)
+
+    def test_degree_one_and_zero_ignore_near(self):
+        assert real_roots(Polynomial((-1.0, 2.0)), -5.0, 5.0, near=3.0) == [0.5]
+        assert real_roots(Polynomial((1.0,)), -5.0, 5.0, near=3.0) == []
