@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
 """Grid-refinement error study for the regression BSDE solver.
 
-Terminal W_T^2 with zero driver has the closed form Y_t = W_t^2 + (T - t),
-Z_t = 2 W_t, and a degree-3 basis reproduces the conditional expectations
-exactly, so all remaining error is regression sampling noise. The study
-reports mean-square Y (and Z) errors with replication standard errors.
+Prints the rows of ``eqmo.bsde.convergence_study``: terminal W_T^2 with zero
+driver, whose closed form Y_t = W_t^2 + (T - t), Z_t = 2 W_t a degree-3
+basis reproduces exactly, so all remaining error is regression sampling
+noise. Reports mean-square Y (and Z) errors with replication standard errors.
 
 Usage: python scripts/convergence_study.py [--paths 20000] [--reps 8] [--seed 1]
 """
 import argparse
-import math
 
-import numpy as np
-
-from eqmo.bsde import DriverSpec, brownian_factor, simulate_factors, solve_bsde
+from eqmo.bsde import convergence_study
 
 
 def main() -> None:
@@ -24,25 +21,10 @@ def main() -> None:
     ap.add_argument("--grids", type=int, nargs="+", default=[25, 50, 100])
     args = ap.parse_args()
 
-    spec = DriverSpec(
-        driver=lambda t, state, y, z: 0.0,
-        terminal=lambda fp, s: fp.state[-1] ** 2,
-    )
     print(f"{'grid_n':>6} {'Y mse':>12} {'+-':>10} {'Z mse':>12} {'Y0 bias':>10}")
-    for grid_n in args.grids:
-        times = np.linspace(0.0, 1.0, grid_n + 1)
-        y_mses, z_mses, y0s = [], [], []
-        for rep in range(args.reps):
-            fp = simulate_factors(brownian_factor(), times, args.paths,
-                                  args.seed + 7919 * grid_n + rep)
-            grid = solve_bsde(spec, fp)
-            y_exact = fp.state ** 2 + (1.0 - times)[:, None]
-            y_mses.append(float(np.mean((grid.Y - y_exact) ** 2)))
-            z_mses.append(float(np.mean((grid.Z[:grid_n] - 2.0 * fp.state[:grid_n]) ** 2)))
-            y0s.append(grid.y0_mean)
-        se = np.std(y_mses, ddof=1) / math.sqrt(args.reps)
-        print(f"{grid_n:>6} {np.mean(y_mses):>12.4e} {se:>10.1e} "
-              f"{np.mean(z_mses):>12.4e} {np.mean(y0s) - 1.0:>10.2e}")
+    for row in convergence_study(args.paths, args.reps, args.seed, args.grids):
+        print(f"{row.grid_n:>6} {row.y_mse:>12.4e} {row.y_mse_se:>10.1e} "
+              f"{row.z_mse:>12.4e} {row.y0_bias:>10.2e}")
 
 
 if __name__ == "__main__":

@@ -45,13 +45,11 @@ from .model import (
     ObjectiveTerm,
     Polynomial,
     StrategyGrid,
-    ValidatedScenario,
     cumulants_to_moments,
     gaussian_risk_polynomial,
     growth_factors,
     mean_variance_objective,
     moments_to_cumulants,
-    rate_integral,
     rate_to_horizon,
     validate_scenario,
 )
@@ -84,12 +82,14 @@ from .equilibrium import (
 from .verify import EquilibriumReport, equilibrium_report, finite_eps_check
 from .bsde import (
     BsdeGrid,
+    ConvergenceRow,
     DiagonalProcess,
     DriverSpec,
     FactorModel,
     FactorPaths,
     FlowDiagnostics,
     brownian_factor,
+    convergence_study,
     mv_flow_residual,
     simulate_factors,
     solve_bsde,

@@ -13,14 +13,16 @@ diagonal samples member s at time s. All members at a date project onto the
 same state row, so a flow costs O(n) dates, not O(n^2) rows: a family of
 identical members is one solve whose row s is member s, and any other family
 fits its live members together, one matrix-matrix regression per date.
-Recurrent systems solve an ordered list of specs, feeding each driver the
-(Y, Z) grids of its dependencies.
+A single BSDE and a recurrent system share one backward loop over dates on
+an ordered list of specs: each date builds one regression operator, fits
+each spec's row on it and feeds each driver the (Y, Z) rows of its
+dependencies at that date.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +36,7 @@ from .errors import (
 from .equilibrium import mv_closed_form
 from .model import MarketScenario, StrategyGrid, growth_factors, rate_to_horizon
 from .moments import simulate_wealth_paths
-from .sampling import time_major_normals
+from .sampling import SEED_LIMIT, time_major_normals
 
 # state counts as constant across paths below this spread; conditioning on a
 # constant is plain averaging, so those rows regress on the intercept only
@@ -203,15 +205,10 @@ class _Regression:
             )
         self._U, self._s, self._Vt = U, s, Vt
 
-    def fit_values(self, target: np.ndarray) -> np.ndarray:
-        """Fitted conditional expectation of target given the state row."""
-        rhs = self.B.T @ target
-        coeffs = self._Vt.T @ ((self._U.T @ rhs) / self._s)
-        return self.B @ coeffs
-
     def fit_rows(self, targets: np.ndarray) -> np.ndarray:
-        """``fit_values`` of every row of a (members x paths) target matrix,
-        as one matrix-matrix product per side of the Gram solve."""
+        """Fitted conditional expectation of a target row given the state row,
+        or of every row of a (members x paths) target matrix, as one
+        matrix-matrix product per side of the Gram solve."""
         coeffs = ((targets @ self.B) @ self._U / self._s) @ self._Vt
         return coeffs @ self.B.T
 
@@ -225,9 +222,11 @@ def _check_options(basis_degree: int, picard: int, z_estimator: str) -> None:
         raise ValidationError(f"picard iterations must be >= 1, got {picard}")
 
 
-def _check_deps(spec: DriverSpec, deps: Sequence[BsdeGrid]) -> None:
-    if any(d >= len(deps) for d in spec.depends_on):
-        raise ValidationError("driver dependencies not supplied to solve_bsde")
+def _check_deps(index: int, spec: DriverSpec, supplied: int) -> None:
+    missing = [d for d in spec.depends_on if d >= supplied]
+    if missing:
+        raise ValidationError(f"spec {index} depends on grids {missing} but only "
+                              f"{supplied} dependency grids were supplied")
 
 
 def _check_terminal(values: np.ndarray) -> None:
@@ -235,78 +234,114 @@ def _check_terminal(values: np.ndarray) -> None:
         raise ValidationError("terminal condition produced non-finite values")
 
 
-def _warn_saturated(saturated: int, total: int, z_bound: float) -> None:
+def _warn_saturated(saturated: int, total: int, z_bound: float,
+                    stacklevel: int = 3) -> None:
     if total > 0 and saturated > 0.01 * total:
         warnings.warn(
             f"{saturated / total:.1%} of Z values hit the truncation bound {z_bound}",
             ZTruncationSaturated,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
-def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
-               start_index: int = 0, z_bound: float = 50.0, picard: int = 1,
-               z_estimator: str = "centered",
-               deps: Sequence[BsdeGrid] = (),
-               _bank: list | None = None) -> BsdeGrid:
-    """Backward regression solve of one BSDE on [t_start, T].
+def _fit_date(reg: _Regression, rows: np.ndarray, dW_i: np.ndarray, dt: float,
+              z_estimator: str) -> tuple[np.ndarray, np.ndarray]:
+    """Continuation C = E[rows | state_i] and Z fit of one date, for one
+    target row or a (members x paths) matrix of them."""
+    C = reg.fit_rows(rows)
+    if z_estimator == "centered":
+        z_target = (rows - C) * dW_i / dt
+    else:
+        z_target = rows * dW_i / dt
+    return C, reg.fit_rows(z_target)
 
-    Rows with index below ``start_index`` are left at zero (flow members live
-    on their own subinterval). Y_0 statistics refer to the first solved row.
-    ``_bank`` is a per-date cache of regression operators (one slot per grid
-    node, filled lazily) shared by solves on the same paths.
+
+def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
+           Z: np.ndarray, dep_rows: Sequence[tuple[np.ndarray, np.ndarray]],
+           picard: int, z_bound: float, dt: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Y = C + f(t, state, Y, Z [, deps]) dt by ``picard`` passes from Y = C,
+    with ``spec.depends_on`` indexing ``dep_rows``; returns Y, the last f and
+    the count of Z values at the truncation bound."""
+    saturated = 0
+    if spec.growth_class == "quadratic_in_z":
+        saturated = int(np.count_nonzero(np.abs(Z) >= z_bound))
+        Z = np.clip(Z, -z_bound, z_bound)
+    deps = tuple(dep_rows[d] for d in spec.depends_on)
+    Y = C
+    for _ in range(picard):
+        if spec.depends_on:
+            f = spec.driver(t, state, Y, Z, deps)
+        else:
+            f = spec.driver(t, state, Y, Z)
+        f = np.asarray(f, dtype=float)
+        Y = C + f * dt
+    return Y, f, saturated
+
+
+def _solve_system(specs: Sequence[DriverSpec], fp: FactorPaths, basis_degree: int,
+                  start_index: int, z_bound: float, picard: int, z_estimator: str,
+                  deps: Sequence[BsdeGrid]) -> list[BsdeGrid]:
+    """Backward regression solve of an ordered list of BSDEs on [t_start, T].
+
+    Spec k's ``depends_on`` indexes ``deps`` followed by the specs before it.
+    Each date builds one regression operator on its state row, which fits
+    every spec's own row (so each spec is bitwise its standalone solve) and
+    is dropped before the next date.
     """
     _check_options(basis_degree, picard, z_estimator)
     n, paths, dt = fp.grid_n, fp.paths, fp.dt
     if not 0 <= start_index <= n:
         raise ValidationError(f"start_index {start_index} outside [0, {n}]")
-    _check_deps(spec, deps)
+    for k, spec in enumerate(specs):
+        _check_deps(k, spec, len(deps) + k)
 
-    Y = np.zeros((n + 1, paths))
-    Z = np.zeros((n + 1, paths))
-    Y[n] = np.broadcast_to(np.asarray(spec.terminal(fp, start_index), dtype=float), (paths,))
-    _check_terminal(Y[n])
-    bank = _bank if _bank is not None else [None] * (n + 1)
-    quad = spec.growth_class == "quadratic_in_z"
-    saturated = 0
-    total = 0
-    y0_samples = Y[n]
+    Ys, Zs = np.zeros((2, len(specs), n + 1, paths))
+    for spec, Y in zip(specs, Ys):
+        Y[n] = np.broadcast_to(np.asarray(spec.terminal(fp, start_index), dtype=float),
+                               (paths,))
+        _check_terminal(Y[n])
+    saturated = [0] * len(specs)
+    y0_samples = list(Ys[:, n])
 
     for i in range(n - 1, start_index - 1, -1):
-        if bank[i] is None:
-            bank[i] = _Regression(fp.state[i], basis_degree)
-        reg = bank[i]
-        C = reg.fit_values(Y[i + 1])
-        if z_estimator == "centered":
-            z_target = (Y[i + 1] - C) * fp.dW[i] / dt
-        else:
-            z_target = Y[i + 1] * fp.dW[i] / dt
-        Zfit = reg.fit_values(z_target)
-        Z[i] = Zfit
-        z_in = np.clip(Zfit, -z_bound, z_bound) if quad else Zfit
-        if quad:
-            saturated += int(np.count_nonzero(np.abs(Zfit) >= z_bound))
-            total += Zfit.size
-        dep_rows = tuple((deps[d].Y[i], deps[d].Z[i]) for d in spec.depends_on)
-        y_pred = C
-        for _ in range(picard):
-            if spec.depends_on:
-                f_val = spec.driver(float(fp.times[i]), fp.state[i], y_pred, z_in, dep_rows)
-            else:
-                f_val = spec.driver(float(fp.times[i]), fp.state[i], y_pred, z_in)
-            y_new = C + np.asarray(f_val, dtype=float) * dt
-            y_pred = y_new
-        Y[i] = y_pred
-        y0_samples = Y[i + 1] + np.asarray(f_val, dtype=float) * dt if i == start_index else y0_samples
+        reg = _Regression(fp.state[i], basis_degree)
+        t, state = float(fp.times[i]), fp.state[i]
+        dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
+        for k, (spec, Y, Z) in enumerate(zip(specs, Ys, Zs)):
+            C, Zfit = _fit_date(reg, Y[i + 1], fp.dW[i], dt, z_estimator)
+            Z[i] = Zfit
+            Y[i], f, sat = _drive(spec, t, state, C, Zfit, dep_rows, picard, z_bound, dt)
+            saturated[k] += sat
+            if i == start_index:
+                y0_samples[k] = Y[i + 1] + f * dt
+            dep_rows.append((Y[i], Z[i]))
+        del reg  # one date's basis alive at a time
 
-    _warn_saturated(saturated, total, z_bound)
-    y0_mean = float(np.mean(Y[start_index]))
-    y0_se = float(np.std(y0_samples, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-    return BsdeGrid(
-        times=fp.times, Y=Y, Z=Z, basis_degree=basis_degree, paths=paths,
-        seed=fp.seed, y0_mean=y0_mean, y0_se=y0_se,
-        z_saturation=(saturated / total if total else 0.0),
-    )
+    grids = []
+    for spec, Y, Z, sat, y0 in zip(specs, Ys, Zs, saturated, y0_samples):
+        total = (n - start_index) * paths if spec.growth_class == "quadratic_in_z" else 0
+        _warn_saturated(sat, total, z_bound, stacklevel=4)
+        grids.append(BsdeGrid(
+            times=fp.times, Y=Y, Z=Z, basis_degree=basis_degree, paths=paths,
+            seed=fp.seed, y0_mean=float(np.mean(Y[start_index])),
+            y0_se=float(np.std(y0, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0,
+            z_saturation=(sat / total if total else 0.0),
+        ))
+    return grids
+
+
+def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
+               start_index: int = 0, z_bound: float = 50.0, picard: int = 1,
+               z_estimator: str = "centered",
+               deps: Sequence[BsdeGrid] = ()) -> BsdeGrid:
+    """Backward regression solve of one BSDE on [t_start, T].
+
+    Rows with index below ``start_index`` are left at zero (flow members live
+    on their own subinterval). Y_0 statistics refer to the first solved row.
+    ``spec.depends_on`` indexes ``deps``.
+    """
+    return _solve_system([spec], fp, basis_degree, start_index, z_bound, picard,
+                         z_estimator, deps)[0]
 
 
 @dataclass(frozen=True)
@@ -347,8 +382,8 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
     _check_options(basis_degree, picard, z_estimator)
     n, dt = fp.grid_n, fp.dt
     specs = [family(s) for s in range(n + 1)]
-    for spec in specs:
-        _check_deps(spec, deps)
+    for s, spec in enumerate(specs):
+        _check_deps(s, spec, len(deps))
     # row s holds member s: its terminal, then its Y at each earlier date down
     # to s, after which it is final (member s at its own start time)
     Y = np.empty((n + 1, fp.paths))
@@ -365,46 +400,31 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
         Y = grid.Y
         z_diag[:n] = [float(np.mean(row)) for row in grid.Z[:n]]
     else:
-        members = [(spec.driver, spec.growth_class == "quadratic_in_z", spec.depends_on)
-                   for spec in specs]
         saturated = 0
         total = 0
         for i in range(n - 1, -1, -1):
-            reg = _Regression(fp.state[i], basis_degree)
-            live = Y[:i + 1]
-            C = reg.fit_rows(live)
-            if z_estimator == "centered":
-                z_target = (live - C) * fp.dW[i] / dt
-            else:
-                z_target = live * fp.dW[i] / dt
-            Zfit = reg.fit_rows(z_target)
+            C, Zfit = _fit_date(_Regression(fp.state[i], basis_degree), Y[:i + 1],
+                                fp.dW[i], dt, z_estimator)
             z_diag[i] = float(np.mean(Zfit[i]))
             t, state = float(fp.times[i]), fp.state[i]
             dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
-            for k, (driver, quad, depends_on) in enumerate(members[:i + 1]):
-                z_in = Zfit[k]
-                if quad:
-                    saturated += int(np.count_nonzero(np.abs(z_in) >= z_bound))
-                    total += z_in.size
-                    z_in = np.clip(z_in, -z_bound, z_bound)
-                y_pred = C[k]
-                for _ in range(picard):
-                    if depends_on:
-                        f_val = driver(t, state, y_pred, z_in,
-                                       tuple(dep_rows[d] for d in depends_on))
-                    else:
-                        f_val = driver(t, state, y_pred, z_in)
-                    y_pred = C[k] + np.asarray(f_val, dtype=float) * dt
-                Y[k] = y_pred
+            for k, spec in enumerate(specs[:i + 1]):
+                Y[k], _, sat = _drive(spec, t, state, C[k], Zfit[k], dep_rows, picard,
+                                      z_bound, dt)
+                saturated += sat
+                if spec.growth_class == "quadratic_in_z":
+                    total += fp.paths
         _warn_saturated(saturated, total, z_bound)
     y_diag = np.array([float(np.mean(row)) for row in Y])
     return DiagonalProcess(fp.times, y_diag, Y, z_diag)
 
 
 def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
-                           basis_degree: int = 3, **solver_kwargs) -> list[BsdeGrid]:
+                           basis_degree: int = 3, *, start_index: int = 0,
+                           z_bound: float = 50.0, picard: int = 1,
+                           z_estimator: str = "centered") -> list[BsdeGrid]:
     """Solve an ordered list of BSDEs where drivers may read the (Y, Z) grids
-    of strictly earlier members."""
+    of strictly earlier members; the options are those of ``solve_bsde``."""
     for own, spec in enumerate(specs):
         bad = [d for d in spec.depends_on if d >= own]
         if bad:
@@ -412,13 +432,57 @@ def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
                 f"spec {own} depends on indices {bad}; dependencies must be "
                 "strictly earlier in the list"
             )
-    bank = [None] * (fp.grid_n + 1)
-    solved: list[BsdeGrid] = []
-    for spec in specs:
-        solved.append(
-            solve_bsde(spec, fp, basis_degree, deps=solved, _bank=bank, **solver_kwargs)
-        )
-    return solved
+    return _solve_system(specs, fp, basis_degree, start_index, z_bound, picard,
+                         z_estimator, ())
+
+
+# ---------------------------------------------------------------------------
+# manufactured-solution error study
+
+
+@dataclass(frozen=True)
+class ConvergenceRow:
+    """One grid of the W_T^2 study: mean Y MSE over replications, its standard
+    error, mean Z MSE and the mean Y_0 bias."""
+
+    grid_n: int
+    paths: int
+    y_mse: float
+    y_mse_se: float
+    z_mse: float
+    y0_bias: float
+
+
+def convergence_study(paths: int, reps: int, seed: int,
+                      grids: Sequence[int] = (25, 50, 100)) -> list[ConvergenceRow]:
+    """Grid-refinement error study of ``solve_bsde``: terminal W_T^2, zero
+    driver on [0, 1], exact Y_t = W_t^2 + (1 - t) and Z_t = 2 W_t, which the
+    degree-3 basis reproduces, so the error is regression sampling noise.
+    Every grid and replication draws its paths from its own seed."""
+    if reps < 2:
+        raise ValidationError(f"need at least 2 replications, got {reps}")
+    spec = DriverSpec(
+        driver=lambda t, state, y, z: 0.0,
+        terminal=lambda fp, s: fp.state[-1] ** 2,
+    )
+    rows = []
+    for grid_n in grids:
+        times = np.linspace(0.0, 1.0, grid_n + 1)
+        y_mses, z_mses, y0s = [], [], []
+        for rep in range(reps):
+            fp = simulate_factors(brownian_factor(), times, paths,
+                                  (seed + 7919 * grid_n + rep) % SEED_LIMIT)
+            grid = solve_bsde(spec, fp)
+            y_exact = fp.state ** 2 + (1.0 - times)[:, None]
+            y_mses.append(float(np.mean((grid.Y - y_exact) ** 2)))
+            z_mses.append(float(np.mean((grid.Z[:grid_n] - 2.0 * fp.state[:grid_n]) ** 2)))
+            y0s.append(grid.y0_mean)
+        rows.append(ConvergenceRow(
+            grid_n=grid_n, paths=paths, y_mse=float(np.mean(y_mses)),
+            y_mse_se=float(np.std(y_mses, ddof=1) / math.sqrt(reps)),
+            z_mse=float(np.mean(z_mses)), y0_bias=float(np.mean(y0s)) - 1.0,
+        ))
+    return rows
 
 
 # ---------------------------------------------------------------------------

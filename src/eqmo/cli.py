@@ -16,7 +16,6 @@ EQMO_WORKERS.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ import numpy as np
 from .artifacts import Table, emit_outputs, render_json
 from .bsde import (
     DriverSpec,
-    brownian_factor,
+    convergence_study,
     mv_flow_residual,
     simulate_factors,
     solve_bsde,
@@ -36,7 +35,7 @@ from .equilibrium import _mv_gamma2, backward_sweep, homogeneity_check_numeric, 
 from .errors import AmbiguousRoot, EqmoError, ParseError, SolverError, ValidationError
 from .moments import conditional_moments, mc_conditional_moments, moment_grid, \
     objective_value
-from .sampling import SEED_LIMIT, check_paths, check_seed
+from .sampling import check_paths, check_seed
 from .scenario_io import ScenarioBundle, parse_scenario
 from .verify import equilibrium_report
 
@@ -214,28 +213,11 @@ def _cmd_homogeneity(bundle: ScenarioBundle, config: RunConfig):
 
 
 def _convergence_table(config: RunConfig) -> Table:
-    """Manufactured-solution error study: terminal W_T^2, exact Y known in
-    closed form, repeated at three grid sizes with independent replications."""
-    spec = DriverSpec(
-        driver=lambda t, state, y, z: 0.0,
-        terminal=lambda fp, s: fp.state[-1] ** 2,
-    )
-    reps = 4
-    rep_paths = max(config.paths // 5, 2000)
-    rows = []
-    for grid_n in (25, 50, 100):
-        times = np.linspace(0.0, 1.0, grid_n + 1)
-        mses = []
-        for rep in range(reps):
-            fp = simulate_factors(brownian_factor(), times, rep_paths,
-                                  (config.seed + 7919 * grid_n + rep) % SEED_LIMIT)
-            grid = solve_bsde(spec, fp)
-            exact = fp.state ** 2 + (1.0 - times)[:, None]
-            mses.append(float(np.mean((grid.Y - exact) ** 2)))
-        mean = float(np.mean(mses))
-        se = float(np.std(mses, ddof=1) / math.sqrt(reps))
-        rows.append((grid_n, rep_paths, mean, se))
-    return Table(("grid_n", "paths", "mse", "mse_se"), tuple(rows))
+    """The manufactured W_T^2 error study at grid sizes 25, 50 and 100, four
+    replications of max(paths // 5, 2000) paths each."""
+    rows = convergence_study(max(config.paths // 5, 2000), 4, config.seed)
+    return Table(("grid_n", "paths", "mse", "mse_se"),
+                 tuple((r.grid_n, r.paths, r.y_mse, r.y_mse_se) for r in rows))
 
 
 def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):

@@ -8,7 +8,7 @@ rather than quadrature noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .errors import (
     EmptyRiskTerm,
     GridMismatch,
     NonAffineMeanTerm,
-    OutOfRange,
     SigmaTooSmall,
     UnsupportedOrder,
     ValidationError,
@@ -209,23 +208,6 @@ def growth_factors(R: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, R.tolist()), float, len(R))
 
 
-def rate_integral(scenario: MarketScenario, t1: float, t2: float) -> float:
-    """Integral of r over [t1, t2], exact for the left-constant interpolant."""
-    tol = 1e-9 * max(1.0, scenario.T)
-    if not (-tol <= t1 <= t2 + tol and t2 <= scenario.T + tol):
-        raise OutOfRange(f"need 0 <= t1 <= t2 <= T, got t1={t1}, t2={t2}, T={scenario.T}")
-    t1 = min(max(t1, 0.0), scenario.T)
-    t2 = min(max(t2, t1), scenario.T)
-    dt = scenario.dt
-    total = 0.0
-    for j in range(scenario.grid_n):
-        lo = max(t1, j * dt)
-        hi = min(t2, (j + 1) * dt)
-        if hi > lo:
-            total += scenario.r[j] * (hi - lo)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # ObjectiveSpec
 
@@ -399,17 +381,8 @@ class StrategyGrid:
 # validation
 
 
-@dataclass(frozen=True)
-class ValidatedScenario:
-    """Scenario/objective pair that passed validation, with advisory notes."""
-
-    scenario: MarketScenario
-    objective: ObjectiveSpec
-    diagnostics: tuple[str, ...] = field(default_factory=tuple)
-
-
 def validate_scenario(scenario: MarketScenario, objective: ObjectiveSpec,
-                      sigma_min: float = 1e-8) -> ValidatedScenario:
+                      sigma_min: float = 1e-8) -> None:
     """Check the pair's semantic invariants; raise the first violation found.
 
     Structural invariants (lengths, finiteness, ranges) are enforced at
@@ -438,11 +411,6 @@ def validate_scenario(scenario: MarketScenario, objective: ObjectiveSpec,
         k == 2 for t in objective.risk_terms() for k, _ in t.factors
     ):
         raise EmptyRiskTerm("objective has no k = 2 term with nonzero coefficient")
-    notes = (
-        "mean-affine restriction active: objectives nonlinear in the "
-        "conditional mean are rejected by design",
-    )
-    return ValidatedScenario(scenario, objective, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ SEED_LIMIT = 2 ** 63
 MAX_PATHS = 10 ** 8
 MAX_CELLS = 3 * 10 ** 7
 """Largest paths x cols matrix :func:`time_major_normals` fills. The
-regression route keeps every path at every date: the state and dW matrices,
-the solver's Y and Z, and per-date regression bases of degree + 1 columns.
-Its peak RSS measured about 40 MB + 62 bytes per cell of this matrix (about
-7.7 float64 per path and date) on ``bsde`` runs and s-dependent flows, so
-the bound keeps one run under about 1.9 GB."""
+regression route keeps every path at every date: the state and dW matrices
+and the solver's Y and Z. Its peak RSS measured about 40 MB + 32 bytes per
+cell of this matrix (4 float64 per path and date) on ``bsde`` runs, and
+about 40 MB + 65 bytes per cell on s-dependent flows, whose first dates fit
+every live member at once; so the bound keeps one run under about 1.9 GB."""
 
 
 def worker_count() -> int:

@@ -16,6 +16,7 @@ from eqmo.bsde import (
     DriverSpec,
     FactorModel,
     brownian_factor,
+    convergence_study,
     mv_flow_residual,
     simulate_factors,
     solve_bsde,
@@ -186,19 +187,8 @@ def test_criterion_7_bsde_manufactured_solutions():
     y0_err = abs(solve_bsde(sq, fp).y0_mean - 1.0)
     y0_ok = y0_err <= 0.02
 
-    reps, rep_paths = 4, 50_000
-    stats = []
-    for grid_n in (25, 50, 100):
-        times = np.linspace(0.0, 1.0, grid_n + 1)
-        mses = []
-        for rep in range(reps):
-            f = simulate_factors(brownian_factor(), times, rep_paths,
-                                 SEED + 7919 * grid_n + rep)
-            grid = solve_bsde(sq, f)
-            exact = f.state ** 2 + (1.0 - times)[:, None]
-            mses.append(float(np.mean((grid.Y - exact) ** 2)))
-        stats.append((float(np.mean(mses)),
-                      float(np.std(mses, ddof=1) / math.sqrt(reps))))
+    stats = [(row.y_mse, row.y_mse_se)
+             for row in convergence_study(50_000, 4, SEED)]
     mono_ok = all(
         m2 <= m1 + 2.0 * math.hypot(s1, s2)
         for (m1, s1), (m2, s2) in zip(stats, stats[1:])

@@ -2,6 +2,7 @@
 import math
 import os
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -428,6 +429,79 @@ class TestRecurrentSystems:
         fp = simulate_factors(frozen_state_model(), grid_times(4), 64, 1)
         with pytest.raises(ValidationError):
             solve_bsde(dep, fp)
+
+    def test_members_equal_standalone_solves_bitwise(self):
+        # each member of one shared date loop is its own solve_bsde, fed the
+        # earlier members' grids as deps
+        fp = simulate_factors(brownian_factor(), grid_times(10), 1500, 61)
+        specs = [
+            DriverSpec(driver=lambda t, st, y, z: 0.1 * z ** 2 - 0.2 * y,
+                       terminal=lambda f, s: f.state[-1] ** 2,
+                       growth_class="quadratic_in_z"),
+            DriverSpec(driver=lambda t, st, y, z, deps: deps[0][0] - 0.3 * deps[0][1] - 0.1 * y,
+                       terminal=lambda f, s: f.state[-1],
+                       depends_on=(0,)),
+            DriverSpec(driver=lambda t, st, y, z, deps: 0.05 * z ** 2 + deps[1][0] * deps[0][1],
+                       terminal=lambda f, s: np.cos(f.state[-1]),
+                       growth_class="quadratic_in_z", depends_on=(1, 0)),
+        ]
+        options = dict(z_bound=0.5, picard=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZTruncationSaturated)
+            system = solve_recurrent_system(specs, fp, **options)
+            for k, spec in enumerate(specs):
+                alone = solve_bsde(spec, fp, deps=system[:k], **options)
+                got = system[k]
+                for a, b in ((got.Y, alone.Y), (got.Z, alone.Z)):
+                    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                assert (got.y0_mean, got.y0_se, got.z_saturation) == \
+                    (alone.y0_mean, alone.y0_se, alone.z_saturation)
+        assert system[0].z_saturation > 0.0 and system[2].z_saturation > 0.0
+
+    def test_one_regression_alive_at_a_time(self):
+        live = weakref.WeakSet()
+        peak = []
+
+        class Counted(bsde._Regression):
+            def __init__(self, *args):
+                super().__init__(*args)
+                live.add(self)
+                peak.append(len(live))
+
+        fp = simulate_factors(brownian_factor(), grid_times(8), 500, 67)
+        spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1] ** 2)
+        with mock.patch.object(bsde, "_Regression", Counted):
+            solve_bsde(spec, fp)
+            solve_recurrent_system([spec, spec], fp)
+        assert len(peak) == 16 and max(peak) == 1
+
+    def test_missing_dependency_message_names_spec_and_supply(self):
+        fp = simulate_factors(frozen_state_model(), grid_times(4), 64, 1)
+        base = solve_bsde(DriverSpec(driver=ZERO_DRIVER,
+                                     terminal=lambda f, s: np.ones(f.paths)), fp)
+        dep = DriverSpec(driver=lambda t, st, y, z, deps: deps[1][0],
+                         terminal=lambda f, s: np.zeros(f.paths), depends_on=(0, 1))
+        with pytest.raises(ValidationError, match=r"spec 0 depends on grids \[1\] "
+                                                  r"but only 1 dependency grids"):
+            solve_bsde(dep, fp, deps=[base])
+        with pytest.raises(ValidationError, match=r"spec 3 depends on grids \[0, 1\] "
+                                                  r"but only 0 dependency grids"):
+            solve_flow_diagonal(lambda s: dep if s == 3 else
+                                DriverSpec(driver=ZERO_DRIVER,
+                                           terminal=lambda f, idx: np.ones(f.paths)), fp)
+
+
+class TestConvergenceStudy:
+    def test_rows_and_closed_form(self):
+        rows = bsde.convergence_study(4000, 2, 5, grids=(10, 20))
+        assert [(r.grid_n, r.paths) for r in rows] == [(10, 4000), (20, 4000)]
+        for r in rows:
+            assert 0.0 < r.y_mse < 0.05 and 0.0 < r.z_mse < 0.5
+            assert r.y_mse_se > 0.0 and abs(r.y0_bias) < 0.1
+
+    def test_needs_two_replications(self):
+        with pytest.raises(ValidationError):
+            bsde.convergence_study(100, 1, 5)
 
 
 class TestWealthFlow:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eqmo.model import Polynomial
@@ -86,11 +86,15 @@ class TestAgainstNumpyOracle:
     @given(st.lists(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
                     min_size=2, max_size=7))
     @settings(max_examples=150, deadline=None)
+    @example([-0.5, 1 / 3, 1 / 3, 1 / 3, -0.5])  # double root at x = 1
     def test_matches_companion_matrix(self, coeffs):
         p = Polynomial(tuple(coeffs))
         assume(p.degree >= 1)
         assume(abs(p.coeffs[-1]) > 1e-3)  # keep the leading term well scaled
         npr = np.roots(p.coeffs[::-1])
+        # a multiple real root comes back from the companion matrix as a
+        # near-real complex pair, which the real filter below would drop
+        assume(not any(1e-9 <= abs(z.imag) < 1e-4 for z in npr))
         real = sorted(float(z.real) for z in npr
                       if abs(z.imag) < 1e-9 and -10.0 < z.real < 10.0)
         # only compare when the oracle's roots are well separated and simple
@@ -113,6 +117,13 @@ class TestAgainstNumpyOracle:
         assert len(found) == len(roots)
         for a, b in zip(found, roots):
             assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
+
+    def test_double_root_the_oracle_splits(self):
+        # p(1) = p'(1) = 0; np.roots gives 1 +- 1.2e-8 i, real_roots the touch
+        p = Polynomial((-0.5, 1 / 3, 1 / 3, 1 / 3, -0.5))
+        found = real_roots(p, -10.0, 10.0)
+        assert len(found) == 1
+        assert abs(found[0] - 1.0) <= 1e-7
 
     def test_residual_quality(self):
         p = poly_from_roots([-1.1, 0.3, 0.9, 2.2])
