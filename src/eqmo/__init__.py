@@ -98,7 +98,7 @@ from .bsde import (
     wealth_factor_paths,
 )
 from .scenario_io import ScenarioBundle, parse_scenario, serialize_scenario
-from .artifacts import Table, emit_outputs, format_float, render_csv, render_json
+from .artifacts import Table, emit_outputs, render_csv, render_json
 from .cli import RunConfig, main, run_command
 
 __version__ = "0.1.0"

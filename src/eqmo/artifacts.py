@@ -1,10 +1,14 @@
 """Deterministic artifact emission: CSV/JSON writers and a hashed manifest.
 
-Every float is rendered with 17 significant digits (lossless for binary64),
-JSON objects are emitted with sorted keys, and files are written atomically
-(temp file + rename in the target directory). Reruns with identical inputs
-therefore produce byte-identical files, which the manifest records as sha256
-digests.
+A ``Table`` holds named columns, each converted once to Python scalars. One
+value renderer serves CSV cells and JSON scalars alike: every float is
+rendered with 17 significant digits (lossless for binary64) and a non-finite
+one is refused. JSON objects are emitted with sorted keys. Emission is
+all-or-nothing: every file's text is rendered before the first is written,
+so a value that cannot be serialized leaves no file behind. Files are written
+atomically (temp file + rename in the target directory), so reruns with
+identical inputs produce byte-identical files, which the manifest records as
+sha256 digests.
 """
 from __future__ import annotations
 
@@ -15,26 +19,25 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import IoError
 
 
-def format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise IoError(f"refusing to serialize non-finite value {x!r}")
-    return f"{x:.17g}"
-
-
-def _cell(x: object) -> str:
+def _scalar(x: object) -> str:
+    """Text of one value: floats to 17 significant digits, bools as JSON
+    literals, ints exactly, anything else through ``str``."""
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        if not math.isfinite(x):
+            raise IoError(f"refusing to serialize non-finite value {x!r}")
+        return f"{x:.17g}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format_float(float(x))
     return str(x)
 
 
@@ -60,16 +63,12 @@ def render_json(obj: object, indent: int = 0) -> str:
             return "[]"
         parts = [f"{inner}{render_json(item, indent + 1)}" for item in items]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
     if isinstance(obj, str):
         return f'"{_escape(obj)}"'
+    if isinstance(obj, (int, float, np.integer, np.floating, np.bool_)):
+        return _scalar(obj)
     raise IoError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
@@ -88,12 +87,31 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def render_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+@dataclass(frozen=True)
+class Table:
+    """Named, equal-length columns destined for csv or json rendering."""
+
+    header: tuple[str, ...]
+    columns: tuple[list, ...]
+
+    def __post_init__(self) -> None:
+        columns = tuple(c.tolist() if isinstance(c, np.ndarray) else list(c)
+                        for c in self.columns)
+        if len(self.header) != len(columns):
+            raise IoError(f"table has {len(self.header)} header names but "
+                          f"{len(columns)} columns")
+        lengths = {len(c) for c in columns}
+        if len(lengths) > 1:
+            raise IoError(f"ragged table columns: lengths {sorted(lengths)}")
+        object.__setattr__(self, "header", tuple(self.header))
+        object.__setattr__(self, "columns", columns)
+
+
+def render_csv(table: Table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_cell(x) for x in row])
+    writer.writerow(table.header)
+    writer.writerows(zip(*[list(map(_scalar, c)) for c in table.columns]))
     return buf.getvalue()
 
 
@@ -115,52 +133,32 @@ def atomic_write_text(path: str, text: str) -> None:
         raise IoError(f"failed to write {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Table:
-    """Columnar result destined for csv or json rendering."""
-
-    header: tuple[str, ...]
-    rows: tuple[tuple[object, ...], ...]
-
-    @classmethod
-    def from_columns(cls, header: Sequence[str], *columns: Sequence[object]) -> "Table":
-        lengths = {len(c) for c in columns}
-        if len(lengths) > 1:
-            raise IoError(f"ragged table columns: lengths {sorted(lengths)}")
-        rows = tuple(zip(*columns)) if columns else ()
-        return cls(tuple(header), tuple(tuple(row) for row in rows))
-
-    def to_json_obj(self) -> list[dict[str, object]]:
-        return [dict(zip(self.header, row)) for row in self.rows]
-
-
 def emit_outputs(results: Mapping[str, object], fmt: str, out_dir: str) -> dict[str, str]:
     """Write named results into out_dir and a manifest.json of sha256 digests.
 
     Table values honor ``fmt`` (csv or json); plain mappings always serialize
-    as JSON. Returns {relative_path: sha256}.
+    as JSON. Every text is rendered before any file is written. Returns
+    {relative_path: sha256}.
     """
     if fmt not in ("csv", "json"):
         raise IoError(f"format must be csv or json, got {fmt!r}")
+    texts: dict[str, str] = {}
+    for name in sorted(results):
+        value = results[name]
+        if not isinstance(value, Table):
+            texts[f"{name}.json"] = render_json(value) + "\n"
+        elif fmt == "csv":
+            texts[f"{name}.csv"] = render_csv(value)
+        else:
+            rows = [dict(zip(value.header, row)) for row in zip(*value.columns)]
+            texts[f"{name}.json"] = render_json(rows) + "\n"
+    manifest = {filename: hashlib.sha256(text.encode("utf-8")).hexdigest()
+                for filename, text in texts.items()}
+    texts["manifest.json"] = render_json({"files": manifest}) + "\n"
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
-    manifest: dict[str, str] = {}
-    for name in sorted(results):
-        value = results[name]
-        if isinstance(value, Table):
-            if fmt == "csv":
-                filename = f"{name}.csv"
-                text = render_csv(value.header, value.rows)
-            else:
-                filename = f"{name}.json"
-                text = render_json(value.to_json_obj()) + "\n"
-        else:
-            filename = f"{name}.json"
-            text = render_json(value) + "\n"
+    for filename, text in texts.items():
         atomic_write_text(os.path.join(out_dir, filename), text)
-        manifest[filename] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    manifest_text = render_json({"files": manifest}) + "\n"
-    atomic_write_text(os.path.join(out_dir, "manifest.json"), manifest_text)
     return manifest

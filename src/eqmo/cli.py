@@ -130,9 +130,9 @@ def _witness_obj(witness) -> dict | None:
 def _cmd_solve(bundle: ScenarioBundle, config: RunConfig):
     sweep, strategy, _ = _swept_strategy(bundle, config)
     s = bundle.scenario
-    table = Table.from_columns(
+    table = Table(
         ("t", "u", "V", "D", "residual"),
-        s.times, strategy.values, sweep.variance_to_go, sweep.D, sweep.residuals,
+        (s.times, strategy.values, sweep.variance_to_go, sweep.D, sweep.residuals),
     )
     order = max(bundle.objective.max_order, 2)
     mv = conditional_moments(s, strategy, 0.0, s.x0, order)
@@ -162,11 +162,7 @@ def _cmd_verify(bundle: ScenarioBundle, config: RunConfig):
         "u_scale": u_scale,
         "witness": _witness_obj(report.witness),
     }
-    profile = Table.from_columns(
-        ("t", "phi_max"),
-        [t for t, _ in report.per_t_summary],
-        [m for _, m in report.per_t_summary],
-    )
+    profile = Table(("t", "phi_max"), tuple(zip(*report.per_t_summary)))
     return (0 if report.passed else 2), {"report": payload, "phi_profile": profile}
 
 
@@ -189,7 +185,7 @@ def _cmd_moments(bundle: ScenarioBundle, config: RunConfig):
         + tuple(f"k{k}" for k in range(2, order + 1))
         + ("J",)
     )
-    table = Table(header, tuple(rows))
+    table = Table(header, tuple(zip(*rows)))
     summary = {"command": "moments", "order": order, "J_t0": rows[0][-1]}
     return 0, {"moments": table, "moments_summary": summary}
 
@@ -217,7 +213,7 @@ def _convergence_table(config: RunConfig) -> Table:
     replications of max(paths // 5, 2000) paths each."""
     rows = convergence_study(max(config.paths // 5, 2000), 4, config.seed)
     return Table(("grid_n", "paths", "mse", "mse_se"),
-                 tuple((r.grid_n, r.paths, r.y_mse, r.y_mse_se) for r in rows))
+                 tuple(zip(*((r.grid_n, r.paths, r.y_mse, r.y_mse_se) for r in rows))))
 
 
 def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
@@ -228,10 +224,10 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
         gamma2 = _mv_gamma2(bundle.objective)
         diag = mv_flow_residual(s, gamma2, config.paths, config.seed, basis_degree)
         n = s.grid_n
-        table = Table.from_columns(
+        table = Table(
             ("t", "y_diag", "z_diag", "residual", "implied_u"),
-            s.times[:n], diag.diagonal.y_values[:n], diag.diagonal.z_values[:n],
-            diag.residuals, diag.implied_u,
+            (s.times[:n], diag.diagonal.y_values[:n], diag.diagonal.z_values[:n],
+             diag.residuals, diag.implied_u),
         )
         summary = {
             "command": "bsde",
@@ -253,9 +249,9 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
     z_bound = float(bundle.numerics.get("z_bound", 50.0))
     grid = solve_bsde(spec, fp, basis_degree, z_bound=z_bound)
     n = s.grid_n
-    table = Table.from_columns(
+    table = Table(
         ("t", "y_mean", "z_mean"),
-        s.times[:n], np.mean(grid.Y[:n], axis=1), np.mean(grid.Z[:n], axis=1),
+        (s.times[:n], np.mean(grid.Y[:n], axis=1), np.mean(grid.Z[:n], axis=1)),
     )
     summary = {
         "command": "bsde",
@@ -286,7 +282,7 @@ def _cmd_mc(bundle: ScenarioBundle, config: RunConfig):
         z = (b - a) / se if se > 0.0 else 0.0
         worst = max(worst, abs(z))
         rows.append((label, a, b, se, z))
-    table = Table(("moment", "analytic", "estimate", "se", "z"), tuple(rows))
+    table = Table(("moment", "analytic", "estimate", "se", "z"), tuple(zip(*rows)))
     summary = {
         "command": "mc",
         "paths": config.paths,

@@ -6,10 +6,12 @@ value per grid time (grid_n + 1 entries; the terminal entry labels t = T and
 never enters left-endpoint sums). Objective terms are multi-index lines
 ``term = k1:e1,k2:e2 -> coeff`` and may repeat. ``#`` starts a comment.
 Unknown sections or keys are hard errors: a silently ignored typo in a risk
-weight would corrupt every downstream number.
+weight would corrupt every downstream number. So are non-finite numbers
+(``nan``, ``inf``), which would otherwise surface far from their line.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -57,9 +59,12 @@ class ScenarioBundle:
 
 def _scalar(text: str, line: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"expected a number, got {text!r}", line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {text!r}", line)
+    return value
 
 
 def _scalar_or_array(text: str, line: int) -> float | np.ndarray:

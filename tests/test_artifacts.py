@@ -1,0 +1,176 @@
+"""Artifact layer: exact CSV/JSON text, lossless floats, refusals, emission."""
+import csv
+import io
+import json
+import math
+import os
+import struct
+
+import numpy as np
+import pytest
+
+from eqmo.artifacts import Table, emit_outputs, render_csv, render_json
+from eqmo.errors import IoError
+
+FLOATS = [-0.0, 0.1, 1 / 3, 5e-324, 1.7976931348623157e308, 2.0 ** 53 + 2]
+
+
+def mixed_table():
+    return Table(
+        ("label", "x", "n", "flag"),
+        (
+            ["plain", 'comma, "quoted"', "back\\slash", "ctl\x01", "tab\t", "end"],
+            np.array(FLOATS),
+            [0, -1, 10 ** 20, np.int64(2 ** 62), np.int32(-7), np.uint8(255)],
+            [True, False, np.bool_(True), np.bool_(False), True, np.bool_(False)],
+        ),
+    )
+
+
+EXPECTED_CSV = (
+    "label,x,n,flag\n"
+    "plain,-0,0,true\n"
+    '"comma, ""quoted""",0.10000000000000001,-1,false\n'
+    "back\\slash,0.33333333333333331,100000000000000000000,true\n"
+    "ctl\x01,4.9406564584124654e-324,4611686018427387904,false\n"
+    "tab\t,1.7976931348623157e+308,-7,true\n"
+    "end,9007199254740994,255,false\n"
+)
+
+EXPECTED_JSON = """\
+[
+  {
+    "flag": true,
+    "label": "plain",
+    "n": 0,
+    "x": -0
+  },
+  {
+    "flag": false,
+    "label": "comma, \\"quoted\\"",
+    "n": -1,
+    "x": 0.10000000000000001
+  },
+  {
+    "flag": true,
+    "label": "back\\\\slash",
+    "n": 100000000000000000000,
+    "x": 0.33333333333333331
+  },
+  {
+    "flag": false,
+    "label": "ctl\\u0001",
+    "n": 4611686018427387904,
+    "x": 4.9406564584124654e-324
+  },
+  {
+    "flag": true,
+    "label": "tab\\t",
+    "n": -7,
+    "x": 1.7976931348623157e+308
+  },
+  {
+    "flag": false,
+    "label": "end",
+    "n": 255,
+    "x": 9007199254740994
+  }
+]
+"""
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def read(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+class TestExactText:
+    def test_csv(self):
+        assert render_csv(mixed_table()) == EXPECTED_CSV
+
+    def test_json_through_emission(self, tmp_path):
+        emit_outputs({"t": mixed_table()}, "json", str(tmp_path))
+        assert read(tmp_path / "t.json") == EXPECTED_JSON
+
+    def test_csv_through_emission(self, tmp_path):
+        manifest = emit_outputs({"t": mixed_table()}, "csv", str(tmp_path))
+        assert read(tmp_path / "t.csv") == EXPECTED_CSV
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json", "t.csv"]
+        assert set(manifest) == {"t.csv"}
+
+    def test_summary_mapping_numpy_scalars(self):
+        summary = {"b": np.bool_(False), "a": np.float64(0.1), "c": np.int64(3),
+                   "d": None, "e": [np.float32(0.5), "s"]}
+        assert render_json(summary) == (
+            '{\n  "a": 0.10000000000000001,\n  "b": false,\n  "c": 3,\n'
+            '  "d": null,\n  "e": [\n    0.5,\n    "s"\n  ]\n}'
+        )
+
+
+class TestFloatsRoundTrip:
+    def test_csv_cells_parse_to_same_bits(self):
+        rows = list(csv.reader(io.StringIO(render_csv(mixed_table()))))[1:]
+        assert [bits(float(r[1])) for r in rows] == [bits(x) for x in FLOATS]
+
+    def test_json_numbers_parse_to_same_bits(self, tmp_path):
+        emit_outputs({"t": mixed_table()}, "json", str(tmp_path))
+        rows = json.loads(read(tmp_path / "t.json"), parse_float=str, parse_int=str)
+        assert [bits(float(r["x"])) for r in rows] == [bits(x) for x in FLOATS]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell(self, bad, tmp_path):
+        table = Table(("x",), (np.array([1.0, bad]),))
+        with pytest.raises(IoError, match="non-finite"):
+            render_csv(table)
+        with pytest.raises(IoError, match="non-finite"):
+            emit_outputs({"t": table}, "json", str(tmp_path))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_summary_value(self, bad):
+        with pytest.raises(IoError, match="non-finite"):
+            render_json({"ok": 1.0, "nested": {"value": bad}})
+
+    def test_ragged_columns(self):
+        with pytest.raises(IoError, match="ragged"):
+            Table(("a", "b"), ([1.0, 2.0], [1.0]))
+
+    @pytest.mark.parametrize("header", [("a",), ("a", "b", "c")])
+    def test_header_length_differs_from_column_count(self, header):
+        with pytest.raises(IoError, match="header"):
+            Table(header, ([1.0], [2.0]))
+
+    def test_unserializable_json_value(self):
+        with pytest.raises(IoError, match="complex"):
+            render_json({"z": 1j})
+
+
+class TestEmptyTable:
+    def test_header_only_csv(self):
+        assert render_csv(Table(("a", "b"), ([], np.array([])))) == "a,b\n"
+
+    def test_empty_json_list(self, tmp_path):
+        emit_outputs({"t": Table(("a", "b"), ([], np.array([])))}, "json", str(tmp_path))
+        assert read(tmp_path / "t.json") == "[]\n"
+
+
+class TestAllOrNothing:
+    def results(self):
+        # sorted by name, the unserializable entry comes second
+        return {"a_table": mixed_table(), "b_summary": {"x": math.nan}}
+
+    def test_existing_directory_stays_empty(self, tmp_path):
+        with pytest.raises(IoError, match="non-finite"):
+            emit_outputs(self.results(), "csv", str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    def test_missing_directory_is_not_created(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(IoError, match="non-finite"):
+            emit_outputs(self.results(), "json", str(out))
+        assert not out.exists()

@@ -247,11 +247,18 @@ class TestDeterminism:
             with open(out / name, "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest
 
-    def test_rerun_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["solve", "verify", "moments", "homogeneity",
+                                         "bsde", "mc"])
+    def test_rerun_is_byte_identical(self, tmp_path, command, fmt):
+        extra = ["--grid-n", "20", "--format", fmt]
+        if command in ("bsde", "mc"):
+            extra += ["--paths", "2000"]
         a, b = tmp_path / "a", tmp_path / "b"
-        run("mc", MV, a, "--paths", "5000")
-        run("mc", MV, b, "--paths", "5000")
+        assert run(command, MV, a, *extra) == run(command, MV, b, *extra)
         assert tree_bytes(a) == tree_bytes(b)
+        suffix = {name.rsplit(".", 1)[1] for name in tree_bytes(a)}
+        assert suffix == ({"json"} if command == "homogeneity" else {"json", fmt})
 
     def test_worker_count_invariance_subprocess(self, tmp_path):
         outs = {}
@@ -308,4 +315,4 @@ class TestRunConfig:
     def test_top_seed_still_runs_the_convergence_table(self):
         # replicate seeds derived from the run seed wrap into [0, 2**63)
         table = _convergence_table(self.make(seed=2 ** 63 - 1, paths=100))
-        assert [row[0] for row in table.rows] == [25, 50, 100]
+        assert table.columns[0] == [25, 50, 100]

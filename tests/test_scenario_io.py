@@ -1,7 +1,10 @@
 """Scenario text format: parsing, validation, serialization round-trips."""
+import json
+
 import numpy as np
 import pytest
 
+from eqmo.cli import main
 from eqmo.errors import GridMismatch, ParseError
 from eqmo.scenario_io import ScenarioBundle, parse_scenario, serialize_scenario
 
@@ -137,6 +140,35 @@ class TestParseErrors:
         text = "[market]\ntheta = 0.3\nsigma = 0.2\n[objective]\nmax_order = 2\n"
         with pytest.raises(ParseError, match="term"):
             parse_scenario(write(tmp_path, text))
+
+
+NAN_THETA = ", ".join(["0.3"] * 50 + ["nan"] + ["0.3"] * 50)
+
+# (command, scenario text, line of the non-finite number)
+NON_FINITE = {
+    "tolerance_nan": ("verify", MINIMAL + "\n[numerics]\ntolerance = nan\n", 11),
+    "u_scale_inf": ("verify", MINIMAL + "\n[numerics]\nu_scale = inf\n", 11),
+    "theta_array_nan": ("solve", MINIMAL.replace("theta = 0.3", f"theta = {NAN_THETA}"), 2),
+    "kappa_nan": ("bsde", MINIMAL + "\n[factor]\nkind = ou\nkappa = nan\n", 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+class TestNonFiniteNumbers:
+    def test_parse_error_names_line(self, tmp_path, case):
+        _, text, line = NON_FINITE[case]
+        with pytest.raises(ParseError, match="finite") as exc:
+            parse_scenario(write(tmp_path, text))
+        assert exc.value.line == line
+
+    def test_cli_exits_one_and_writes_nothing(self, tmp_path, capsys, case):
+        command, text, line = NON_FINITE[case]
+        out = tmp_path / "out"
+        assert main(["--command", command, "--scenario", write(tmp_path, text),
+                     "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["line"]) == ("ParseError", line)
+        assert not out.exists()
 
 
 class TestRicherScenarios:
