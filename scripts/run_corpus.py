@@ -9,10 +9,10 @@ import time
 import numpy as np
 
 from eqmo.corpus import named_corpus
-from eqmo.equilibrium import backward_sweep, homogeneity_check_numeric, \
-    homogeneity_predicate
+from eqmo.equilibrium import backward_sweep
 from eqmo.errors import EqmoError, UnsupportedObjectiveClass
-from eqmo.verify import equilibrium_report
+from eqmo.verify import equilibrium_report, homogeneity_check_numeric, \
+    homogeneity_predicate
 
 
 def main() -> None:
@@ -35,7 +35,7 @@ def main() -> None:
         try:
             hom = homogeneity_check_numeric(case.scenario, case.objective)
             pred = homogeneity_predicate(case.objective)
-            hom_txt, pred_txt = ("holds" if hom.holds else "fails"), str(pred)
+            hom_txt, pred_txt = ("holds" if hom.passed else "fails"), str(pred)
         except UnsupportedObjectiveClass:
             hom_txt, pred_txt = "n/a", "n/a"
         ms = (time.perf_counter() - t0) * 1e3

@@ -66,20 +66,23 @@ from .moments import (
 )
 from .roots import real_roots
 from .equilibrium import (
-    HomogeneityVerdict,
-    PhiPolynomial,
     SweepResult,
     backward_sweep,
     default_v_grid,
-    homogeneity_check_numeric,
-    homogeneity_predicate,
     mv_closed_form,
+    mv_gamma2,
     phi_polynomial,
     phi_profile,
     scan_phi_max,
     stationarity_solve_step,
 )
-from .verify import EquilibriumReport, equilibrium_report, finite_eps_check
+from .verify import (
+    EquilibriumReport,
+    equilibrium_report,
+    finite_eps_check,
+    homogeneity_check_numeric,
+    homogeneity_predicate,
+)
 from .bsde import (
     BsdeGrid,
     ConvergenceRow,

@@ -30,14 +30,14 @@ from .bsde import (
     simulate_factors,
     solve_bsde,
 )
-from .equilibrium import _mv_gamma2, backward_sweep, homogeneity_check_numeric, \
-    homogeneity_predicate
+from .equilibrium import backward_sweep, mv_gamma2
 from .errors import AmbiguousRoot, EqmoError, ParseError, SolverError, ValidationError
 from .moments import conditional_moments, mc_conditional_moments, moment_grid, \
     objective_value
 from .sampling import check_paths, check_seed
 from .scenario_io import ScenarioBundle, parse_scenario
-from .verify import equilibrium_report
+from .verify import equilibrium_report, homogeneity_check_numeric, \
+    homogeneity_predicate
 
 COMMANDS = ("solve", "verify", "moments", "homogeneity", "bsde", "mc")
 DEFAULT_SEED = 42
@@ -162,7 +162,7 @@ def _cmd_verify(bundle: ScenarioBundle, config: RunConfig):
         "u_scale": u_scale,
         "witness": _witness_obj(report.witness),
     }
-    profile = Table(("t", "phi_max"), tuple(zip(*report.per_t_summary)))
+    profile = Table(("t", "phi_max"), (bundle.scenario.times, report.per_t_max))
     return (0 if report.passed else 2), {"report": payload, "phi_profile": profile}
 
 
@@ -195,17 +195,17 @@ def _cmd_homogeneity(bundle: ScenarioBundle, config: RunConfig):
     numeric = homogeneity_check_numeric(bundle.scenario, bundle.objective,
                                         tolerance=tolerance)
     predicate = homogeneity_predicate(bundle.objective)
-    agree = numeric.holds == predicate
+    agree = numeric.passed == predicate
     payload = {
-        "numeric_holds": numeric.holds,
+        "numeric_holds": numeric.passed,
         "predicate_holds": predicate,
         "agree": agree,
-        "gamma2": numeric.gamma2,
+        "gamma2": mv_gamma2(bundle.objective),
         "max_phi": numeric.max_phi,
         "tolerance": tolerance,
         "witness": _witness_obj(numeric.witness),
     }
-    return (0 if numeric.holds and agree else 2), {"homogeneity": payload}
+    return (0 if numeric.passed and agree else 2), {"homogeneity": payload}
 
 
 def _convergence_table(config: RunConfig) -> Table:
@@ -221,7 +221,7 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
     basis_degree = int(bundle.numerics.get("basis_degree", 3))
     convergence = _convergence_table(config)
     if bundle.factor.kind == "none":
-        gamma2 = _mv_gamma2(bundle.objective)
+        gamma2 = mv_gamma2(bundle.objective)
         diag = mv_flow_residual(s, gamma2, config.paths, config.seed, basis_degree)
         n = s.grid_n
         table = Table(

@@ -12,6 +12,11 @@ risk part restricted to the Gaussian family. An equilibrium is a strategy
 with Phi(t, v) <= 0 everywhere, which at interior optimum means the linear
 coefficient vanishes (the per-step stationarity equation solved backward
 here) and D <= 0.
+
+This module owns the Phi coefficients (one private formula, shared by
+:func:`phi_profile` and the sweep's residuals), the scan of Phi over times
+and deviations, the backward sweep and the mean-variance reference strategy.
+Every pass/fail decision drawn from the scan lives in :mod:`eqmo.verify`.
 """
 from __future__ import annotations
 
@@ -49,32 +54,6 @@ PERTURBATION_CONVENTION = "additive-spike"
 
 
 @dataclass(frozen=True)
-class PhiPolynomial:
-    """Quadratic in the deviation v: the first-order gain rate at time t."""
-
-    t: float
-    poly: Polynomial
-    D_eff: float
-
-    def __post_init__(self) -> None:
-        if abs(self.poly.coeff(0)) > 1e-12:
-            raise ValidationError(
-                f"Phi(0) must vanish, got constant term {self.poly.coeff(0)}"
-            )
-
-    @property
-    def linear(self) -> float:
-        return self.poly.coeff(1)
-
-    @property
-    def quadratic(self) -> float:
-        return self.poly.coeff(2)
-
-    def __call__(self, v):
-        return self.poly(v)
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Backward-sweep output: candidate strategy plus per-step diagnostics."""
 
@@ -90,31 +69,49 @@ def _check_scheme(scheme: str) -> None:
         raise ValidationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
 
+def _phi_coefficients(w1: float, D: np.ndarray, g: np.ndarray,
+                      scenario: MarketScenario, u: np.ndarray):
+    """Arrays (a, b) with Phi(t_i, v) = a_i v + b_i v^2, given D = G'(V), the
+    growth factors g = e^R and the control values u on the grid."""
+    b = D * g * g * scenario.sigma ** 2
+    a = w1 * g * scenario.theta + 2.0 * b * u
+    return a, b
+
+
 def phi_profile(scenario: MarketScenario, objective: ObjectiveSpec,
                 strategy: StrategyGrid):
     """Arrays (a, b) with Phi(t_i, v) = a_i v + b_i v^2 for every grid index."""
     strategy.check_grid(scenario)
-    w1 = objective.mean_weight()
     Dpoly = gaussian_risk_polynomial(objective).derivative()
-    R = rate_to_horizon(scenario)
     _, V = moments_to_go(scenario, strategy)
-    g = growth_factors(R)
-    D = Dpoly(V)
-    b = D * g * g * scenario.sigma ** 2
-    a = w1 * g * scenario.theta + 2.0 * b * strategy.values
-    return a, b
+    g = growth_factors(rate_to_horizon(scenario))
+    return _phi_coefficients(objective.mean_weight(), Dpoly(V), g, scenario,
+                             strategy.values)
 
 
 def phi_polynomial(scenario: MarketScenario, objective: ObjectiveSpec,
-                   strategy: StrategyGrid, t: float) -> PhiPolynomial:
-    """The perturbation gain quadratic at grid time t (zero constant term)."""
+                   strategy: StrategyGrid, t: float) -> Polynomial:
+    """The perturbation gain quadratic in v at grid time t (zero constant term)."""
     i = scenario.grid_index(t)
     a, b = phi_profile(scenario, objective, strategy)
-    return PhiPolynomial(t, Polynomial((0.0, float(a[i]), float(b[i]))), float(b[i]))
+    return Polynomial((0.0, float(a[i]), float(b[i])))
 
 
 # ---------------------------------------------------------------------------
 # backward sweep
+
+
+def mv_gamma2(objective: ObjectiveSpec) -> float:
+    """Risk aversion gamma2 = -w2 / w1 of the objective's own mean-variance
+    reference J = m1 - gamma2 m2; needs w1 > 0 and w2 < 0."""
+    w1 = objective.mean_weight()
+    w2 = objective.pure_weight(2)
+    if w1 <= 0.0 or w2 >= 0.0:
+        raise UnsupportedObjectiveClass(
+            f"need mean weight > 0 and second-order weight < 0 to form the "
+            f"reference mean-variance strategy, got w1 = {w1}, w2 = {w2}"
+        )
+    return -w2 / w1
 
 
 def mv_closed_form(scenario: MarketScenario, gamma2: float) -> StrategyGrid:
@@ -202,9 +199,8 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
         if D == 0.0:
             raise NoSecondOrderTerm(f"D = 0 at variance-to-go {V_plus}")
         return -w1 * g * theta / (2.0 * D * s)
-    # implicit: substitute V = V_plus + dt * e^{2R} sigma^2 u^2 into D(V)
-    if Dpoly.is_zero:
-        raise NoSecondOrderTerm("objective has no even-order risk sensitivity")
+    # implicit: substitute V = V_plus + dt * e^{2R} sigma^2 u^2 into D(V); a
+    # zero D leaves the constant w1 g theta, which the degree check refuses
     poly = Polynomial(_stationarity_coeffs(w1, Dpoly, V_plus, theta, g, s, dt))
     if poly.degree < 1:
         raise NoSecondOrderTerm("stationarity polynomial degenerates to a constant")
@@ -244,21 +240,20 @@ def _solve_step(i: int, w1: float, Dpoly: Polynomial, V_plus: float,
 
 
 def stationarity_solve_step(scenario: MarketScenario, objective: ObjectiveSpec,
-                            future_state: tuple[float, float], t: float,
-                            prev_value: float, scheme: str = "explicit") -> float:
+                            V_plus: float, t: float, prev_value: float,
+                            scheme: str = "explicit") -> float:
     """Control value solving the per-step first-order condition at time t.
 
-    ``future_state`` is the (variance, mean)-to-go accumulated over (t, T]
-    by the already-fixed future controls; only the variance enters the
-    equation because the objective is affine in the conditional mean.
+    ``V_plus`` is the variance-to-go accumulated over (t, T] by the
+    already-fixed future controls; the conditional mean does not enter the
+    equation because the objective is affine in it.
     """
     _check_scheme(scheme)
     i = scenario.grid_index(t)
-    V_plus = float(future_state[0])
     R = rate_to_horizon(scenario)
     return _solve_step(
         i, objective.mean_weight(), gaussian_risk_polynomial(objective).derivative(),
-        V_plus, float(scenario.theta[i]), float(scenario.sigma[i]), math.exp(R[i]),
+        float(V_plus), float(scenario.theta[i]), float(scenario.sigma[i]), math.exp(R[i]),
         scenario.dt, prev_value, scheme, terminal=(i == scenario.grid_n),
     )
 
@@ -294,52 +289,28 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     u_arr = np.array(u)
     V_arr = np.array(V)
     D = Dpoly(V_arr)
-    res = np.abs(
-        w1 * g_all * scenario.theta
-        + 2.0 * D * g_all * g_all * scenario.sigma ** 2 * u_arr
-    )
-    return SweepResult(StrategyGrid(scenario.times, u_arr), V_arr, D, res, scheme)
+    a, _ = _phi_coefficients(w1, D, g_all, scenario, u_arr)
+    return SweepResult(StrategyGrid(scenario.times, u_arr), V_arr, D, np.abs(a), scheme)
 
 
 # ---------------------------------------------------------------------------
-# homogeneity decision
+# Phi scan
 
 
-@dataclass(frozen=True)
-class HomogeneityVerdict:
-    """Outcome of testing the MV strategy against the full objective."""
-
-    holds: bool
-    gamma2: float
-    max_phi: float
-    witness: tuple[float, float, float] | None  # (t, v, Phi) maximizer
-
-
-def default_v_grid(strategy: StrategyGrid, points_per_side: int = 20) -> np.ndarray:
-    """Symmetric log-spaced deviation grid: 2*points_per_side + 1 values
-    covering [-10 |u|_max, 10 |u|_max] down to 1e-4 of that, plus 0."""
+def default_v_grid(strategy: StrategyGrid) -> np.ndarray:
+    """Symmetric log-spaced deviation grid of 41 values: 20 a side covering
+    [-10 |u|_max, 10 |u|_max] down to 1e-4 of that, plus 0."""
     scale = 10.0 * float(np.max(np.abs(strategy.values)))
     if scale == 0.0:
         scale = 10.0
-    side = scale * np.logspace(-4.0, 0.0, points_per_side)
+    side = scale * np.logspace(-4.0, 0.0, 20)
     return np.concatenate([-side[::-1], [0.0], side])
-
-
-def _mv_gamma2(objective: ObjectiveSpec) -> float:
-    w1 = objective.mean_weight()
-    w2 = objective.pure_weight(2)
-    if w1 <= 0.0 or w2 >= 0.0:
-        raise UnsupportedObjectiveClass(
-            f"need mean weight > 0 and second-order weight < 0 to form the "
-            f"reference mean-variance strategy, got w1 = {w1}, w2 = {w2}"
-        )
-    return -w2 / w1
 
 
 def scan_phi_max(scenario: MarketScenario, objective: ObjectiveSpec,
                  strategy: StrategyGrid, v_grid: np.ndarray):
     """Max of Phi over grid times x (v_grid plus the continuous quadratic
-    vertex where D_eff < 0); returns (max_phi, witness, per_t_max)."""
+    vertex where b < 0); returns (max_phi, witness, per_t_max)."""
     v_grid = np.asarray(v_grid, dtype=float)
     if v_grid.size == 0:
         raise EmptyVGrid("deviation grid is empty")
@@ -356,33 +327,3 @@ def scan_phi_max(scenario: MarketScenario, objective: ObjectiveSpec,
     i = int(np.argmax(per_t_max))
     witness = (float(scenario.times[i]), float(per_t_arg[i]), float(per_t_max[i]))
     return float(per_t_max[i]), witness, per_t_max
-
-
-def homogeneity_check_numeric(scenario: MarketScenario, objective: ObjectiveSpec,
-                              v_grid: np.ndarray | None = None,
-                              tolerance: float = 1e-8) -> HomogeneityVerdict:
-    """Install the objective's own mean-variance strategy and test whether the
-    full objective keeps Phi <= tolerance everywhere."""
-    gamma2 = _mv_gamma2(objective)
-    strategy = mv_closed_form(scenario, gamma2)
-    if v_grid is None:
-        v_grid = default_v_grid(strategy)
-    max_phi, witness, _ = scan_phi_max(scenario, objective, strategy, v_grid)
-    holds = max_phi <= tolerance
-    return HomogeneityVerdict(holds, gamma2, max_phi, None if holds else witness)
-
-
-def homogeneity_predicate(objective: ObjectiveSpec) -> bool:
-    """Algebraic form of the numeric check: the mean-variance strategy stays an
-    equilibrium for the full objective iff the Gaussian-restricted risk part
-    G(V) is affine, G(V) = G(0) + w2 V (no V^j terms, j >= 2).
-
-    Then D(t) = w2 for every variance level: installing the MV strategy zeroes
-    the linear Phi coefficient at all times and w2 < 0 keeps the quadratic
-    coefficient negative. Any curvature G''(V) != 0 leaves a linear term
-    2 (G'(V) - w2) e^{2R} sigma^2 u v that changes sign, so some deviation
-    gains to first order on every market with a nonzero risk premium.
-    """
-    _mv_gamma2(objective)  # class gate: w1 > 0, w2 < 0
-    G = gaussian_risk_polynomial(objective)
-    return all(G.coeff(j) == 0.0 for j in range(2, G.degree + 1))

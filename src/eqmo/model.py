@@ -22,6 +22,8 @@ from .errors import (
 )
 
 MAX_ORDER = 8
+SIGMA_MIN = 1e-8  # volatility floor of validate_scenario
+GRID_TOL = 1e-9   # relative tolerance of MarketScenario.grid_index
 
 # (k-1)!! for even k: the Gaussian central moment of order k is (k-1)!! V^{k/2}
 _DOUBLE_FACTORIAL = {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
@@ -162,12 +164,12 @@ class MarketScenario:
     def times(self) -> np.ndarray:
         return _readonly(np.linspace(0.0, self.T, self.grid_n + 1))
 
-    def grid_index(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the grid point equal to ``t`` (within ``tol * max(1,T)``)."""
+    def grid_index(self, t: float) -> int:
+        """Index of the grid point equal to ``t`` (within ``GRID_TOL * max(1,T)``)."""
         from .errors import OffGridTime
 
         idx = int(round(t / self.dt))
-        if idx < 0 or idx > self.grid_n or abs(idx * self.dt - t) > tol * max(1.0, self.T):
+        if idx < 0 or idx > self.grid_n or abs(idx * self.dt - t) > GRID_TOL * max(1.0, self.T):
             raise OffGridTime(f"t={t} is not a grid point of step {self.dt}")
         return idx
 
@@ -381,8 +383,7 @@ class StrategyGrid:
 # validation
 
 
-def validate_scenario(scenario: MarketScenario, objective: ObjectiveSpec,
-                      sigma_min: float = 1e-8) -> None:
+def validate_scenario(scenario: MarketScenario, objective: ObjectiveSpec) -> None:
     """Check the pair's semantic invariants; raise the first violation found.
 
     Structural invariants (lengths, finiteness, ranges) are enforced at
@@ -390,10 +391,10 @@ def validate_scenario(scenario: MarketScenario, objective: ObjectiveSpec,
     an objective affine in the conditional mean with no mean-risk products,
     and a nondegenerate second-order risk term.
     """
-    if np.min(scenario.sigma) < sigma_min:
+    if np.min(scenario.sigma) < SIGMA_MIN:
         i = int(np.argmin(scenario.sigma))
         raise SigmaTooSmall(
-            f"sigma[{i}] = {scenario.sigma[i]} below floor {sigma_min}"
+            f"sigma[{i}] = {scenario.sigma[i]} below floor {SIGMA_MIN}"
         )
     for term in objective.terms:
         d = term.degree_in_mean()

@@ -42,6 +42,8 @@ from .model import (
 )
 from .sampling import check_paths, for_each_block, time_major_normals
 
+MC_BATCHES = 20  # path batches behind the Monte Carlo standard errors
+
 
 @dataclass(frozen=True)
 class MomentVector:
@@ -242,19 +244,17 @@ def simulate_wealth_paths(scenario: MarketScenario, strategy: StrategyGrid,
 
 
 def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
-                           t: float, x: float, n: int, paths: int, seed: int,
-                           batches: int = 20) -> McEstimate:
+                           t: float, x: float, n: int, paths: int,
+                           seed: int) -> McEstimate:
     """Monte Carlo oracle for :func:`conditional_moments`.
 
     Point estimates use all paths; standard errors come from the spread of
-    ``batches`` contiguous path batches (batch boundaries depend only on path
-    index, keeping results independent of the worker count).
+    ``MC_BATCHES`` contiguous path batches (batch boundaries depend only on
+    path index, keeping results independent of the worker count).
     """
     _check_moment_order(n)
     if paths < 1000:
         raise TooFewPaths(f"paths = {paths} < 1000")
-    if batches < 2 or paths < batches:
-        raise ValidationError(f"need 2 <= batches <= paths, got {batches}")
     X = simulate_terminal_wealth(scenario, strategy, t, x, paths, seed)
 
     def sample_stats(v: np.ndarray) -> list[float]:
@@ -263,9 +263,9 @@ def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
         return [m1] + [float(np.mean(d ** k)) for k in range(2, n + 1)]
 
     est = sample_stats(X)
-    edges = np.linspace(0, paths, batches + 1).astype(int)
+    edges = np.linspace(0, paths, MC_BATCHES + 1).astype(int)
     per_batch = np.array([sample_stats(X[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
-    se = np.std(per_batch, axis=0, ddof=1) / math.sqrt(batches)
+    se = np.std(per_batch, axis=0, ddof=1) / math.sqrt(MC_BATCHES)
     central = tuple(est[1:])
     cumulant = tuple(moments_to_cumulants(central))
     mv = MomentVector(est[0], central[0], central, cumulant, n)

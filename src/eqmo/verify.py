@@ -1,9 +1,16 @@
-"""Independent checks of candidate equilibrium strategies.
+"""Independent checks of candidate equilibrium strategies, and every verdict.
 
 Two routes that must agree: the assembled gain quadratic Phi(t, v), scanned
 in closed form over times and deviations, and literal finite-window
 perturbations whose objective difference quotients reproduce Phi exactly for
 affine risk parts (piecewise-constant integrals have no quadrature error).
+
+:mod:`eqmo.equilibrium` owns Phi and its scan; this module owns every
+decision drawn from them. One :class:`EquilibriumReport` answers both
+questions: is a swept strategy an equilibrium (:func:`equilibrium_report`),
+and does the objective's own mean-variance strategy stay one for the full
+objective (:func:`homogeneity_check_numeric`, with its algebraic
+counterpart :func:`homogeneity_predicate`).
 """
 from __future__ import annotations
 
@@ -12,8 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsNotOnGrid, OutOfRange
-from .equilibrium import PERTURBATION_CONVENTION, default_v_grid, scan_phi_max
-from .model import MarketScenario, ObjectiveSpec, StrategyGrid
+from .equilibrium import (
+    PERTURBATION_CONVENTION,
+    default_v_grid,
+    mv_closed_form,
+    mv_gamma2,
+    scan_phi_max,
+)
+from .model import MarketScenario, ObjectiveSpec, StrategyGrid, gaussian_risk_polynomial
 from .moments import conditional_moments, objective_value
 
 
@@ -22,15 +35,15 @@ class EquilibriumReport:
     """Sign report for Phi over the whole grid.
 
     verdict is "pass" iff max_phi <= tolerance; witness is the maximizing
-    (t, v, Phi) triple when the check fails. per_t_summary rows are
-    (t, max over v of Phi(t, v)) including the continuous quadratic vertex
-    wherever the second-order coefficient is negative.
+    (t, v, Phi) triple when the check fails. per_t_max[i] is the max over v
+    of Phi(times[i], v), including the continuous quadratic vertex wherever
+    the second-order coefficient is negative.
     """
 
     verdict: str
     max_phi: float
     witness: tuple[float, float, float] | None
-    per_t_summary: tuple[tuple[float, float], ...]
+    per_t_max: np.ndarray
     convention: str
     tolerance: float
 
@@ -40,24 +53,45 @@ class EquilibriumReport:
 
 
 def equilibrium_report(scenario: MarketScenario, objective: ObjectiveSpec,
-                       strategy: StrategyGrid, v_grid: np.ndarray | None = None,
+                       strategy: StrategyGrid,
                        tolerance: float = 1e-8) -> EquilibriumReport:
-    """Scan Phi(t, v) over all grid times and deviations; pass iff <= tolerance."""
-    if v_grid is None:
-        v_grid = default_v_grid(strategy)
-    max_phi, witness, per_t = scan_phi_max(scenario, objective, strategy, v_grid)
+    """Scan Phi(t, v) over all grid times and the default deviation grid;
+    pass iff max Phi <= tolerance."""
+    max_phi, witness, per_t_max = scan_phi_max(scenario, objective, strategy,
+                                               default_v_grid(strategy))
     verdict = "pass" if max_phi <= tolerance else "fail"
-    summary = tuple(
-        (float(t), float(m)) for t, m in zip(scenario.times, per_t)
-    )
     return EquilibriumReport(
         verdict=verdict,
         max_phi=max_phi,
         witness=None if verdict == "pass" else witness,
-        per_t_summary=summary,
+        per_t_max=per_t_max,
         convention=PERTURBATION_CONVENTION,
         tolerance=tolerance,
     )
+
+
+def homogeneity_check_numeric(scenario: MarketScenario, objective: ObjectiveSpec,
+                              tolerance: float = 1e-8) -> EquilibriumReport:
+    """Install the objective's own mean-variance strategy and report whether
+    the full objective keeps Phi <= tolerance everywhere."""
+    strategy = mv_closed_form(scenario, mv_gamma2(objective))
+    return equilibrium_report(scenario, objective, strategy, tolerance)
+
+
+def homogeneity_predicate(objective: ObjectiveSpec) -> bool:
+    """Algebraic form of the numeric check: the mean-variance strategy stays an
+    equilibrium for the full objective iff the Gaussian-restricted risk part
+    G(V) is affine, G(V) = G(0) + w2 V (no V^j terms, j >= 2).
+
+    Then D(t) = w2 for every variance level: installing the MV strategy zeroes
+    the linear Phi coefficient at all times and w2 < 0 keeps the quadratic
+    coefficient negative. Any curvature G''(V) != 0 leaves a linear term
+    2 (G'(V) - w2) e^{2R} sigma^2 u v that changes sign, so some deviation
+    gains to first order on every market with a nonzero risk premium.
+    """
+    mv_gamma2(objective)  # class gate: w1 > 0, w2 < 0
+    G = gaussian_risk_polynomial(objective)
+    return all(G.coeff(j) == 0.0 for j in range(2, G.degree + 1))
 
 
 def finite_eps_check(scenario: MarketScenario, objective: ObjectiveSpec,
@@ -68,8 +102,10 @@ def finite_eps_check(scenario: MarketScenario, objective: ObjectiveSpec,
     For each eps = k dt, literally add v to the strategy on [t, t + eps) and
     return (J_perturbed - J_base) / (k dt), with J evaluated through the exact
     conditional moments at (t, x0). For a risk part affine in the variance the
-    smallest-eps slope equals Phi(t, v) to float round-off; curvature in the
-    risk part contributes an O(eps) term.
+    smallest-eps slope equals Phi(t, v) to float round-off. Curvature in the
+    risk part adds a term that is O(eps) along eps = k dt as dt -> 0: at a
+    fixed dt the gap is affine in eps with an O(dt) intercept, so at eps = dt
+    it halves with each halving of dt.
     """
     strategy.check_grid(scenario)
     i0 = scenario.grid_index(t)

@@ -30,15 +30,14 @@ from eqmo.corpus import (
     random_affine_corpus,
     raw_m4,
 )
-from eqmo.equilibrium import (
-    backward_sweep,
+from eqmo.equilibrium import backward_sweep, mv_closed_form, phi_polynomial
+from eqmo.moments import conditional_moments, mc_conditional_moments
+from eqmo.verify import (
+    equilibrium_report,
+    finite_eps_check,
     homogeneity_check_numeric,
     homogeneity_predicate,
-    mv_closed_form,
-    phi_polynomial,
 )
-from eqmo.moments import conditional_moments, mc_conditional_moments
-from eqmo.verify import equilibrium_report, finite_eps_check
 
 SEED = 42
 
@@ -91,10 +90,10 @@ def test_criterion_3_cumulant_kurtosis_collapses_to_mean_variance():
     )
     numeric = homogeneity_check_numeric(kurt.scenario, kurt.objective)
     predicate = homogeneity_predicate(kurt.objective)
-    ok = bitwise and numeric.holds and predicate
+    ok = bitwise and numeric.passed and predicate
     _check(3, "cumulant kurtosis run is bitwise the mean-variance run and "
               "reduction holds", ok,
-           f"bitwise={bitwise}, numeric={numeric.holds}, predicate={predicate}")
+           f"bitwise={bitwise}, numeric={numeric.passed}, predicate={predicate}")
 
 
 def test_criterion_4_raw_fourth_moment():
@@ -109,7 +108,7 @@ def test_criterion_4_raw_fourth_moment():
     report = equilibrium_report(case.scenario, case.objective, sweep.strategy,
                                 tolerance=1e-8)
     numeric = homogeneity_check_numeric(case.scenario, case.objective)
-    witness_ok = (not numeric.holds and numeric.witness is not None
+    witness_ok = (not numeric.passed and numeric.witness is not None
                   and numeric.witness[2] > 0.0)
     elapsed = time.perf_counter() - t0
     ok = (identity <= 1e-8 and terminal <= 1e-12 and d_ok and report.passed

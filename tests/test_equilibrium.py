@@ -20,7 +20,6 @@ from eqmo.corpus import (
     time_varying,
 )
 from eqmo.equilibrium import (
-    PhiPolynomial,
     _compose_linear,
     _stationarity_coeffs,
     _stationary_root,
@@ -78,18 +77,17 @@ class TestPhiPolynomial:
         u = StrategyGrid.constant(case.scenario, 3.75)
         phi = phi_polynomial(case.scenario, case.objective, u, 0.5)
         # 0.3 v - 0.04 (7.5 v + v^2) = -0.04 v^2 exactly up to float eps
-        assert phi.poly.coeff(0) == 0.0
-        assert abs(phi.poly.coeff(1)) < 1e-15
-        assert abs(phi.poly.coeff(2) + 0.04) < 1e-15
-        assert phi.D_eff < 0.0
+        assert phi.coeff(0) == 0.0
+        assert abs(phi.coeff(1)) < 1e-15
+        assert abs(phi.coeff(2) + 0.04) < 1e-15
 
     def test_perturbed_control_profile(self):
         case = mv_base()
         u = StrategyGrid.constant(case.scenario, 4.0)
         phi = phi_polynomial(case.scenario, case.objective, u, 0.0)
         # 0.3 v - 0.04 (8 v + v^2)
-        assert abs(phi.poly.coeff(1) + 0.02) < 1e-15
-        assert abs(phi.poly.coeff(2) + 0.04) < 1e-15
+        assert abs(phi.coeff(1) + 0.02) < 1e-15
+        assert abs(phi.coeff(2) + 0.04) < 1e-15
         assert phi(0.0) == 0.0
 
     def test_mean_only_objective_is_linear_gain(self):
@@ -101,12 +99,6 @@ class TestPhiPolynomial:
         assert np.allclose(b, -0.04, atol=1e-15)
         assert np.allclose(a, 0.0, atol=1e-14)
 
-    def test_constant_term_invariant(self):
-        from eqmo.model import Polynomial
-
-        with pytest.raises(ValidationError):
-            PhiPolynomial(0.0, Polynomial((0.5, 1.0)), -1.0)
-
 
 class TestStationarityStep:
     def setup_method(self):
@@ -114,40 +106,40 @@ class TestStationarityStep:
         self.obj = mean_variance_objective()
 
     def test_mv_closed_form_value(self):
-        u = stationarity_solve_step(self.s, self.obj, (0.3, 0.0), 0.5, 0.0,
+        u = stationarity_solve_step(self.s, self.obj, 0.3, 0.5, 0.0,
                                     "explicit")
         assert abs(u - 3.75) < 1e-12
 
     def test_raw_m4_terminal(self):
         case = raw_m4()
-        u = stationarity_solve_step(case.scenario, case.objective, (0.0, 0.0),
+        u = stationarity_solve_step(case.scenario, case.objective, 0.0,
                                     case.scenario.T, 0.0, "implicit")
         assert abs(u - 3.75) < 1e-12
 
     def test_odd_only_weights_no_second_order(self):
         obj = ObjectiveSpec.from_weights("central", {1: 1.0, 3: 0.5})
         with pytest.raises(NoSecondOrderTerm):
-            stationarity_solve_step(self.s, obj, (0.1, 0.0), 0.5, 0.0, "explicit")
+            stationarity_solve_step(self.s, obj, 0.1, 0.5, 0.0, "explicit")
         with pytest.raises(NoSecondOrderTerm):
-            stationarity_solve_step(self.s, obj, (0.1, 0.0), 0.5, 0.0, "implicit")
+            stationarity_solve_step(self.s, obj, 0.1, 0.5, 0.0, "implicit")
 
     def test_risk_seeking_objective_has_no_maximizer_branch(self):
         obj = ObjectiveSpec.from_weights("central", {1: 1.0, 2: 1.0})
         with pytest.raises(AmbiguousRoot) as exc_info:
-            stationarity_solve_step(self.s, obj, (0.1, 0.0), 0.5, 0.0, "implicit")
+            stationarity_solve_step(self.s, obj, 0.1, 0.5, 0.0, "implicit")
         assert exc_info.value.candidates
 
     def test_theta_zero_shortcut(self):
         case = theta_zero()
-        u = stationarity_solve_step(case.scenario, case.objective, (0.2, 0.0),
+        u = stationarity_solve_step(case.scenario, case.objective, 0.2,
                                     0.5, 1.0, "implicit")
         assert u == 0.0
 
     def test_schemes_agree_for_mv(self):
         # D is constant for MV, so substitution changes nothing
-        ue = stationarity_solve_step(self.s, self.obj, (0.3, 0.0), 0.5, 0.0,
+        ue = stationarity_solve_step(self.s, self.obj, 0.3, 0.5, 0.0,
                                      "explicit")
-        ui = stationarity_solve_step(self.s, self.obj, (0.3, 0.0), 0.5, 0.0,
+        ui = stationarity_solve_step(self.s, self.obj, 0.3, 0.5, 0.0,
                                      "implicit")
         assert abs(ue - ui) < 1e-12
 
@@ -155,17 +147,17 @@ class TestStationarityStep:
         # t = 0.5 is grid index 50 of the 100-step mv_base grid
         obj = ObjectiveSpec.from_weights("central", {1: 1.0, 2: 1.0})
         with pytest.raises(AmbiguousRoot) as exc_info:
-            stationarity_solve_step(self.s, obj, (0.1, 0.0), 0.5, 0.0, "implicit")
+            stationarity_solve_step(self.s, obj, 0.1, 0.5, 0.0, "implicit")
         assert exc_info.value.step == 50
         assert exc_info.value.candidates
         odd = ObjectiveSpec.from_weights("central", {1: 1.0, 3: 0.5})
         with pytest.raises(NoSecondOrderTerm) as exc_info:
-            stationarity_solve_step(self.s, odd, (0.1, 0.0), 0.5, 0.0, "explicit")
+            stationarity_solve_step(self.s, odd, 0.1, 0.5, 0.0, "explicit")
         assert exc_info.value.step == 50
 
     def test_scheme_validation(self):
         with pytest.raises(ValidationError):
-            stationarity_solve_step(self.s, self.obj, (0.0, 0.0), 0.5, 0.0, "rk4")
+            stationarity_solve_step(self.s, self.obj, 0.0, 0.5, 0.0, "rk4")
 
 
 class TestFloatStationarityCoefficients:
@@ -471,17 +463,17 @@ class TestCertifiedNewtonStep:
     def test_standalone_step_on_curved_objective(self):
         case = raw_m4()
         with isolations() as isolate:
-            u = stationarity_solve_step(case.scenario, case.objective, (0.2, 0.0),
+            u = stationarity_solve_step(case.scenario, case.objective, 0.2,
                                         0.5, 3.0, "implicit")
         with full_isolation():
-            full = stationarity_solve_step(case.scenario, case.objective, (0.2, 0.0),
+            full = stationarity_solve_step(case.scenario, case.objective, 0.2,
                                            0.5, 3.0, "implicit")
         assert isolate.call_count == 0
         assert abs(u - full) <= 1e-15 * abs(full)
         # no maximizer branch: the error still names grid index 50
         seeking = ObjectiveSpec.from_weights("central", {1: 1.0, 2: 1.0, 4: 0.5})
         with pytest.raises(AmbiguousRoot) as exc_info:
-            stationarity_solve_step(case.scenario, seeking, (0.1, 0.0), 0.5, 3.0,
+            stationarity_solve_step(case.scenario, seeking, 0.1, 0.5, 3.0,
                                     "implicit")
         assert exc_info.value.step == 50
         assert exc_info.value.candidates

@@ -15,14 +15,14 @@ from eqmo.corpus import (
 from eqmo.equilibrium import (
     backward_sweep,
     default_v_grid,
-    homogeneity_check_numeric,
-    homogeneity_predicate,
     mv_closed_form,
+    mv_gamma2,
     phi_polynomial,
     scan_phi_max,
 )
 from eqmo.errors import EmptyVGrid, UnsupportedObjectiveClass
 from eqmo.model import ObjectiveSpec, StrategyGrid, mean_variance_objective
+from eqmo.verify import homogeneity_check_numeric, homogeneity_predicate
 
 
 class TestPredicate:
@@ -62,27 +62,27 @@ class TestNumericCheck:
     def test_mv_holds_with_zero_max(self):
         case = mv_base()
         verdict = homogeneity_check_numeric(case.scenario, case.objective)
-        assert verdict.holds
+        assert verdict.passed
         assert verdict.max_phi == 0.0
         assert verdict.witness is None
-        assert verdict.gamma2 == 1.0
+        assert mv_gamma2(case.objective) == 1.0
 
     def test_cumulant_kurtosis_identical_to_mv(self):
         case = kurtosis_cumulant()
         verdict = homogeneity_check_numeric(case.scenario, case.objective)
-        assert verdict.holds
+        assert verdict.passed
         assert verdict.max_phi == 0.0
 
     def test_raw_m4_fails_with_positive_witness(self):
         case = raw_m4()
         verdict = homogeneity_check_numeric(case.scenario, case.objective)
-        assert not verdict.holds
+        assert not verdict.passed
         t, v, phi = verdict.witness
         assert phi > 0.0
         assert phi == verdict.max_phi
         assert v < 0.0  # gain comes from shrinking the risky position
         # witness value is reproducible through the quadratic itself
-        u = mv_closed_form(case.scenario, verdict.gamma2)
+        u = mv_closed_form(case.scenario, mv_gamma2(case.objective))
         quad = phi_polynomial(case.scenario, case.objective, u, t)
         assert abs(quad(v) - phi) < 1e-12
 
@@ -117,7 +117,7 @@ class TestNumericCheck:
             if np.all(case.scenario.theta == 0.0):
                 continue  # no risk premium: every strategy trivially holds
             verdict = homogeneity_check_numeric(case.scenario, case.objective)
-            assert verdict.holds == pred, case.name
+            assert verdict.passed == pred, case.name
             checked += 1
         assert checked >= 8
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from eqmo.corpus import mv_base, mv_discounted, raw_m4, theta_zero
+from eqmo.corpus import mv_base, mv_discounted, random_curved_corpus, raw_m4, theta_zero
 from eqmo.equilibrium import backward_sweep, mv_closed_form, phi_polynomial
 from eqmo.errors import EpsNotOnGrid, OutOfRange
 from eqmo.model import StrategyGrid
@@ -19,7 +19,7 @@ class TestEquilibriumReport:
         assert report.max_phi == 0.0
         assert report.witness is None
         assert report.convention == "additive-spike"
-        assert len(report.per_t_summary) == case.scenario.grid_n + 1
+        assert report.per_t_max.shape == (case.scenario.grid_n + 1,)
 
     def test_scaled_strategy_fails_with_witness(self):
         case = mv_base()
@@ -123,3 +123,39 @@ class TestFiniteEpsCheck:
         assert slopes[0] < slopes[1] < 0.0
         assert slopes[3] < slopes[2] < 0.0
         assert abs(slopes[0] - slopes[3]) < 1e-12  # symmetric at equilibrium
+
+
+class TestOracleOnCurvedObjectives:
+    """On a curved risk part the one-step slope misses Phi by O(eps) along
+    eps = dt -> 0; at a fixed dt the miss is affine in eps = k dt."""
+
+    CASES = {
+        "raw_m4": lambda n: raw_m4(grid_n=n),
+        "curved_0": lambda n: random_curved_corpus(count=1, grid_n=n)[0],
+    }
+    VS = (-0.5, 0.25, 1.0)
+
+    @staticmethod
+    def gaps(case, ks, v):
+        s = case.scenario
+        u = backward_sweep(s, case.objective, "implicit").strategy
+        t = float(s.times[s.grid_n // 4])
+        phi = phi_polynomial(s, case.objective, u, t)(v)
+        slopes = finite_eps_check(s, case.objective, u, t, v, [k * s.dt for k in ks])
+        return [slope - phi for slope in slopes]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_step_gap_halves_with_dt(self, name):
+        for v in self.VS:
+            gaps = [abs(self.gaps(self.CASES[name](n), [1], v)[0])
+                    for n in (200, 400, 800)]
+            assert gaps[0] > 1e-6, (v, gaps)  # curvature shows: not round-off
+            for coarse, fine in zip(gaps, gaps[1:]):
+                assert 0.45 < fine / coarse < 0.55, (v, gaps)
+
+    def test_gap_is_affine_in_eps_at_fixed_dt(self):
+        gaps = self.gaps(self.CASES["raw_m4"](400), [1, 2, 4, 8], 1.0)
+        per_k = [(b - a) / (kb - ka) for a, b, ka, kb
+                 in zip(gaps, gaps[1:], (1, 2, 4), (2, 4, 8))]
+        assert all(d < 0.0 for d in per_k)
+        assert max(per_k) / min(per_k) > 0.95, per_k
