@@ -133,6 +133,9 @@ def atomic_write_text(path: str, text: str) -> None:
         raise IoError(f"failed to write {path}: {exc}") from exc
 
 
+FORMATS = ("csv", "json")
+
+
 def emit_outputs(results: Mapping[str, object], fmt: str, out_dir: str) -> dict[str, str]:
     """Write named results into out_dir and a manifest.json of sha256 digests.
 
@@ -140,8 +143,8 @@ def emit_outputs(results: Mapping[str, object], fmt: str, out_dir: str) -> dict[
     as JSON. Every text is rendered before any file is written. Returns
     {relative_path: sha256}.
     """
-    if fmt not in ("csv", "json"):
-        raise IoError(f"format must be csv or json, got {fmt!r}")
+    if fmt not in FORMATS:
+        raise IoError(f"format must be one of {FORMATS}, got {fmt!r}")
     texts: dict[str, str] = {}
     for name in sorted(results):
         value = results[name]

@@ -3,7 +3,7 @@
 Backward scheme on simulated state paths: Y_N = xi pathwise; at each earlier
 step the continuation C_i = E[Y_{i+1} | state_i] is fitted by polynomial
 regression, Z_i is fitted from martingale-increment projections, and
-Y_i = C_i + f(t_i, state_i, C_i, Z_i) dt. The Z target is centered by default,
+Y_i = C_i + f(t_i, state_i, C_i, Z_i) dt. The Z target is centered,
 regressing (Y_{i+1} - C_i) dW_i / dt, which leaves the conditional expectation
 unchanged (E[C_i dW_i | state_i] = 0) and removes most of the sampling
 variance of the plain Y_{i+1} dW_i / dt estimator.
@@ -43,6 +43,9 @@ from .sampling import SEED_LIMIT, time_major_normals
 _CONST_STATE_TOL = 1e-13
 
 
+FACTOR_KINDS = ("none", "ou")
+
+
 @dataclass(frozen=True)
 class FactorModel:
     """Scalar risk-premium factor: none (frozen at theta0) or an OU process."""
@@ -55,8 +58,8 @@ class FactorModel:
     theta0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "ou"):
-            raise ValidationError(f"factor kind must be 'none' or 'ou', got {self.kind!r}")
+        if self.kind not in FACTOR_KINDS:
+            raise ValidationError(f"factor kind must be one of {FACTOR_KINDS}, got {self.kind!r}")
         if self.eta < 0.0:
             raise ValidationError(f"eta must be nonnegative, got {self.eta}")
         if abs(self.rho) > 1.0:
@@ -213,11 +216,9 @@ class _Regression:
         return coeffs @ self.B.T
 
 
-def _check_options(basis_degree: int, picard: int, z_estimator: str) -> None:
+def _check_options(basis_degree: int, picard: int) -> None:
     if basis_degree < 1:
         raise ValidationError(f"basis degree must be >= 1, got {basis_degree}")
-    if z_estimator not in ("centered", "plain"):
-        raise ValidationError(f"z_estimator must be 'centered' or 'plain', got {z_estimator!r}")
     if picard < 1:
         raise ValidationError(f"picard iterations must be >= 1, got {picard}")
 
@@ -244,16 +245,12 @@ def _warn_saturated(saturated: int, total: int, z_bound: float,
         )
 
 
-def _fit_date(reg: _Regression, rows: np.ndarray, dW_i: np.ndarray, dt: float,
-              z_estimator: str) -> tuple[np.ndarray, np.ndarray]:
-    """Continuation C = E[rows | state_i] and Z fit of one date, for one
-    target row or a (members x paths) matrix of them."""
+def _fit_date(reg: _Regression, rows: np.ndarray, dW_i: np.ndarray,
+              dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Continuation C = E[rows | state_i] and the centered Z fit of one date,
+    for one target row or a (members x paths) matrix of them."""
     C = reg.fit_rows(rows)
-    if z_estimator == "centered":
-        z_target = (rows - C) * dW_i / dt
-    else:
-        z_target = rows * dW_i / dt
-    return C, reg.fit_rows(z_target)
+    return C, reg.fit_rows((rows - C) * dW_i / dt)
 
 
 def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
@@ -279,7 +276,7 @@ def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
 
 
 def _solve_system(specs: Sequence[DriverSpec], fp: FactorPaths, basis_degree: int,
-                  start_index: int, z_bound: float, picard: int, z_estimator: str,
+                  start_index: int, z_bound: float, picard: int,
                   deps: Sequence[BsdeGrid]) -> list[BsdeGrid]:
     """Backward regression solve of an ordered list of BSDEs on [t_start, T].
 
@@ -288,7 +285,7 @@ def _solve_system(specs: Sequence[DriverSpec], fp: FactorPaths, basis_degree: in
     every spec's own row (so each spec is bitwise its standalone solve) and
     is dropped before the next date.
     """
-    _check_options(basis_degree, picard, z_estimator)
+    _check_options(basis_degree, picard)
     n, paths, dt = fp.grid_n, fp.paths, fp.dt
     if not 0 <= start_index <= n:
         raise ValidationError(f"start_index {start_index} outside [0, {n}]")
@@ -308,7 +305,7 @@ def _solve_system(specs: Sequence[DriverSpec], fp: FactorPaths, basis_degree: in
         t, state = float(fp.times[i]), fp.state[i]
         dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
         for k, (spec, Y, Z) in enumerate(zip(specs, Ys, Zs)):
-            C, Zfit = _fit_date(reg, Y[i + 1], fp.dW[i], dt, z_estimator)
+            C, Zfit = _fit_date(reg, Y[i + 1], fp.dW[i], dt)
             Z[i] = Zfit
             Y[i], f, sat = _drive(spec, t, state, C, Zfit, dep_rows, picard, z_bound, dt)
             saturated[k] += sat
@@ -332,7 +329,6 @@ def _solve_system(specs: Sequence[DriverSpec], fp: FactorPaths, basis_degree: in
 
 def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
                start_index: int = 0, z_bound: float = 50.0, picard: int = 1,
-               z_estimator: str = "centered",
                deps: Sequence[BsdeGrid] = ()) -> BsdeGrid:
     """Backward regression solve of one BSDE on [t_start, T].
 
@@ -341,7 +337,7 @@ def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
     ``spec.depends_on`` indexes ``deps``.
     """
     return _solve_system([spec], fp, basis_degree, start_index, z_bound, picard,
-                         z_estimator, deps)[0]
+                         deps)[0]
 
 
 @dataclass(frozen=True)
@@ -358,14 +354,10 @@ class DiagonalProcess:
     y_paths: np.ndarray
     z_values: np.ndarray
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.y_values
-
 
 def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
                         basis_degree: int = 3, *, z_bound: float = 50.0,
-                        picard: int = 1, z_estimator: str = "centered",
+                        picard: int = 1,
                         deps: Sequence[BsdeGrid] = ()) -> DiagonalProcess:
     """Solve the flow of BSDEs ``family(s)`` on [s, T], s = 0..n, over the
     shared path set and extract member s at time s.
@@ -379,7 +371,7 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
     called on its own row. Z truncation warns at most once per flow, counting
     over all quadratic members.
     """
-    _check_options(basis_degree, picard, z_estimator)
+    _check_options(basis_degree, picard)
     n, dt = fp.grid_n, fp.dt
     specs = [family(s) for s in range(n + 1)]
     for s, spec in enumerate(specs):
@@ -396,7 +388,7 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
             and np.all(Y.view(np.uint64) == Y[0].view(np.uint64)):
         del Y
         grid = solve_bsde(specs[0], fp, basis_degree, z_bound=z_bound, picard=picard,
-                          z_estimator=z_estimator, deps=deps)
+                          deps=deps)
         Y = grid.Y
         z_diag[:n] = [float(np.mean(row)) for row in grid.Z[:n]]
     else:
@@ -404,7 +396,7 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
         total = 0
         for i in range(n - 1, -1, -1):
             C, Zfit = _fit_date(_Regression(fp.state[i], basis_degree), Y[:i + 1],
-                                fp.dW[i], dt, z_estimator)
+                                fp.dW[i], dt)
             z_diag[i] = float(np.mean(Zfit[i]))
             t, state = float(fp.times[i]), fp.state[i]
             dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
@@ -421,8 +413,7 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
 
 def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
                            basis_degree: int = 3, *, start_index: int = 0,
-                           z_bound: float = 50.0, picard: int = 1,
-                           z_estimator: str = "centered") -> list[BsdeGrid]:
+                           z_bound: float = 50.0, picard: int = 1) -> list[BsdeGrid]:
     """Solve an ordered list of BSDEs where drivers may read the (Y, Z) grids
     of strictly earlier members; the options are those of ``solve_bsde``."""
     for own, spec in enumerate(specs):
@@ -432,8 +423,7 @@ def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
                 f"spec {own} depends on indices {bad}; dependencies must be "
                 "strictly earlier in the list"
             )
-    return _solve_system(specs, fp, basis_degree, start_index, z_bound, picard,
-                         z_estimator, ())
+    return _solve_system(specs, fp, basis_degree, start_index, z_bound, picard, ())
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import Table, emit_outputs, render_json
+from .artifacts import FORMATS, Table, emit_outputs, render_json
 from .bsde import (
     DriverSpec,
     convergence_study,
@@ -30,7 +30,7 @@ from .bsde import (
     simulate_factors,
     solve_bsde,
 )
-from .equilibrium import backward_sweep, mv_gamma2
+from .equilibrium import SCHEMES, backward_sweep, mv_gamma2
 from .errors import AmbiguousRoot, EqmoError, ParseError, SolverError, ValidationError
 from .moments import conditional_moments, mc_conditional_moments, moment_grid, \
     objective_value
@@ -59,10 +59,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise ValidationError(f"command must be one of {COMMANDS}, got {self.command!r}")
-        if self.format not in ("csv", "json"):
-            raise ValidationError(f"format must be csv or json, got {self.format!r}")
-        if self.scheme not in ("explicit", "implicit"):
-            raise ValidationError(f"scheme must be explicit or implicit, got {self.scheme!r}")
+        if self.format not in FORMATS:
+            raise ValidationError(f"format must be one of {FORMATS}, got {self.format!r}")
+        if self.scheme not in SCHEMES:
+            raise ValidationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.grid_n < 1:
             raise ValidationError(f"grid_n must be positive, got {self.grid_n}")
         check_paths(self.paths)
@@ -80,14 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid-n", type=int, default=None, dest="grid_n")
     p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--scheme", choices=("explicit", "implicit"), default=None)
+    p.add_argument("--format", choices=FORMATS, default="csv")
+    p.add_argument("--scheme", choices=SCHEMES, default=None)
     return p
 
 
-def _resolve_seed(cli_seed: int | None, numerics_seed) -> int:
+def _resolve_seed(cli_seed: int | None, numerics_seed: int | None) -> int:
     if cli_seed is not None:
-        return int(cli_seed)
+        return cli_seed
     env = os.environ.get("EQMO_SEED")
     if env is not None:
         try:
@@ -95,7 +95,7 @@ def _resolve_seed(cli_seed: int | None, numerics_seed) -> int:
         except ValueError:
             raise ValidationError(f"EQMO_SEED must be an integer, got {env!r}") from None
     if numerics_seed is not None:
-        return int(numerics_seed)
+        return numerics_seed
     return DEFAULT_SEED
 
 
@@ -105,17 +105,17 @@ def resolve_config(args: argparse.Namespace, bundle: ScenarioBundle) -> RunConfi
         command=args.command,
         scenario_path=args.scenario,
         out_dir=args.out,
-        seed=_resolve_seed(args.seed, num.get("seed")),
-        grid_n=int(num["grid_n"]),
-        paths=int(args.paths if args.paths is not None else num["paths"]),
+        seed=_resolve_seed(args.seed, num["seed"]),
+        grid_n=num["grid_n"],
+        paths=args.paths if args.paths is not None else num["paths"],
         format=args.format,
-        scheme=args.scheme if args.scheme is not None else str(num["scheme"]),
+        scheme=args.scheme if args.scheme is not None else num["scheme"],
     )
 
 
 def _swept_strategy(bundle: ScenarioBundle, config: RunConfig):
     sweep = backward_sweep(bundle.scenario, bundle.objective, config.scheme)
-    u_scale = float(bundle.numerics.get("u_scale", 1.0))
+    u_scale = bundle.numerics["u_scale"]
     strategy = sweep.strategy if u_scale == 1.0 else sweep.strategy.scaled(u_scale)
     return sweep, strategy, u_scale
 
@@ -151,7 +151,7 @@ def _cmd_solve(bundle: ScenarioBundle, config: RunConfig):
 
 def _cmd_verify(bundle: ScenarioBundle, config: RunConfig):
     _, strategy, u_scale = _swept_strategy(bundle, config)
-    tolerance = float(bundle.numerics.get("tolerance", 1e-8))
+    tolerance = bundle.numerics["tolerance"]
     report = equilibrium_report(bundle.scenario, bundle.objective, strategy,
                                 tolerance=tolerance)
     payload = {
@@ -191,7 +191,7 @@ def _cmd_moments(bundle: ScenarioBundle, config: RunConfig):
 
 
 def _cmd_homogeneity(bundle: ScenarioBundle, config: RunConfig):
-    tolerance = float(bundle.numerics.get("tolerance", 1e-8))
+    tolerance = bundle.numerics["tolerance"]
     numeric = homogeneity_check_numeric(bundle.scenario, bundle.objective,
                                         tolerance=tolerance)
     predicate = homogeneity_predicate(bundle.objective)
@@ -218,7 +218,7 @@ def _convergence_table(config: RunConfig) -> Table:
 
 def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
     s = bundle.scenario
-    basis_degree = int(bundle.numerics.get("basis_degree", 3))
+    basis_degree = bundle.numerics["basis_degree"]
     convergence = _convergence_table(config)
     if bundle.factor.kind == "none":
         gamma2 = mv_gamma2(bundle.objective)
@@ -246,8 +246,7 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
         driver=lambda t, state, y, z: 0.0,
         terminal=lambda fpaths, idx: fpaths.state[-1],
     )
-    z_bound = float(bundle.numerics.get("z_bound", 50.0))
-    grid = solve_bsde(spec, fp, basis_degree, z_bound=z_bound)
+    grid = solve_bsde(spec, fp, basis_degree, z_bound=bundle.numerics["z_bound"])
     n = s.grid_n
     table = Table(
         ("t", "y_mean", "z_mean"),

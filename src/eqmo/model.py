@@ -86,9 +86,6 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
 
-    def scale(self, a: float) -> "Polynomial":
-        return Polynomial(tuple(a * c for c in self.coeffs))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
@@ -247,6 +244,9 @@ class ObjectiveTerm:
         return max((k for k, _ in self.factors), default=2)
 
 
+MODES = ("central", "cumulant")
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Sparse polynomial objective over (m1, q2..qn).
@@ -260,8 +260,8 @@ class ObjectiveSpec:
     max_order: int = 0  # 0 -> derived from the terms
 
     def __post_init__(self) -> None:
-        if self.mode not in ("central", "cumulant"):
-            raise ValidationError(f"mode must be 'central' or 'cumulant', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         terms = tuple(t for t in self.terms if t.coeff != 0.0)
         object.__setattr__(self, "terms", terms)
         order = self.max_order

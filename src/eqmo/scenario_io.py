@@ -1,50 +1,29 @@
 """Scenario text format: read and write experiment configurations.
 
-Sections ``[market]``, ``[objective]``, ``[numerics]`` and optional
-``[factor]`` hold ``key = value`` lines. Arrays are comma-separated with one
-value per grid time (grid_n + 1 entries; the terminal entry labels t = T and
-never enters left-endpoint sums). Objective terms are multi-index lines
+Sections ``[market]``, ``[objective]``, optional ``[factor]`` and
+``[numerics]`` hold ``key = value`` lines. Arrays are comma-separated with
+one value per grid time (grid_n + 1 entries; the terminal entry labels t = T
+and never enters left-endpoint sums). Objective terms are multi-index lines
 ``term = k1:e1,k2:e2 -> coeff`` and may repeat. ``#`` starts a comment.
-Unknown sections or keys are hard errors: a silently ignored typo in a risk
-weight would corrupt every downstream number. So are non-finite numbers
-(``nan``, ``inf``), which would otherwise surface far from their line.
+``_SCHEMA`` declares every section and key with its parser and default, and
+is the one place where scenario text becomes typed values: an unknown
+section or key, a value its parser rejects (a non-finite number, an array
+where a scalar belongs, an unknown name) or a byte that is not UTF-8 is a
+``ParseError`` naming its line. A silently ignored typo in a risk weight
+would corrupt every downstream number.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .bsde import FACTOR_KINDS, FactorModel
+from .equilibrium import SCHEMES
 from .errors import ParseError
-from .model import MarketScenario, ObjectiveSpec, ObjectiveTerm
-from .bsde import FactorModel
-
-_MARKET_KEYS = ("r", "theta", "sigma", "T", "x0")
-_OBJECTIVE_KEYS = ("mode", "term", "max_order")
-_NUMERICS_KEYS = (
-    "grid_n", "paths", "seed", "scheme", "tolerance", "basis_degree",
-    "z_bound", "u_scale",
-)
-_FACTOR_KEYS = ("kind", "kappa", "theta_bar", "eta", "rho", "theta0")
-_SECTIONS = {
-    "market": _MARKET_KEYS,
-    "objective": _OBJECTIVE_KEYS,
-    "numerics": _NUMERICS_KEYS,
-    "factor": _FACTOR_KEYS,
-}
-
-_NUMERICS_DEFAULTS = {
-    "grid_n": 100,
-    "paths": 100_000,
-    "seed": None,
-    "scheme": "implicit",
-    "tolerance": 1e-8,
-    "basis_degree": 3,
-    "z_bound": 50.0,
-    "u_scale": 1.0,
-}
+from .model import MODES, MarketScenario, ObjectiveSpec, ObjectiveTerm
 
 
 @dataclass(frozen=True)
@@ -57,46 +36,97 @@ class ScenarioBundle:
     numerics: Mapping[str, object]
 
 
-def _scalar(text: str, line: int) -> float:
+# Parsers turn one value's text into its typed value and raise ValueError
+# with a message; the reader adds the key and the line.
+
+def _scalar(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"expected a number, got {text!r}", line) from None
+        raise ValueError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
-        raise ParseError(f"expected a finite number, got {text!r}", line)
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
-def _scalar_or_array(text: str, line: int) -> float | np.ndarray:
+def _scalar_or_array(text: str) -> float | np.ndarray:
     if "," in text:
-        return np.array([_scalar(p.strip(), line) for p in text.split(",")])
-    return _scalar(text, line)
+        return np.array([_scalar(p.strip()) for p in text.split(",")])
+    return _scalar(text)
 
 
-def _int(text: str, line: int) -> int:
+def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}", line) from None
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_term(text: str, line: int) -> tuple[tuple[tuple[int, int], ...], float]:
+def _choice(names: Sequence[str]) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {text!r}")
+        return text
+    return parse
+
+
+def _term(text: str) -> ObjectiveTerm:
     if "->" not in text:
-        raise ParseError(f"term must look like 'k1:e1,k2:e2 -> coeff', got {text!r}", line)
+        raise ValueError(f"expected 'k1:e1,k2:e2 -> coeff', got {text!r}")
     left, _, right = text.partition("->")
-    coeff = _scalar(right.strip(), line)
     factors = []
     for piece in left.split(","):
-        piece = piece.strip()
-        if ":" not in piece:
-            raise ParseError(f"term factor must look like 'k:e', got {piece!r}", line)
-        k_text, _, e_text = piece.partition(":")
-        factors.append((_int(k_text.strip(), line), _int(e_text.strip(), line)))
-    return tuple(factors), coeff
+        k_text, colon, e_text = piece.strip().partition(":")
+        if not colon:
+            raise ValueError(f"factor must look like 'k:e', got {piece.strip()!r}")
+        factors.append((_int(k_text.strip()), _int(e_text.strip())))
+    return ObjectiveTerm(tuple(factors), _scalar(right.strip()))
 
 
-def _read_sections(text: str) -> dict[str, list[tuple[str, str, int]]]:
-    sections: dict[str, list[tuple[str, str, int]]] = {}
+# Default slots that are not values: the file must set the key, or the
+# constructor's own field default applies when the file does not.
+_REQUIRED = object()
+_FIELD_DEFAULT = object()
+
+# section -> key -> (parser, default), in serialization order; ``term`` is
+# the one key that may repeat and collects a list
+_SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
+    "market": {
+        "r": (_scalar_or_array, 0.0),
+        "theta": (_scalar_or_array, _REQUIRED),
+        "sigma": (_scalar_or_array, _REQUIRED),
+        "T": (_scalar, 1.0),
+        "x0": (_scalar, 1.0),
+    },
+    "objective": {
+        "mode": (_choice(MODES), "central"),
+        "term": (_term, _REQUIRED),
+        "max_order": (_int, _FIELD_DEFAULT),
+    },
+    "factor": {
+        "kind": (_choice(FACTOR_KINDS), _FIELD_DEFAULT),
+        "kappa": (_scalar, _FIELD_DEFAULT),
+        "theta_bar": (_scalar, _FIELD_DEFAULT),
+        "eta": (_scalar, _FIELD_DEFAULT),
+        "rho": (_scalar, _FIELD_DEFAULT),
+        "theta0": (_scalar, _FIELD_DEFAULT),
+    },
+    "numerics": {
+        "grid_n": (_int, 100),
+        "paths": (_int, 100_000),
+        "seed": (_int, None),
+        "scheme": (_choice(SCHEMES), "implicit"),
+        "tolerance": (_scalar, 1e-8),
+        "basis_degree": (_int, 3),
+        "z_bound": (_scalar, 50.0),
+        "u_scale": (_scalar, 1.0),
+    },
+}
+
+
+def _read_sections(text: str) -> dict[str, dict[str, object]]:
+    """Parse every ``key = value`` line with its schema parser."""
+    sections: dict[str, dict[str, object]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,9 +134,9 @@ def _read_sections(text: str) -> dict[str, list[tuple[str, str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in _SCHEMA:
                 raise ParseError(f"unknown section [{name}]", lineno)
-            sections.setdefault(name, [])
+            sections.setdefault(name, {})
             current = name
             continue
         if "=" not in line:
@@ -115,91 +145,66 @@ def _read_sections(text: str) -> dict[str, list[tuple[str, str, int]]]:
             raise ParseError("key outside any [section]", lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SECTIONS[current]:
+        if key not in _SCHEMA[current]:
             raise ParseError(f"unknown key {key!r} in section [{current}]", lineno)
-        if key != "term" and any(k == key for k, _, _ in sections[current]):
+        values = sections[current]
+        if key != "term" and key in values:
             raise ParseError(f"duplicate key {key!r} in section [{current}]", lineno)
-        sections[current].append((key, value, lineno))
+        try:
+            parsed = _SCHEMA[current][key][0](value)
+        except ValueError as exc:
+            raise ParseError(f"{key}: {exc}", lineno) from None
+        if key == "term":
+            values.setdefault(key, []).append(parsed)
+        else:
+            values[key] = parsed
     return sections
+
+
+def _over_defaults(section: str, parsed: Mapping[str, object]) -> dict[str, object]:
+    """The section's schema defaults with the parsed values laid over them;
+    keys left to a constructor's field default are absent unless set."""
+    values = {key: default for key, (_, default) in _SCHEMA[section].items()
+              if default is not _FIELD_DEFAULT}
+    values.update(parsed)
+    for key, value in values.items():
+        if value is _REQUIRED:
+            raise ParseError(f"[{section}] is missing required key {key!r}")
+    return values
 
 
 def parse_scenario(path: str, grid_n: int | None = None) -> ScenarioBundle:
     """Parse and validate a scenario file. ``grid_n`` overrides the file's
     [numerics] value (CLI --grid-n); array-valued market parameters must then
     match the override length."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    sections = _read_sections(text)
-    if "market" not in sections:
-        raise ParseError("missing [market] section")
-    if "objective" not in sections:
-        raise ParseError("missing [objective] section")
-
-    market = {k: (v, ln) for k, v, ln in sections["market"]}
-    for required in ("theta", "sigma"):
-        if required not in market:
-            raise ParseError(f"[market] is missing required key {required!r}")
-
-    numerics = dict(_NUMERICS_DEFAULTS)
-    for key, value, ln in sections.get("numerics", []):
-        if key in ("grid_n", "paths", "basis_degree"):
-            numerics[key] = _int(value, ln)
-        elif key == "seed":
-            numerics[key] = _int(value, ln)
-        elif key == "scheme":
-            if value not in ("explicit", "implicit"):
-                raise ParseError(f"scheme must be explicit or implicit, got {value!r}", ln)
-            numerics[key] = value
-        else:
-            numerics[key] = _scalar(value, ln)
-    n = int(grid_n if grid_n is not None else numerics["grid_n"])
-    numerics["grid_n"] = n
-
-    def market_value(key: str, default: float) -> float | np.ndarray:
-        if key not in market:
-            return default
-        value, ln = market[key]
-        return _scalar_or_array(value, ln)
-
-    scenario = MarketScenario(
-        r=market_value("r", 0.0),
-        theta=market_value("theta", 0.0),
-        sigma=market_value("sigma", 0.0),
-        T=float(market_value("T", 1.0)),
-        x0=float(market_value("x0", 1.0)),
-        grid_n=n,
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte 0x{raw[exc.start]:02x} is not UTF-8",
+                         raw[:exc.start].count(b"\n") + 1) from None
+    parsed = _read_sections(text)
+    values = {section: _over_defaults(section, parsed.get(section, {}))
+              for section in _SCHEMA}
+    numerics = values["numerics"]
+    if grid_n is not None:
+        numerics["grid_n"] = grid_n
+    objective = values["objective"]
+    terms = tuple(objective.pop("term"))
+    return ScenarioBundle(
+        scenario=MarketScenario(**values["market"], grid_n=numerics["grid_n"]),
+        objective=ObjectiveSpec(terms=terms, **objective),
+        factor=FactorModel(**values["factor"]),
+        numerics=numerics,
     )
-
-    mode = "central"
-    max_order = 0
-    terms: list[ObjectiveTerm] = []
-    for key, value, ln in sections["objective"]:
-        if key == "mode":
-            if value not in ("central", "cumulant"):
-                raise ParseError(f"mode must be central or cumulant, got {value!r}", ln)
-            mode = value
-        elif key == "max_order":
-            max_order = _int(value, ln)
-        else:
-            factors, coeff = _parse_term(value, ln)
-            terms.append(ObjectiveTerm(factors, coeff))
-    if not terms:
-        raise ParseError("[objective] defines no term lines")
-    objective = ObjectiveSpec(terms=tuple(terms), mode=mode, max_order=max_order)
-
-    factor_kwargs: dict[str, object] = {}
-    for key, value, ln in sections.get("factor", []):
-        if key == "kind":
-            factor_kwargs[key] = value
-        else:
-            factor_kwargs[key] = _scalar(value, ln)
-    factor = FactorModel(**factor_kwargs)
-
-    return ScenarioBundle(scenario=scenario, objective=objective,
-                          factor=factor, numerics=numerics)
 
 
 def _format_value(x: object) -> str:
+    if isinstance(x, np.ndarray):
+        return ", ".join(f"{v:.17g}" for v in (x[:1] if np.all(x == x[0]) else x))
+    if isinstance(x, ObjectiveTerm):
+        return ",".join(f"{k}:{e}" for k, e in x.factors) + f" -> {x.coeff:.17g}"
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
@@ -208,35 +213,20 @@ def _format_value(x: object) -> str:
 def serialize_scenario(bundle: ScenarioBundle) -> str:
     """Render a bundle back to scenario text (round-trips through
     parse_scenario up to float formatting)."""
-    s, obj = bundle.scenario, bundle.objective
-    out = ["[market]"]
-    for name in ("r", "theta", "sigma"):
-        arr = getattr(s, name)
-        if np.all(arr == arr[0]):
-            out.append(f"{name} = {arr[0]:.17g}")
-        else:
-            out.append(f"{name} = " + ", ".join(f"{v:.17g}" for v in arr))
-    out.append(f"T = {s.T:.17g}")
-    out.append(f"x0 = {s.x0:.17g}")
-    out.append("")
-    out.append("[objective]")
-    out.append(f"mode = {obj.mode}")
-    for term in obj.terms:
-        left = ",".join(f"{k}:{e}" for k, e in term.factors)
-        out.append(f"term = {left} -> {term.coeff:.17g}")
-    out.append(f"max_order = {obj.max_order}")
-    out.append("")
-    out.append("[factor]")
-    f = bundle.factor
-    out.append(f"kind = {f.kind}")
-    for name in ("kappa", "theta_bar", "eta", "rho", "theta0"):
-        out.append(f"{name} = {getattr(f, name):.17g}")
-    out.append("")
-    out.append("[numerics]")
-    for key in ("grid_n", "paths", "seed", "scheme", "tolerance",
-                "basis_degree", "z_bound", "u_scale"):
-        value = bundle.numerics.get(key)
-        if value is None:
-            continue
-        out.append(f"{key} = {_format_value(value)}")
-    return "\n".join(out) + "\n"
+    obj = bundle.objective
+    values = {
+        "market": {key: getattr(bundle.scenario, key) for key in _SCHEMA["market"]},
+        "objective": {"mode": obj.mode, "term": obj.terms, "max_order": obj.max_order},
+        "factor": {key: getattr(bundle.factor, key) for key in _SCHEMA["factor"]},
+        "numerics": bundle.numerics,
+    }
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        lines = [f"[{section}]"]
+        for key in keys:
+            value = values[section][key]
+            for item in (value if key == "term" else (value,)):
+                if item is not None:
+                    lines.append(f"{key} = {_format_value(item)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

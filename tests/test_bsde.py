@@ -182,21 +182,7 @@ class TestSolverOptions:
         with pytest.raises(ValidationError):
             solve_bsde(spec, fp, basis_degree=0)
         with pytest.raises(ValidationError):
-            solve_bsde(spec, fp, z_estimator="mlmc")
-        with pytest.raises(ValidationError):
             solve_bsde(spec, fp, picard=0)
-
-    def test_plain_z_estimator_still_converges(self):
-        fp = simulate_factors(brownian_factor(), grid_times(25), 20_000, 7)
-        spec = DriverSpec(driver=ZERO_DRIVER,
-                          terminal=lambda f, s: f.state[-1] ** 2)
-        centered = solve_bsde(spec, fp, z_estimator="centered")
-        plain = solve_bsde(spec, fp, z_estimator="plain")
-        z_exact = 2.0 * fp.state[:25]
-        rms_c = np.sqrt(np.mean((centered.Z[:25] - z_exact) ** 2))
-        rms_p = np.sqrt(np.mean((plain.Z[:25] - z_exact) ** 2))
-        assert rms_p < 1.0
-        assert rms_c < rms_p  # variance reduction is the point of centering
 
     def test_regression_singular_on_degenerate_state(self):
         # two-point state cannot support a cubic basis

@@ -1,12 +1,19 @@
 """Scenario text format: parsing, validation, serialization round-trips."""
 import json
+import os
 
 import numpy as np
 import pytest
 
 from eqmo.cli import main
 from eqmo.errors import GridMismatch, ParseError
-from eqmo.scenario_io import ScenarioBundle, parse_scenario, serialize_scenario
+from eqmo.scenario_io import (
+    _SCHEMA,
+    ScenarioBundle,
+    _read_sections,
+    parse_scenario,
+    serialize_scenario,
+)
 
 MINIMAL = """\
 [market]
@@ -22,7 +29,10 @@ max_order = 2
 
 def write(tmp_path, text, name="case.scn"):
     p = tmp_path / name
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     return str(p)
 
 
@@ -144,31 +154,53 @@ class TestParseErrors:
 
 NAN_THETA = ", ".join(["0.3"] * 50 + ["nan"] + ["0.3"] * 50)
 
-# (command, scenario text, line of the non-finite number)
-NON_FINITE = {
-    "tolerance_nan": ("verify", MINIMAL + "\n[numerics]\ntolerance = nan\n", 11),
-    "u_scale_inf": ("verify", MINIMAL + "\n[numerics]\nu_scale = inf\n", 11),
-    "theta_array_nan": ("solve", MINIMAL.replace("theta = 0.3", f"theta = {NAN_THETA}"), 2),
-    "kappa_nan": ("bsde", MINIMAL + "\n[factor]\nkind = ou\nkappa = nan\n", 12),
+# (command, scenario text or bytes, line of the bad value, message pattern)
+MALFORMED = {
+    "tolerance_nan": ("verify", MINIMAL + "\n[numerics]\ntolerance = nan\n", 11, "finite"),
+    "u_scale_inf": ("verify", MINIMAL + "\n[numerics]\nu_scale = inf\n", 11, "finite"),
+    "theta_array_nan": ("solve", MINIMAL.replace("theta = 0.3", f"theta = {NAN_THETA}"),
+                        2, "finite"),
+    "kappa_nan": ("bsde", MINIMAL + "\n[factor]\nkind = ou\nkappa = nan\n", 12, "finite"),
+    "T_array": ("solve", MINIMAL.replace("sigma = 0.2", "sigma = 0.2\nT = 1, 2"), 4,
+                "T: expected a number"),
+    "x0_array": ("solve", MINIMAL.replace("sigma = 0.2", "sigma = 0.2\nx0 = 1, 2"), 4,
+                 "x0: expected a number"),
+    "kind_unknown": ("bsde", MINIMAL + "\n[factor]\nkind = gbm\n", 11,
+                     "kind: expected one of none, ou"),
+    "non_utf8": ("solve", MINIMAL.replace("sigma = 0.2", "sigma = 0.2  # café")
+                 .encode("latin-1"), 3, "not UTF-8"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(NON_FINITE))
-class TestNonFiniteNumbers:
+class _RejectedWithLine:
+    """Each case is a ParseError naming its line, and the CLI exits 1 with a
+    JSON diagnostic carrying that line and creates no output directory."""
+
     def test_parse_error_names_line(self, tmp_path, case):
-        _, text, line = NON_FINITE[case]
-        with pytest.raises(ParseError, match="finite") as exc:
+        _, text, line, message = MALFORMED[case]
+        with pytest.raises(ParseError, match=message) as exc:
             parse_scenario(write(tmp_path, text))
         assert exc.value.line == line
 
     def test_cli_exits_one_and_writes_nothing(self, tmp_path, capsys, case):
-        command, text, line = NON_FINITE[case]
+        command, text, line, _ = MALFORMED[case]
         out = tmp_path / "out"
         assert main(["--command", command, "--scenario", write(tmp_path, text),
                      "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["line"]) == ("ParseError", line)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["kappa_nan", "theta_array_nan", "tolerance_nan",
+                                  "u_scale_inf"])
+class TestNonFiniteNumbers(_RejectedWithLine):
+    pass
+
+
+@pytest.mark.parametrize("case", ["T_array", "x0_array", "kind_unknown", "non_utf8"])
+class TestMalformedValues(_RejectedWithLine):
+    pass
 
 
 class TestRicherScenarios:
@@ -311,3 +343,13 @@ class TestSerialization:
             assert np.array_equal(b1.scenario.theta, b2.scenario.theta), p
             assert b1.objective == b2.objective, p
             assert serialize_scenario(b2) == text, p
+
+
+def test_readme_example_names_every_key(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    parse_scenario(write(tmp_path, block))
+    named = {(section, key) for section, values in _read_sections(block).items()
+             for key in values}
+    assert named == {(section, key) for section, keys in _SCHEMA.items() for key in keys}
