@@ -6,13 +6,20 @@ regression, Z_i is fitted from martingale-increment projections, and
 Y_i = C_i + f(t_i, state_i, C_i, Z_i) dt. The Z target is centered,
 regressing (Y_{i+1} - C_i) dW_i / dt, which leaves the conditional expectation
 unchanged (E[C_i dW_i | state_i] = 0) and removes most of the sampling
-variance of the plain Y_{i+1} dW_i / dt estimator.
+variance of the plain Y_{i+1} dW_i / dt estimator. Both fits are taken in
+coefficient space (the regression scheme of Gobet, Lemor & Warin, Ann. Appl.
+Probab. 2005, with the algebra rearranged): the Gram matrices of the basis B
+come from power sums of the state, c_C = Y_{i+1} B' G^-1, and the centered
+target's coefficients are (Y_{i+1} (B dW_i)' - c_C Gw) / dt G^-1 with
+Gw = B diag(dW_i) B', so the target is never formed and C_i and Z_i are each
+written once, into reusable buffers.
 
 A flow has one BSDE per start index s on [s, T] over a shared path set; its
 diagonal samples member s at time s. All members at a date project onto the
 same state row, so a flow costs O(n) dates, not O(n^2) rows: a family of
 identical members is one solve whose row s is member s, and any other family
-fits its live members together, one matrix-matrix regression per date.
+fits its live members together, one matrix-matrix regression per date, with
+each member's C written over its own row of Y; it holds Y and one Z buffer.
 A single BSDE and a recurrent system share one backward loop over dates on
 an ordered list of specs: each date builds one regression operator, fits
 each spec's row on it and feeds each driver the (Y, Z) rows of its
@@ -179,41 +186,45 @@ class BsdeGrid:
 
 
 class _Regression:
-    """Per-time-step polynomial regression operator on the state cross-section.
+    """Polynomial regression operator of one date on its state cross-section.
 
-    Gram system B'B c = B'y solved through SVD of the (d+1) x (d+1) Gram
-    matrix; rank deficiency raises unless the state is constant, where the
-    basis drops to the intercept. The basis columns are the increasing powers
-    of the standardized state, each the previous column times x (the same
-    products as ``np.vander(x, d + 1, increasing=True)``).
+    The basis is stored basis-major: row k of ``B`` ((degree + 1) x paths) is
+    the k-th power of the standardized state, each row the previous one times
+    x (so ``B.T`` holds the same products as
+    ``np.vander(x, d + 1, increasing=True)``), and every product with it is a
+    matrix-vector or matrix-matrix product over contiguous rows. The Gram
+    matrix G = B B' and the weighted Gram Gw = B diag(dW) B' are Hankel
+    matrices of the power sums sum x^m and sum dW x^m, m <= 2 degree. G is
+    inverted through its SVD; rank deficiency raises unless the state is
+    constant, where the basis drops to the intercept. ``step`` is the date
+    index, reported on failure.
     """
 
-    def __init__(self, state_row: np.ndarray, degree: int):
+    def __init__(self, state_row: np.ndarray, dW_row: np.ndarray, degree: int,
+                 step: int | None = None):
+        paths = state_row.size
+        B = np.empty((degree + 1, paths))
         mean = float(np.mean(state_row))
-        std = float(np.std(state_row))
-        if std <= _CONST_STATE_TOL * (1.0 + abs(mean)) or degree == 0:
-            self.B = np.ones((state_row.size, 1))
+        x = np.subtract(state_row, mean, out=B[1])
+        # row 0 holds the squared deviations, summed as np.std sums them
+        std = math.sqrt(float(np.multiply(x, x, out=B[0]).sum()) / paths)
+        if std <= _CONST_STATE_TOL * (1.0 + abs(mean)):
+            B = np.ones((1, paths))
         else:
-            x = (state_row - mean) / std
-            self.B = np.empty((x.size, degree + 1))
-            self.B[:, 0] = 1.0
-            self.B[:, 1] = x
+            B[0] = 1.0
+            np.divide(x, std, out=x)
             for k in range(2, degree + 1):
-                np.multiply(self.B[:, k - 1], x, out=self.B[:, k])
-        G = self.B.T @ self.B
+                np.multiply(B[k - 1], x, out=B[k])
+        # power sums m = 0..d-1 from the rows, m = d..2d against the top row
+        hankel = np.add.outer(np.arange(len(B)), np.arange(len(B)))
+        G = np.concatenate((B[:-1].sum(axis=1), B @ B[-1]))[hankel]
+        self.Gw = np.concatenate((B[:-1] @ dW_row, B @ (B[-1] * dW_row)))[hankel]
         U, s, Vt = np.linalg.svd(G)
         if s[0] <= 0.0 or s[-1] <= 1e-13 * s[0]:
             raise RegressionSingular(
-                f"regression Gram matrix rank-deficient: singular values {s}"
-            )
-        self._U, self._s, self._Vt = U, s, Vt
-
-    def fit_rows(self, targets: np.ndarray) -> np.ndarray:
-        """Fitted conditional expectation of a target row given the state row,
-        or of every row of a (members x paths) target matrix, as one
-        matrix-matrix product per side of the Gram solve."""
-        coeffs = ((targets @ self.B) @ self._U / self._s) @ self._Vt
-        return coeffs @ self.B.T
+                f"regression Gram matrix rank-deficient at step {step}: "
+                f"singular values {s}", step=step)
+        self.B, self.dW, self.inverse = B, dW_row, (U / s) @ Vt
 
 
 def _check_options(basis_degree: int, picard: int) -> None:
@@ -245,12 +256,23 @@ def _warn_saturated(saturated: int, total: int, z_bound: float,
         )
 
 
-def _fit_date(reg: _Regression, rows: np.ndarray, dW_i: np.ndarray,
-              dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _fit_date(reg: _Regression, rows: np.ndarray, dt: float, C: np.ndarray,
+              Z: np.ndarray) -> None:
     """Continuation C = E[rows | state_i] and the centered Z fit of one date,
-    for one target row or a (members x paths) matrix of them."""
-    C = reg.fit_rows(rows)
-    return C, reg.fit_rows((rows - C) * dW_i / dt)
+    for one target row or a (members x paths) matrix of them, written into
+    ``C`` and ``Z``; ``C`` may be ``rows`` itself.
+
+    Both are formed once, from their coefficients. The fit is linear, so the
+    Z target (rows - C) dW / dt has coefficients
+    (rows @ (B dW)' - coeffs_C @ Gw) / dt @ G^-1 and is never formed;
+    rows @ (B dW)' is taken as (rows dW) @ B', with rows dW in ``C``.
+    """
+    B = reg.B
+    coeffs_C = (rows @ B.T) @ reg.inverse
+    np.multiply(rows, reg.dW, out=C)
+    coeffs_Z = ((C @ B.T - coeffs_C @ reg.Gw) / dt) @ reg.inverse
+    np.matmul(coeffs_C, B, out=C)
+    np.matmul(coeffs_Z, B, out=Z)
 
 
 def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
@@ -299,15 +321,15 @@ def _solve_system(specs: Sequence[DriverSpec], fp: FactorPaths, basis_degree: in
         _check_terminal(Y[n])
     saturated = [0] * len(specs)
     y0_samples = list(Ys[:, n])
+    C = np.empty(paths)
 
     for i in range(n - 1, start_index - 1, -1):
-        reg = _Regression(fp.state[i], basis_degree)
+        reg = _Regression(fp.state[i], fp.dW[i], basis_degree, i)
         t, state = float(fp.times[i]), fp.state[i]
         dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
         for k, (spec, Y, Z) in enumerate(zip(specs, Ys, Zs)):
-            C, Zfit = _fit_date(reg, Y[i + 1], fp.dW[i], dt)
-            Z[i] = Zfit
-            Y[i], f, sat = _drive(spec, t, state, C, Zfit, dep_rows, picard, z_bound, dt)
+            _fit_date(reg, Y[i + 1], dt, C, Z[i])
+            Y[i], f, sat = _drive(spec, t, state, C, Z[i], dep_rows, picard, z_bound, dt)
             saturated[k] += sat
             if i == start_index:
                 y0_samples[k] = Y[i + 1] + f * dt
@@ -394,14 +416,17 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
     else:
         saturated = 0
         total = 0
+        Z = np.empty((n, fp.paths))
         for i in range(n - 1, -1, -1):
-            C, Zfit = _fit_date(_Regression(fp.state[i], basis_degree), Y[:i + 1],
-                                fp.dW[i], dt)
-            z_diag[i] = float(np.mean(Zfit[i]))
+            # the live rows Y[:i + 1] take their continuation C in place
+            live = Y[:i + 1]
+            _fit_date(_Regression(fp.state[i], fp.dW[i], basis_degree, i), live, dt,
+                      live, Z[:i + 1])
+            z_diag[i] = float(np.mean(Z[i]))
             t, state = float(fp.times[i]), fp.state[i]
             dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
             for k, spec in enumerate(specs[:i + 1]):
-                Y[k], _, sat = _drive(spec, t, state, C[k], Zfit[k], dep_rows, picard,
+                Y[k], _, sat = _drive(spec, t, state, Y[k], Z[k], dep_rows, picard,
                                       z_bound, dt)
                 saturated += sat
                 if spec.growth_class == "quadratic_in_z":

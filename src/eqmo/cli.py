@@ -31,7 +31,7 @@ from .bsde import (
     solve_bsde,
 )
 from .equilibrium import SCHEMES, backward_sweep, mv_gamma2
-from .errors import AmbiguousRoot, EqmoError, ParseError, SolverError, ValidationError
+from .errors import AmbiguousRoot, EqmoError, ParseError, ValidationError
 from .moments import conditional_moments, mc_conditional_moments, moment_grid, \
     objective_value
 from .sampling import check_paths, check_seed
@@ -315,8 +315,9 @@ def _diagnostic(exc: EqmoError) -> str:
         "error": type(exc).__name__,
         "message": str(exc),
     }
-    if isinstance(exc, SolverError) and exc.step is not None:
-        payload["step"] = exc.step
+    step = getattr(exc, "step", None)  # SolverError and RegressionSingular
+    if step is not None:
+        payload["step"] = step
     if isinstance(exc, AmbiguousRoot) and exc.candidates:
         payload["candidates"] = list(exc.candidates)
     if isinstance(exc, ParseError) and exc.line is not None:

@@ -119,7 +119,12 @@ class BsdeError(EqmoError):
 
 
 class RegressionSingular(BsdeError):
-    """Regression Gram matrix is rank-deficient for a non-constant state."""
+    """Regression Gram matrix is rank-deficient for a non-constant state;
+    ``step`` is the date index whose state row it regresses on."""
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 class CyclicDependency(BsdeError):

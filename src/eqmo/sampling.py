@@ -31,9 +31,10 @@ MAX_CELLS = 3 * 10 ** 7
 """Largest paths x cols matrix :func:`time_major_normals` fills. The
 regression route keeps every path at every date: the state and dW matrices
 and the solver's Y and Z. Its peak RSS measured about 40 MB + 32 bytes per
-cell of this matrix (4 float64 per path and date) on ``bsde`` runs, and
-about 40 MB + 65 bytes per cell on s-dependent flows, whose first dates fit
-every live member at once; so the bound keeps one run under about 1.9 GB."""
+cell of this matrix (4 float64 per path and date), both on ``bsde`` runs
+and on s-dependent flows, which fit every live member at once but hold only
+Y and one Z buffer (fresh-process ``ru_maxrss``, grid_n 50, 40000 and 80000
+paths); so the bound keeps one run under about 1.0 GB."""
 
 
 def worker_count() -> int:

@@ -62,6 +62,19 @@ def _int(text: str) -> int:
         raise ValueError(f"expected an integer, got {text!r}") from None
 
 
+def _bounded(parse: Callable[[str], float], lo: float,
+             hi: float = math.inf) -> Callable[[str], float]:
+    """``parse``, then reject a value outside [lo, hi]: the range checks of
+    the constructors the value goes to, so a file names the line."""
+    def parse_bounded(text: str) -> float:
+        value = parse(text)
+        if not lo <= value <= hi:
+            bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+            raise ValueError(f"expected a value {bound}, got {text!r}")
+        return value
+    return parse_bounded
+
+
 def _choice(names: Sequence[str]) -> Callable[[str], str]:
     def parse(text: str) -> str:
         if text not in names:
@@ -107,17 +120,17 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         "kind": (_choice(FACTOR_KINDS), _FIELD_DEFAULT),
         "kappa": (_scalar, _FIELD_DEFAULT),
         "theta_bar": (_scalar, _FIELD_DEFAULT),
-        "eta": (_scalar, _FIELD_DEFAULT),
-        "rho": (_scalar, _FIELD_DEFAULT),
+        "eta": (_bounded(_scalar, 0.0), _FIELD_DEFAULT),
+        "rho": (_bounded(_scalar, -1.0, 1.0), _FIELD_DEFAULT),
         "theta0": (_scalar, _FIELD_DEFAULT),
     },
     "numerics": {
-        "grid_n": (_int, 100),
+        "grid_n": (_bounded(_int, 1), 100),
         "paths": (_int, 100_000),
         "seed": (_int, None),
         "scheme": (_choice(SCHEMES), "implicit"),
         "tolerance": (_scalar, 1e-8),
-        "basis_degree": (_int, 3),
+        "basis_degree": (_bounded(_int, 1), 3),
         "z_bound": (_scalar, 50.0),
         "u_scale": (_scalar, 1.0),
     },

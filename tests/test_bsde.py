@@ -1,6 +1,7 @@
 """Regression Monte Carlo BSDE solver: manufactured solutions, flows, systems."""
 import math
 import os
+import tracemalloc
 import warnings
 import weakref
 from unittest import mock
@@ -36,6 +37,15 @@ T = 1.0
 
 def grid_times(n):
     return np.linspace(0.0, T, n + 1)
+
+
+def two_point_paths():
+    """Two dates whose state row takes two values, over a constant start."""
+    state = np.vstack([np.zeros(64),
+                       np.repeat([1.0, 2.0], 32),
+                       np.repeat([1.0, 2.0], 32)])
+    dW = np.vstack([np.full(64, 0.1), np.full(64, 0.1)])
+    return FactorPaths(times=grid_times(2), state=state, dW=dW, seed=0)
 
 
 def frozen_state_model(theta0=0.1):
@@ -185,16 +195,22 @@ class TestSolverOptions:
             solve_bsde(spec, fp, picard=0)
 
     def test_regression_singular_on_degenerate_state(self):
-        # two-point state cannot support a cubic basis
-        times = grid_times(2)
-        state = np.vstack([np.zeros(64),
-                           np.repeat([1.0, 2.0], 32),
-                           np.repeat([1.0, 2.0], 32)])
-        dW = np.vstack([np.full(64, 0.1), np.full(64, 0.1)])
-        fp = FactorPaths(times=times, state=state, dW=dW, seed=0)
+        # two-point state at date 1 cannot support a cubic basis; the error
+        # names that date, for a single solve and for an s-dependent flow
+        fp = two_point_paths()
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
-        with pytest.raises(RegressionSingular):
+        with pytest.raises(RegressionSingular) as single:
             solve_bsde(spec, fp, basis_degree=3)
+
+        def family(s):
+            return DriverSpec(driver=ZERO_DRIVER,
+                              terminal=lambda f, idx: f.state[-1] + idx)
+
+        with pytest.raises(RegressionSingular) as flow:
+            solve_flow_diagonal(family, fp, basis_degree=3)
+        for exc in (single.value, flow.value):
+            assert exc.step == 1
+            assert "step 1" in str(exc)
 
     def test_quadratic_growth_truncation_warns_when_saturated(self):
         fp = simulate_factors(brownian_factor(), grid_times(10), 4000, 17)
@@ -347,6 +363,25 @@ class TestBatchedFlow:
         assert solver.call_count == 0
         assert np.array_equal(diag.y_values, np.arange(n + 1.0))
 
+    def test_peak_memory_is_y_plus_one_z_buffer(self):
+        # the batched fit writes C into the live rows of Y and Z into one
+        # buffer: no (members x paths) temporary beyond those two
+        n, paths, degree = 20, 20_000, 3
+        fp = simulate_factors(brownian_factor(), grid_times(n), paths, 71)
+
+        def family(s):
+            return DriverSpec(driver=lambda t, st, y, z: -0.3 * y + 0.1 * z,
+                              terminal=lambda f, idx: f.state[-1] ** 2 + 0.1 * idx)
+
+        tracemalloc.start()
+        try:
+            solve_flow_diagonal(family, fp, degree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        y_bytes, z_bytes = 8 * (n + 1) * paths, 8 * n * paths
+        assert peak < y_bytes + z_bytes + 2 * 8 * (degree + 1) * paths
+
     def test_non_finite_member_terminal_rejected(self):
         fp = simulate_factors(brownian_factor(), grid_times(6), 64, 1)
 
@@ -362,17 +397,44 @@ class TestBatchedFlow:
 class TestRegressionBasis:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_basis_equals_vander_bitwise(self, degree):
-        state = simulate_factors(brownian_factor(), grid_times(4), 1000, 53).state[2]
+        fp = simulate_factors(brownian_factor(), grid_times(4), 1000, 53)
+        state = fp.state[2]
         x = (state - np.mean(state)) / np.std(state)
-        B = bsde._Regression(state, degree).B
+        B = bsde._Regression(state, fp.dW[2], degree).B
         expected = np.vander(x, degree + 1, increasing=True)
-        assert B.shape == expected.shape
-        assert np.array_equal(B.view(np.uint64), expected.view(np.uint64))
+        assert B.shape == expected.T.shape  # basis-major: one row per power
+        assert np.array_equal(B.T.view(np.uint64), expected.view(np.uint64))
 
     def test_constant_state_row_is_intercept_only(self):
-        B = bsde._Regression(np.full(100, 0.37), 3).B
-        assert B.shape == (100, 1)
+        B = bsde._Regression(np.full(100, 0.37), np.full(100, 0.1), 3).B
+        assert B.shape == (1, 100)
         assert np.all(B == 1.0)
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_coefficient_fit_matches_formed_target(self, degree):
+        # C and the Z fit from power-sum Grams and coefficients are the fits
+        # of the rows and of the formed centered target on B B'
+        fp = simulate_factors(brownian_factor(), grid_times(4), 3000, 61)
+        reg = bsde._Regression(fp.state[2], fp.dW[2], degree)
+        rows = np.vstack([fp.state[3] ** 2, np.cos(fp.state[3]), fp.state[3]])
+        C, Z = np.empty_like(rows), np.empty_like(rows)
+        bsde._fit_date(reg, rows, fp.dt, C, Z)
+
+        def fit(target):
+            return (target @ reg.B.T) @ np.linalg.inv(reg.B @ reg.B.T) @ reg.B
+
+        np.testing.assert_allclose(C, fit(rows), rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(Z, fit((rows - C) * fp.dW[2] / fp.dt),
+                                   rtol=1e-9, atol=1e-9)
+        # one row at a time writes the same values; C may alias the rows
+        for k in range(len(rows)):
+            c, z = np.empty(fp.paths), np.empty(fp.paths)
+            bsde._fit_date(reg, rows[k], fp.dt, c, z)
+            np.testing.assert_allclose(c, C[k], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(z, Z[k], rtol=1e-12, atol=1e-12)
+        live = rows.copy()
+        bsde._fit_date(reg, live, fp.dt, live, Z)
+        assert np.array_equal(live, C)
 
 
 class TestRecurrentSystems:

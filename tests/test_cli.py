@@ -7,8 +7,11 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 
+from eqmo import cli
+from eqmo.bsde import FactorPaths
 from eqmo.cli import DEFAULT_SEED, RunConfig, _convergence_table, main
 from eqmo.errors import ValidationError
 
@@ -191,6 +194,20 @@ class TestBsde:
         header, rows = read_csv(out / "bsde_grid.csv")
         assert header == ["t", "y_mean", "z_mean"]
         assert len(rows) == 50
+
+    def test_singular_regression_diagnostic_names_step(self, tmp_path, capsys):
+        # a factor whose state takes two values at date 1 of 2: the cubic
+        # regression there is singular, and the diagnostic says where
+        state = np.vstack([np.zeros(64), np.repeat([1.0, 2.0], 32),
+                           np.repeat([1.0, 2.0], 32)])
+        paths = FactorPaths(times=np.linspace(0.0, 1.0, 3), state=state,
+                            dW=np.full((2, 64), 0.1), seed=0)
+        out = tmp_path / "singular"
+        with mock.patch.object(cli, "simulate_factors", lambda *args: paths):
+            assert run("bsde", OU, out, "--paths", "2000") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["step"]) == ("RegressionSingular", 1)
+        assert not out.exists()
 
 
 class TestSeedPrecedence:

@@ -169,6 +169,14 @@ MALFORMED = {
                      "kind: expected one of none, ou"),
     "non_utf8": ("solve", MINIMAL.replace("sigma = 0.2", "sigma = 0.2  # café")
                  .encode("latin-1"), 3, "not UTF-8"),
+    "eta_negative": ("bsde", MINIMAL + "\n[factor]\nkind = ou\neta = -1\n", 12,
+                     "eta: expected a value >= 0"),
+    "rho_outside_unit": ("bsde", MINIMAL + "\n[factor]\nkind = ou\nrho = 2\n", 12,
+                         r"rho: expected a value in \[-1.0, 1.0\]"),
+    "grid_n_zero": ("solve", MINIMAL + "\n[numerics]\ngrid_n = 0\n", 11,
+                    "grid_n: expected a value >= 1"),
+    "basis_degree_zero": ("bsde", MINIMAL + "\n[numerics]\nbasis_degree = 0\n", 11,
+                          "basis_degree: expected a value >= 1"),
 }
 
 
@@ -198,7 +206,9 @@ class TestNonFiniteNumbers(_RejectedWithLine):
     pass
 
 
-@pytest.mark.parametrize("case", ["T_array", "x0_array", "kind_unknown", "non_utf8"])
+@pytest.mark.parametrize("case", ["T_array", "x0_array", "kind_unknown", "non_utf8",
+                                  "eta_negative", "rho_outside_unit", "grid_n_zero",
+                                  "basis_degree_zero"])
 class TestMalformedValues(_RejectedWithLine):
     pass
 
