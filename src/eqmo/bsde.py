@@ -488,9 +488,14 @@ def convergence_study(paths: int, reps: int, seed: int,
             fp = simulate_factors(brownian_factor(), times, paths,
                                   (seed + 7919 * grid_n + rep) % SEED_LIMIT)
             grid = solve_bsde(spec, fp)
-            y_exact = fp.state ** 2 + (1.0 - times)[:, None]
-            y_mses.append(float(np.mean((grid.Y - y_exact) ** 2)))
-            z_mses.append(float(np.mean((grid.Z[:grid_n] - 2.0 * fp.state[:grid_n]) ** 2)))
+            # both errors in one buffer: Y - (W^2 + 1 - t), then Z - 2 W
+            err = np.square(fp.state)
+            err += (1.0 - times)[:, None]
+            np.subtract(grid.Y, err, out=err)
+            y_mses.append(float(np.mean(np.square(err, out=err))))
+            z_err = np.multiply(fp.state[:grid_n], 2.0, out=err[:grid_n])
+            np.subtract(grid.Z[:grid_n], z_err, out=z_err)
+            z_mses.append(float(np.mean(np.square(z_err, out=z_err))))
             y0s.append(grid.y0_mean)
         rows.append(ConvergenceRow(
             grid_n=grid_n, paths=paths, y_mse=float(np.mean(y_mses)),

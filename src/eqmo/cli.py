@@ -4,8 +4,7 @@ Commands: solve (backward sweep -> strategy table), verify (equilibrium
 report on the swept strategy, optionally rescaled by [numerics] u_scale),
 moments (per-time conditional moment table), homogeneity (numeric check +
 algebraic predicate + agreement flag), bsde (flow-diagonal cross-check or
-factor BSDE export, plus a manufactured convergence table), mc (analytic vs
-Monte Carlo moment comparison).
+factor BSDE export), mc (analytic vs Monte Carlo moment comparison).
 
 Exit codes: 0 success/pass, 2 a verification-style command reports failure
 (verify fail, homogeneity violated or in disagreement, mc z-score breach),
@@ -23,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import FORMATS, Table, emit_outputs, render_json
-from .bsde import (
-    DriverSpec,
-    convergence_study,
-    mv_flow_residual,
-    simulate_factors,
-    solve_bsde,
-)
+from .bsde import DriverSpec, mv_flow_residual, simulate_factors, solve_bsde
 from .equilibrium import SCHEMES, backward_sweep, mv_gamma2
 from .errors import AmbiguousRoot, EqmoError, ParseError, ValidationError
 from .moments import conditional_moments, mc_conditional_moments, moment_grid, \
@@ -208,18 +201,9 @@ def _cmd_homogeneity(bundle: ScenarioBundle, config: RunConfig):
     return (0 if numeric.passed and agree else 2), {"homogeneity": payload}
 
 
-def _convergence_table(config: RunConfig) -> Table:
-    """The manufactured W_T^2 error study at grid sizes 25, 50 and 100, four
-    replications of max(paths // 5, 2000) paths each."""
-    rows = convergence_study(max(config.paths // 5, 2000), 4, config.seed)
-    return Table(("grid_n", "paths", "mse", "mse_se"),
-                 tuple(zip(*((r.grid_n, r.paths, r.y_mse, r.y_mse_se) for r in rows))))
-
-
 def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
     s = bundle.scenario
     basis_degree = bundle.numerics["basis_degree"]
-    convergence = _convergence_table(config)
     if bundle.factor.kind == "none":
         gamma2 = mv_gamma2(bundle.objective)
         diag = mv_flow_residual(s, gamma2, config.paths, config.seed, basis_degree)
@@ -239,14 +223,13 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
             "residual_rms": diag.residual_rms,
             "residual_max": diag.residual_max,
         }
-        return 0, {"bsde_diagonal": table, "bsde_convergence": convergence,
-                   "bsde_summary": summary}
+        return 0, {"bsde_diagonal": table, "bsde_summary": summary}
     fp = simulate_factors(bundle.factor, s.times, config.paths, config.seed)
     spec = DriverSpec(
         driver=lambda t, state, y, z: 0.0,
         terminal=lambda fpaths, idx: fpaths.state[-1],
     )
-    grid = solve_bsde(spec, fp, basis_degree, z_bound=bundle.numerics["z_bound"])
+    grid = solve_bsde(spec, fp, basis_degree)
     n = s.grid_n
     table = Table(
         ("t", "y_mean", "z_mean"),
@@ -261,8 +244,7 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
         "y0_mean": grid.y0_mean,
         "y0_se": grid.y0_se,
     }
-    return 0, {"bsde_grid": table, "bsde_convergence": convergence,
-               "bsde_summary": summary}
+    return 0, {"bsde_grid": table, "bsde_summary": summary}
 
 
 def _cmd_mc(bundle: ScenarioBundle, config: RunConfig):

@@ -65,7 +65,8 @@ def _int(text: str) -> int:
 def _bounded(parse: Callable[[str], float], lo: float,
              hi: float = math.inf) -> Callable[[str], float]:
     """``parse``, then reject a value outside [lo, hi]: the range checks of
-    the constructors the value goes to, so a file names the line."""
+    the constructors the value goes to (or narrower), so a file names the
+    line."""
     def parse_bounded(text: str) -> float:
         value = parse(text)
         if not lo <= value <= hi:
@@ -121,7 +122,8 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         "kappa": (_scalar, _FIELD_DEFAULT),
         "theta_bar": (_scalar, _FIELD_DEFAULT),
         "eta": (_bounded(_scalar, 0.0), _FIELD_DEFAULT),
-        "rho": (_bounded(_scalar, -1.0, 1.0), _FIELD_DEFAULT),
+        # no correlated factor is implemented, so rho may only restate 0
+        "rho": (_bounded(_scalar, 0.0, 0.0), _FIELD_DEFAULT),
         "theta0": (_scalar, _FIELD_DEFAULT),
     },
     "numerics": {
@@ -131,7 +133,6 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         "scheme": (_choice(SCHEMES), "implicit"),
         "tolerance": (_scalar, 1e-8),
         "basis_degree": (_bounded(_int, 1), 3),
-        "z_bound": (_scalar, 50.0),
         "u_scale": (_scalar, 1.0),
     },
 }

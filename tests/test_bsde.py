@@ -551,6 +551,11 @@ class TestConvergenceStudy:
         with pytest.raises(ValidationError):
             bsde.convergence_study(100, 1, 5)
 
+    def test_top_seed_wraps_replicate_seeds(self):
+        # replicate seeds derived from the study seed wrap into [0, 2**63)
+        rows = bsde.convergence_study(100, 2, 2 ** 63 - 1, grids=(2, 3))
+        assert [r.grid_n for r in rows] == [2, 3]
+
 
 class TestWealthFlow:
     def test_mv_flow_residual_small_at_equilibrium(self):

@@ -12,7 +12,7 @@ import pytest
 
 from eqmo import cli
 from eqmo.bsde import FactorPaths
-from eqmo.cli import DEFAULT_SEED, RunConfig, _convergence_table, main
+from eqmo.cli import DEFAULT_SEED, RunConfig, main
 from eqmo.errors import ValidationError
 
 SCN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -175,9 +175,16 @@ class TestBsde:
         assert summary["kind"] == "none"
         assert summary["gamma2"] == 1.0
         assert summary["residual_rms"] < 0.02
-        conv_header, conv_rows = read_csv(out / "bsde_convergence.csv")
-        assert conv_header == ["grid_n", "paths", "mse", "mse_se"]
-        assert [int(r[0]) for r in conv_rows] == [25, 50, 100]
+
+    @pytest.mark.parametrize("kind, table", [("none", "bsde_diagonal.csv"),
+                                             ("ou", "bsde_grid.csv")])
+    def test_emits_only_the_scenario_answer(self, tmp_path, kind, table):
+        scn = scn_file(tmp_path, MINIMAL) if kind == "none" else OU
+        out = tmp_path / kind
+        assert run("bsde", scn, out, "--paths", "2000") == 0
+        expected = {table, "bsde_summary.json"}
+        assert set(read_json(out / "manifest.json")["files"]) == expected
+        assert set(os.listdir(out)) == expected | {"manifest.json"}
 
     def test_factor_grid_matches_exact_mean(self, tmp_path):
         out = tmp_path / "ou"
@@ -328,8 +335,3 @@ class TestRunConfig:
         for seed in (-1, 2 ** 63):
             with pytest.raises(ValidationError):
                 self.make(seed=seed)
-
-    def test_top_seed_still_runs_the_convergence_table(self):
-        # replicate seeds derived from the run seed wrap into [0, 2**63)
-        table = _convergence_table(self.make(seed=2 ** 63 - 1, paths=100))
-        assert table.columns[0] == [25, 50, 100]

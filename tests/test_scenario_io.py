@@ -55,7 +55,6 @@ class TestMinimalParse:
         assert n["scheme"] == "implicit"
         assert n["tolerance"] == 1e-8
         assert n["basis_degree"] == 3
-        assert n["z_bound"] == 50.0
         assert n["u_scale"] == 1.0
 
     def test_objective_terms(self, tmp_path):
@@ -171,12 +170,14 @@ MALFORMED = {
                  .encode("latin-1"), 3, "not UTF-8"),
     "eta_negative": ("bsde", MINIMAL + "\n[factor]\nkind = ou\neta = -1\n", 12,
                      "eta: expected a value >= 0"),
-    "rho_outside_unit": ("bsde", MINIMAL + "\n[factor]\nkind = ou\nrho = 2\n", 12,
-                         r"rho: expected a value in \[-1.0, 1.0\]"),
+    "rho_nonzero": ("bsde", MINIMAL + "\n[factor]\nkind = ou\nrho = -0.4\n", 12,
+                    r"rho: expected a value in \[0.0, 0.0\]"),
     "grid_n_zero": ("solve", MINIMAL + "\n[numerics]\ngrid_n = 0\n", 11,
                     "grid_n: expected a value >= 1"),
     "basis_degree_zero": ("bsde", MINIMAL + "\n[numerics]\nbasis_degree = 0\n", 11,
                           "basis_degree: expected a value >= 1"),
+    "z_bound_removed": ("bsde", MINIMAL + "\n[numerics]\nz_bound = 10\n", 11,
+                        "'z_bound'"),
 }
 
 
@@ -207,8 +208,8 @@ class TestNonFiniteNumbers(_RejectedWithLine):
 
 
 @pytest.mark.parametrize("case", ["T_array", "x0_array", "kind_unknown", "non_utf8",
-                                  "eta_negative", "rho_outside_unit", "grid_n_zero",
-                                  "basis_degree_zero"])
+                                  "eta_negative", "rho_nonzero", "grid_n_zero",
+                                  "basis_degree_zero", "z_bound_removed"])
 class TestMalformedValues(_RejectedWithLine):
     pass
 
@@ -271,7 +272,7 @@ class TestRicherScenarios:
         text = MINIMAL + (
             "\n[numerics]\ngrid_n = 12\npaths = 5000\nseed = 7\n"
             "scheme = explicit\ntolerance = 1e-6\nbasis_degree = 2\n"
-            "z_bound = 10\nu_scale = 1.1\n"
+            "u_scale = 1.1\n"
         )
         n = parse_scenario(write(tmp_path, text)).numerics
         assert n["grid_n"] == 12
@@ -280,18 +281,17 @@ class TestRicherScenarios:
         assert n["scheme"] == "explicit"
         assert n["tolerance"] == 1e-6
         assert n["basis_degree"] == 2
-        assert n["z_bound"] == 10.0
         assert n["u_scale"] == 1.1
 
     def test_factor_section(self, tmp_path):
         text = MINIMAL + (
             "\n[factor]\nkind = ou\nkappa = 1.5\ntheta_bar = 0.3\n"
-            "eta = 0.2\nrho = -0.4\ntheta0 = 0.25\n"
+            "eta = 0.2\nrho = 0.0\ntheta0 = 0.25\n"
         )
         f = parse_scenario(write(tmp_path, text)).factor
         assert f.kind == "ou"
         assert (f.kappa, f.theta_bar, f.eta, f.rho, f.theta0) == (
-            1.5, 0.3, 0.2, -0.4, 0.25)
+            1.5, 0.3, 0.2, 0.0, 0.25)
 
     def test_cumulant_mode(self, tmp_path):
         text = MINIMAL.replace("max_order = 2", "mode = cumulant\nmax_order = 2")
