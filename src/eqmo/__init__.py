@@ -85,6 +85,7 @@ from .verify import (
 )
 from .bsde import (
     BsdeGrid,
+    BsdeMeans,
     ConvergenceRow,
     DiagonalProcess,
     DriverSpec,
@@ -96,13 +97,13 @@ from .bsde import (
     mv_flow_residual,
     simulate_factors,
     solve_bsde,
+    solve_bsde_means,
     solve_flow_diagonal,
     solve_recurrent_system,
     wealth_factor_paths,
 )
 from .scenario_io import ScenarioBundle, parse_scenario, serialize_scenario
 from .artifacts import Table, emit_outputs, render_csv, render_json
-from .cli import RunConfig, main, run_command
 
 __version__ = "0.1.0"
 

@@ -20,17 +20,24 @@ same state row, so a flow costs O(n) dates, not O(n^2) rows: a family of
 identical members is one solve whose row s is member s, and any other family
 fits its live members together, one matrix-matrix regression per date, with
 each member's C written over its own row of Y; it holds Y and one Z buffer.
-A single BSDE and a recurrent system share one backward loop over dates on
-an ordered list of specs: each date builds one regression operator, fits
-each spec's row on it and feeds each driver the (Y, Z) rows of its
-dependencies at that date.
+
+Every other route is one backward loop over dates on an ordered list of
+specs. Each date builds one regression operator, fits each spec's row on it,
+feeds each driver the (Y, Z) rows of its dependencies at that date and hands
+the rows to a visitor; each spec keeps only its next-date Y row and one Z
+buffer. The visitor decides what is kept: ``solve_bsde`` and
+``solve_recurrent_system`` fill full (n + 1) x paths grids, so with the
+state and dW they hold 4 float64 per path-date; ``solve_bsde_means`` keeps
+per-date path means (2 per path-date: the state and dW); the identical-member
+flow keeps Y and the Z means (3); ``convergence_study`` keeps its two
+squared-error buffers.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -185,6 +192,37 @@ class BsdeGrid:
     z_saturation: float = 0.0
 
 
+class _Summary(NamedTuple):
+    """Y_0 cross-path summary of one solve, as ``BsdeGrid`` carries it."""
+
+    y0_mean: float
+    y0_se: float
+    z_saturation: float
+
+
+# visit(i, k, y_row, z_row): spec k's rows at date i
+_Visit = Callable[[int, int, np.ndarray, np.ndarray], None]
+
+
+class _Grids:
+    """Visitor that keeps every date's rows: one full ``BsdeGrid`` per spec,
+    rows below the start index left at zero."""
+
+    def __init__(self, specs: int, fp: FactorPaths):
+        self.fp = fp
+        self.Y, self.Z = np.zeros((2, specs, fp.grid_n + 1, fp.paths))
+
+    def __call__(self, i: int, k: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
+        self.Y[k, i] = y_row
+        self.Z[k, i] = z_row
+
+    def build(self, summaries: Sequence[_Summary], basis_degree: int) -> list[BsdeGrid]:
+        fp = self.fp
+        return [BsdeGrid(times=fp.times, Y=Y, Z=Z, basis_degree=basis_degree,
+                         paths=fp.paths, seed=fp.seed, **summary._asdict())
+                for Y, Z, summary in zip(self.Y, self.Z, summaries)]
+
+
 class _Regression:
     """Polynomial regression operator of one date on its state cross-section.
 
@@ -299,13 +337,19 @@ def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
 
 def _solve_system(specs: Sequence[DriverSpec], fp: FactorPaths, basis_degree: int,
                   start_index: int, z_bound: float, picard: int,
-                  deps: Sequence[BsdeGrid]) -> list[BsdeGrid]:
-    """Backward regression solve of an ordered list of BSDEs on [t_start, T].
+                  deps: Sequence[BsdeGrid], visit: _Visit) -> list[_Summary]:
+    """The one backward regression loop over dates, for an ordered list of
+    BSDEs on [t_start, T]; returns each spec's Y_0 summary.
 
-    Spec k's ``depends_on`` indexes ``deps`` followed by the specs before it.
-    Each date builds one regression operator on its state row, which fits
-    every spec's own row (so each spec is bitwise its standalone solve) and
-    is dropped before the next date.
+    Each spec keeps only its Y row at the next date and one Z buffer. The
+    loop hands every date's rows to ``visit(i, k, y_row, z_row)``: first the
+    terminal rows (Z zero) at i = n, then each date down to ``start_index``.
+    The rows are valid during the call only; the Z buffer is rewritten at the
+    next date. Spec k's ``depends_on`` indexes ``deps`` (full grids, read at
+    the current date) followed by the specs before it (their rows of the
+    current date). Each date builds one regression operator on its state row,
+    which fits every spec's own row (so each spec is bitwise its standalone
+    solve) and is dropped before the next date.
     """
     _check_options(basis_degree, picard)
     n, paths, dt = fp.grid_n, fp.paths, fp.dt
@@ -314,39 +358,44 @@ def _solve_system(specs: Sequence[DriverSpec], fp: FactorPaths, basis_degree: in
     for k, spec in enumerate(specs):
         _check_deps(k, spec, len(deps) + k)
 
-    Ys, Zs = np.zeros((2, len(specs), n + 1, paths))
-    for spec, Y in zip(specs, Ys):
-        Y[n] = np.broadcast_to(np.asarray(spec.terminal(fp, start_index), dtype=float),
+    ys, zs = [], []
+    for k, spec in enumerate(specs):
+        y = np.empty(paths)
+        y[:] = np.broadcast_to(np.asarray(spec.terminal(fp, start_index), dtype=float),
                                (paths,))
-        _check_terminal(Y[n])
+        _check_terminal(y)
+        ys.append(y)
+        zs.append(np.zeros(paths))
+        visit(n, k, y, zs[k])
     saturated = [0] * len(specs)
-    y0_samples = list(Ys[:, n])
+    y0_samples = list(ys)
     C = np.empty(paths)
 
     for i in range(n - 1, start_index - 1, -1):
         reg = _Regression(fp.state[i], fp.dW[i], basis_degree, i)
         t, state = float(fp.times[i]), fp.state[i]
         dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
-        for k, (spec, Y, Z) in enumerate(zip(specs, Ys, Zs)):
-            _fit_date(reg, Y[i + 1], dt, C, Z[i])
-            Y[i], f, sat = _drive(spec, t, state, C, Z[i], dep_rows, picard, z_bound, dt)
+        for k, spec in enumerate(specs):
+            _fit_date(reg, ys[k], dt, C, zs[k])
+            y, f, sat = _drive(spec, t, state, C, zs[k], dep_rows, picard, z_bound, dt)
             saturated[k] += sat
             if i == start_index:
-                y0_samples[k] = Y[i + 1] + f * dt
-            dep_rows.append((Y[i], Z[i]))
+                y0_samples[k] = ys[k] + f * dt
+            ys[k] = y
+            dep_rows.append((y, zs[k]))
+            visit(i, k, y, zs[k])
         del reg  # one date's basis alive at a time
 
-    grids = []
-    for spec, Y, Z, sat, y0 in zip(specs, Ys, Zs, saturated, y0_samples):
+    summaries = []
+    for spec, y, sat, y0 in zip(specs, ys, saturated, y0_samples):
         total = (n - start_index) * paths if spec.growth_class == "quadratic_in_z" else 0
         _warn_saturated(sat, total, z_bound, stacklevel=4)
-        grids.append(BsdeGrid(
-            times=fp.times, Y=Y, Z=Z, basis_degree=basis_degree, paths=paths,
-            seed=fp.seed, y0_mean=float(np.mean(Y[start_index])),
+        summaries.append(_Summary(
+            y0_mean=float(np.mean(y)),
             y0_se=float(np.std(y0, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0,
             z_saturation=(sat / total if total else 0.0),
         ))
-    return grids
+    return summaries
 
 
 def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
@@ -358,8 +407,36 @@ def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
     on their own subinterval). Y_0 statistics refer to the first solved row.
     ``spec.depends_on`` indexes ``deps``.
     """
-    return _solve_system([spec], fp, basis_degree, start_index, z_bound, picard,
-                         deps)[0]
+    grids = _Grids(1, fp)
+    summaries = _solve_system([spec], fp, basis_degree, start_index, z_bound, picard,
+                              deps, grids)
+    return grids.build(summaries, basis_degree)[0]
+
+
+@dataclass(frozen=True)
+class BsdeMeans:
+    """Path means of one BSDE's Y and Z at every date (terminal Z row 0) and
+    the Y_0 summary of ``solve_bsde``."""
+
+    times: np.ndarray
+    y_mean: np.ndarray
+    z_mean: np.ndarray
+    y0_mean: float
+    y0_se: float
+
+
+def solve_bsde_means(spec: DriverSpec, fp: FactorPaths,
+                     basis_degree: int = 3) -> BsdeMeans:
+    """``solve_bsde(spec, fp, basis_degree)`` reduced to its per-date path
+    means, bitwise, without forming the Y and Z grids: beside the state and
+    dW it holds O(paths) memory, whatever the number of dates."""
+    means = np.zeros((2, fp.grid_n + 1))
+
+    def visit(i: int, k: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
+        means[:, i] = np.mean(y_row), np.mean(z_row)
+
+    (summary,) = _solve_system([spec], fp, basis_degree, 0, 50.0, 1, (), visit)
+    return BsdeMeans(fp.times, means[0], means[1], summary.y0_mean, summary.y0_se)
 
 
 @dataclass(frozen=True)
@@ -386,8 +463,9 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
 
     The options are those of ``solve_bsde``. When every member is the same
     ``DriverSpec`` object and all terminals are bitwise equal, the members
-    differ only in where they start, so one ``solve_bsde`` on [0, T] gives
-    them all: its row s is member s at time s, bitwise. Otherwise the live
+    differ only in where they start, so one solve on [0, T] gives them all:
+    its row s is member s at time s, bitwise, written over the terminals
+    (Z is reduced to its mean date by date). Otherwise the live
     members (s <= i) at date i are rows of one (members x paths) matrix,
     regressed together on the date's state row; each member's driver is then
     called on its own row. Z truncation warns at most once per flow, counting
@@ -408,11 +486,11 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
 
     if all(spec is specs[0] for spec in specs) \
             and np.all(Y.view(np.uint64) == Y[0].view(np.uint64)):
-        del Y
-        grid = solve_bsde(specs[0], fp, basis_degree, z_bound=z_bound, picard=picard,
-                          deps=deps)
-        Y = grid.Y
-        z_diag[:n] = [float(np.mean(row)) for row in grid.Z[:n]]
+        def visit(i: int, k: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
+            Y[i] = y_row
+            z_diag[i] = np.mean(z_row)
+
+        _solve_system(specs[:1], fp, basis_degree, 0, z_bound, picard, deps, visit)
     else:
         saturated = 0
         total = 0
@@ -448,7 +526,10 @@ def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
                 f"spec {own} depends on indices {bad}; dependencies must be "
                 "strictly earlier in the list"
             )
-    return _solve_system(specs, fp, basis_degree, start_index, z_bound, picard, ())
+    grids = _Grids(len(specs), fp)
+    summaries = _solve_system(specs, fp, basis_degree, start_index, z_bound, picard, (),
+                              grids)
+    return grids.build(summaries, basis_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -483,20 +564,27 @@ def convergence_study(paths: int, reps: int, seed: int,
     rows = []
     for grid_n in grids:
         times = np.linspace(0.0, 1.0, grid_n + 1)
+        # squared errors (Y - (W^2 + 1 - t))^2 and (Z - 2 W)^2, written row by
+        # row into two buffers that every replication of this grid reuses
+        y_err = np.empty((grid_n + 1, paths))
+        z_err = np.empty((grid_n, paths))
         y_mses, z_mses, y0s = [], [], []
         for rep in range(reps):
             fp = simulate_factors(brownian_factor(), times, paths,
                                   (seed + 7919 * grid_n + rep) % SEED_LIMIT)
-            grid = solve_bsde(spec, fp)
-            # both errors in one buffer: Y - (W^2 + 1 - t), then Z - 2 W
-            err = np.square(fp.state)
-            err += (1.0 - times)[:, None]
-            np.subtract(grid.Y, err, out=err)
-            y_mses.append(float(np.mean(np.square(err, out=err))))
-            z_err = np.multiply(fp.state[:grid_n], 2.0, out=err[:grid_n])
-            np.subtract(grid.Z[:grid_n], z_err, out=z_err)
-            z_mses.append(float(np.mean(np.square(z_err, out=z_err))))
-            y0s.append(grid.y0_mean)
+
+            def visit(i: int, k: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
+                err = np.square(fp.state[i], out=y_err[i])
+                err += 1.0 - times[i]
+                np.square(np.subtract(y_row, err, out=err), out=err)
+                if i < grid_n:
+                    err = np.multiply(fp.state[i], 2.0, out=z_err[i])
+                    np.square(np.subtract(z_row, err, out=err), out=err)
+
+            (summary,) = _solve_system([spec], fp, 3, 0, 50.0, 1, (), visit)
+            y_mses.append(float(np.mean(y_err)))
+            z_mses.append(float(np.mean(z_err)))
+            y0s.append(summary.y0_mean)
         rows.append(ConvergenceRow(
             grid_n=grid_n, paths=paths, y_mse=float(np.mean(y_mses)),
             y_mse_se=float(np.std(y_mses, ddof=1) / math.sqrt(reps)),

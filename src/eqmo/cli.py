@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import FORMATS, Table, emit_outputs, render_json
-from .bsde import DriverSpec, mv_flow_residual, simulate_factors, solve_bsde
+from .bsde import DriverSpec, mv_flow_residual, simulate_factors, solve_bsde_means
 from .equilibrium import SCHEMES, backward_sweep, mv_gamma2
 from .errors import AmbiguousRoot, EqmoError, ParseError, ValidationError
 from .moments import conditional_moments, mc_conditional_moments, moment_grid, \
@@ -229,20 +229,18 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
         driver=lambda t, state, y, z: 0.0,
         terminal=lambda fpaths, idx: fpaths.state[-1],
     )
-    grid = solve_bsde(spec, fp, basis_degree)
+    means = solve_bsde_means(spec, fp, basis_degree)
     n = s.grid_n
-    table = Table(
-        ("t", "y_mean", "z_mean"),
-        (s.times[:n], np.mean(grid.Y[:n], axis=1), np.mean(grid.Z[:n], axis=1)),
-    )
+    table = Table(("t", "y_mean", "z_mean"),
+                  (s.times[:n], means.y_mean[:n], means.z_mean[:n]))
     summary = {
         "command": "bsde",
         "kind": "ou",
         "basis_degree": basis_degree,
         "paths": config.paths,
         "seed": config.seed,
-        "y0_mean": grid.y0_mean,
-        "y0_se": grid.y0_se,
+        "y0_mean": means.y0_mean,
+        "y0_se": means.y0_se,
     }
     return 0, {"bsde_grid": table, "bsde_summary": summary}
 

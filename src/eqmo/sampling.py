@@ -29,12 +29,15 @@ SEED_LIMIT = 2 ** 63
 MAX_PATHS = 10 ** 8
 MAX_CELLS = 3 * 10 ** 7
 """Largest paths x cols matrix :func:`time_major_normals` fills. The
-regression route keeps every path at every date: the state and dW matrices
-and the solver's Y and Z. Its peak RSS measured about 40 MB + 32 bytes per
-cell of this matrix (4 float64 per path and date), both on ``bsde`` runs
-and on s-dependent flows, which fit every live member at once but hold only
-Y and one Z buffer (fresh-process ``ru_maxrss``, grid_n 50, 40000 and 80000
-paths); so the bound keeps one run under about 1.0 GB."""
+regression route keeps every path at every date: the state and dW matrices,
+plus whatever its solve keeps. A full-grid solve (``solve_bsde``,
+``solve_recurrent_system``) and an s-dependent flow, which fits every live
+member at once but holds only Y and one Z buffer, keep 4 float64 per path
+and date; their peak RSS measured about 40 MB + 32 bytes per cell of this
+matrix (fresh-process ``ru_maxrss``, grid_n 50, 40000 and 80000 paths), so
+the bound keeps such a run under about 1.0 GB. A means solve
+(``solve_bsde_means``, the ``bsde`` command on a factor scenario) keeps 2
+float64 per path and date and a flow of identical members keeps 3."""
 
 
 def worker_count() -> int:

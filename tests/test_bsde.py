@@ -24,6 +24,7 @@ from eqmo.bsde import (
     wealth_factor_paths,
 )
 from eqmo.corpus import mv_base
+from eqmo.scenario_io import parse_scenario
 from eqmo.equilibrium import mv_closed_form
 from eqmo.errors import (
     CyclicDependency,
@@ -33,6 +34,7 @@ from eqmo.errors import (
 )
 
 T = 1.0
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def grid_times(n):
@@ -349,16 +351,17 @@ class TestBatchedFlow:
     def test_identical_members_take_one_solve(self):
         fp = simulate_factors(brownian_factor(), grid_times(6), 500, 47)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1] ** 2)
-        with mock.patch.object(bsde, "solve_bsde", wraps=solve_bsde) as solver:
+        with mock.patch.object(bsde, "_solve_system", wraps=bsde._solve_system) as solver:
             solve_flow_diagonal(lambda s: spec, fp)
         assert solver.call_count == 1
+        assert len(solver.call_args.args[0]) == 1  # member 0's specs: one solve on [0, T]
 
     def test_shared_spec_with_index_terminal_is_not_single_solve(self):
         n = 6
         fp = simulate_factors(frozen_state_model(), grid_times(n), 64, 1)
         spec = DriverSpec(driver=ZERO_DRIVER,
                           terminal=lambda f, idx: np.full(f.paths, float(idx)))
-        with mock.patch.object(bsde, "solve_bsde", wraps=solve_bsde) as solver:
+        with mock.patch.object(bsde, "_solve_system", wraps=bsde._solve_system) as solver:
             diag = solve_flow_diagonal(lambda s: spec, fp)
         assert solver.call_count == 0
         assert np.array_equal(diag.y_values, np.arange(n + 1.0))
@@ -382,6 +385,22 @@ class TestBatchedFlow:
         y_bytes, z_bytes = 8 * (n + 1) * paths, 8 * n * paths
         assert peak < y_bytes + z_bytes + 2 * 8 * (degree + 1) * paths
 
+    @pytest.mark.parametrize("n", [20, 80])
+    def test_means_solve_memory_does_not_grow_with_dates(self, n):
+        # the means route keeps one Y row and one Z buffer, never a grid:
+        # its traced peak is a few rows beside the date's basis at any n
+        paths, degree = 20_000, 3
+        fp = simulate_factors(brownian_factor(), grid_times(n), paths, 73)
+        spec = DriverSpec(driver=lambda t, st, y, z: -0.3 * y + 0.1 * z,
+                          terminal=lambda f, s: f.state[-1] ** 2)
+        tracemalloc.start()
+        try:
+            bsde.solve_bsde_means(spec, fp, degree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * (degree + 1) * paths
+
     def test_non_finite_member_terminal_rejected(self):
         fp = simulate_factors(brownian_factor(), grid_times(6), 64, 1)
 
@@ -392,6 +411,94 @@ class TestBatchedFlow:
 
         with pytest.raises(ValidationError):
             solve_flow_diagonal(family, fp)
+
+
+def scenario_paths(name, seed, workers, paths=9000):
+    """The scenario's factor paths (``kind = none`` freezes the state),
+    drawn on ``workers`` threads, and its basis degree."""
+    bundle = parse_scenario(os.path.join(SCENARIOS, f"{name}.scn"))
+    with mock.patch.dict(os.environ, {"EQMO_WORKERS": workers}):
+        fp = simulate_factors(bundle.factor, bundle.scenario.times, paths, seed)
+    return fp, bundle.numerics["basis_degree"]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestReducerRoute:
+    """Every reduction of the one backward loop equals the same reduction of
+    the full grids that ``solve_bsde`` fills, bit for bit."""
+
+    SPECS = {
+        "cli": DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1]),
+        "yz": DriverSpec(driver=lambda t, st, y, z: -0.3 * y + 0.1 * z,
+                         terminal=lambda f, s: np.cos(f.state[-1]) + f.state[-1] ** 2),
+    }
+
+    @pytest.mark.parametrize("spec_name", sorted(SPECS))
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    @pytest.mark.parametrize("seed", [5, 2026])
+    @pytest.mark.parametrize("name", ["ou_factor", "mv_base"])
+    def test_means_and_flow_equal_full_grid_reductions(self, name, seed, workers,
+                                                       spec_name):
+        fp, degree = scenario_paths(name, seed, workers)
+        spec = self.SPECS[spec_name]
+        n = fp.grid_n
+        grid = solve_bsde(spec, fp, degree)
+        means = bsde.solve_bsde_means(spec, fp, degree)
+        assert np.array_equal(bits(means.y_mean[:n]), bits(np.mean(grid.Y[:n], axis=1)))
+        assert np.array_equal(bits(means.z_mean[:n]), bits(np.mean(grid.Z[:n], axis=1)))
+        assert (means.y0_mean, means.y0_se) == (grid.y0_mean, grid.y0_se)
+
+        diag = solve_flow_diagonal(lambda s: spec, fp, degree)
+        z_ref = np.zeros(n + 1)
+        z_ref[:n] = [float(np.mean(row)) for row in grid.Z[:n]]
+        assert np.array_equal(bits(diag.y_paths), bits(grid.Y))
+        assert np.array_equal(bits(diag.z_values), bits(z_ref))
+
+    @staticmethod
+    def full_grid_study(paths, reps, seed, grids):
+        """The W_T^2 study on full ``solve_bsde`` grids, as it was computed
+        before the row-by-row error buffers."""
+        spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1] ** 2)
+        rows = []
+        for grid_n in grids:
+            times = grid_times(grid_n)
+            y_mses, z_mses, y0s = [], [], []
+            for rep in range(reps):
+                fp = simulate_factors(brownian_factor(), times, paths,
+                                      seed + 7919 * grid_n + rep)
+                grid = solve_bsde(spec, fp)
+                err = np.square(fp.state)
+                err += (1.0 - times)[:, None]
+                np.subtract(grid.Y, err, out=err)
+                y_mses.append(float(np.mean(np.square(err, out=err))))
+                z_err = np.multiply(fp.state[:grid_n], 2.0, out=err[:grid_n])
+                np.subtract(grid.Z[:grid_n], z_err, out=z_err)
+                z_mses.append(float(np.mean(np.square(z_err, out=z_err))))
+                y0s.append(grid.y0_mean)
+            rows.append((float(np.mean(y_mses)),
+                         float(np.std(y_mses, ddof=1) / math.sqrt(reps)),
+                         float(np.mean(z_mses)), float(np.mean(y0s)) - 1.0))
+        return rows
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_convergence_rows_keep_their_bits(self, workers):
+        with mock.patch.dict(os.environ, {"EQMO_WORKERS": workers}):
+            rows = [(r.y_mse, r.y_mse_se, r.z_mse, r.y0_bias)
+                    for r in bsde.convergence_study(5000, 2, 5, grids=(4, 7))]
+            assert rows == self.full_grid_study(5000, 2, 5, (4, 7))
+        # recorded from the full-grid study (numpy 2.4, x86_64 OpenBLAS); the
+        # tolerance covers only another BLAS kernel's last-bit rounding
+        recorded = [
+            (0.0015220093208481676, 0.000943071135700394, 0.014727916260063815,
+             -0.01267435353408497),
+            (0.0014128485509241726, 0.000334813496294404, 0.0076887033924315385,
+             0.0037636905915612306),
+        ]
+        for got, want in zip(rows, recorded):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestRegressionBasis:

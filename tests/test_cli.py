@@ -217,6 +217,20 @@ class TestBsde:
         assert not out.exists()
 
 
+class TestModuleEntryPoint:
+    def test_python_m_eqmo_cli_is_silent(self, tmp_path):
+        # the package must not import eqmo.cli, or runpy warns that the
+        # module was already in sys.modules before it ran as __main__
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqmo.cli", "--command", "solve",
+             "--scenario", MV, "--out", str(tmp_path / "solve")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestSeedPrecedence:
     def test_env_seed_honored(self, tmp_path):
         out = tmp_path / "env"
