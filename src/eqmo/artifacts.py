@@ -5,10 +5,11 @@ value renderer serves CSV cells and JSON scalars alike: every float is
 rendered with 17 significant digits (lossless for binary64) and a non-finite
 one is refused. JSON objects are emitted with sorted keys. Emission is
 all-or-nothing: every file's text is rendered before the first is written,
-so a value that cannot be serialized leaves no file behind. Files are written
-atomically (temp file + rename in the target directory), so reruns with
-identical inputs produce byte-identical files, which the manifest records as
-sha256 digests.
+so a value that cannot be serialized leaves no file behind, and every file is
+written to a temp file in the target directory before the first is renamed
+to its final name, so a failed write (disk full, permissions) leaves none
+behind either. Reruns with identical inputs produce byte-identical files,
+which the manifest records as sha256 digests.
 """
 from __future__ import annotations
 
@@ -115,24 +116,6 @@ def render_csv(table: Table) -> str:
     return buf.getvalue()
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so partial files never land
-    under the final name."""
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IoError(f"failed to write {path}: {exc}") from exc
-
-
 FORMATS = ("csv", "json")
 
 
@@ -140,8 +123,9 @@ def emit_outputs(results: Mapping[str, object], fmt: str, out_dir: str) -> dict[
     """Write named results into out_dir and a manifest.json of sha256 digests.
 
     Table values honor ``fmt`` (csv or json); plain mappings always serialize
-    as JSON. Every text is rendered before any file is written. Returns
-    {relative_path: sha256}.
+    as JSON. Every text is rendered and written to a temp file before any
+    file lands under its final name; on failure the temp files are removed.
+    The manifest is renamed last. Returns {relative_path: sha256}.
     """
     if fmt not in FORMATS:
         raise IoError(f"format must be one of {FORMATS}, got {fmt!r}")
@@ -162,6 +146,20 @@ def emit_outputs(results: Mapping[str, object], fmt: str, out_dir: str) -> dict[
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
-    for filename, text in texts.items():
-        atomic_write_text(os.path.join(out_dir, filename), text)
+    temps: list[tuple[str, str]] = []  # (temp file, final path), in write order
+    try:
+        for filename, text in texts.items():
+            path = os.path.join(out_dir, filename)
+            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-artifact-")
+            temps.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for tmp, path in temps:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise IoError(f"failed to write {path}: {exc}") from exc
+    finally:
+        for tmp, _ in temps:  # whatever was not renamed
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return manifest

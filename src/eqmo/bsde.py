@@ -20,6 +20,9 @@ same state row, so a flow costs O(n) dates, not O(n^2) rows: a family of
 identical members is one solve whose row s is member s, and any other family
 fits its live members together, one matrix-matrix regression per date, with
 each member's C written over its own row of Y; it holds Y and one Z buffer.
+The mean-variance check ``mv_flow_residual`` needs only the path means of an
+identical-member flow's diagonal, so it takes them from ``solve_bsde_means``
+and never forms the flow.
 
 Every other route is one backward loop over dates on an ordered list of
 specs. Each date builds one regression operator, fits each spec's row on it,
@@ -28,9 +31,10 @@ the rows to a visitor; each spec keeps only its next-date Y row and one Z
 buffer. The visitor decides what is kept: ``solve_bsde`` and
 ``solve_recurrent_system`` fill full (n + 1) x paths grids, so with the
 state and dW they hold 4 float64 per path-date; ``solve_bsde_means`` keeps
-per-date path means (2 per path-date: the state and dW); the identical-member
-flow keeps Y and the Z means (3); ``convergence_study`` keeps its two
-squared-error buffers.
+per-date path means (2 per path-date: the state and dW), which is all the
+``bsde`` command holds on either factor kind; the identical-member flow keeps
+Y and the Z means (3); ``convergence_study`` keeps its two squared-error
+buffers.
 """
 from __future__ import annotations
 
@@ -174,6 +178,14 @@ class DriverSpec:
         object.__setattr__(self, "depends_on", tuple(int(i) for i in self.depends_on))
         if any(i < 0 for i in self.depends_on):
             raise ValidationError("depends_on indices must be nonnegative")
+
+
+# zero driver, terminal X_T: Y_t = E_t[X_T], the one BSDE the ``bsde`` command
+# solves on either factor kind
+TERMINAL_STATE = DriverSpec(
+    driver=lambda t, state, y, z: 0.0,
+    terminal=lambda fp, s: fp.state[-1],
+)
 
 
 @dataclass(frozen=True)
@@ -604,10 +616,12 @@ class FlowDiagnostics:
     The zero-driver BSDE with terminal X_T has Z_s = e^{R(s)} sigma(s) u(s)
     under a deterministic strategy, so theta(s) - 2 gamma2 sigma(s) Z_s = 0
     exactly at the mean-variance equilibrium; residuals below sampling noise
-    confirm the flow solver against the closed-form sweep.
+    confirm the regression solver against the closed-form sweep. Every member
+    of that flow is the same spec, so its diagonal is the per-date path means
+    of one solve.
     """
 
-    diagonal: DiagonalProcess
+    means: BsdeMeans
     residuals: np.ndarray
     residual_rms: float
     residual_max: float
@@ -618,23 +632,18 @@ class FlowDiagnostics:
 def mv_flow_residual(scenario: MarketScenario, gamma2: float, paths: int,
                      seed: int, basis_degree: int = 3,
                      strategy: StrategyGrid | None = None) -> FlowDiagnostics:
-    """Solve the terminal-wealth flow under the MV strategy (or a supplied
-    one) and report the first-order-condition residual along the diagonal."""
+    """Solve E_t[X_T] under the MV strategy (or a supplied one) and report
+    the first-order-condition residual along the flow diagonal."""
     if strategy is None:
         strategy = mv_closed_form(scenario, gamma2)
     fp = wealth_factor_paths(scenario, strategy, paths, seed)
-
-    spec = DriverSpec(
-        driver=lambda t, state, y, z: 0.0,
-        terminal=lambda fpaths, s: fpaths.state[-1],
-    )
-    diag = solve_flow_diagonal(lambda s: spec, fp, basis_degree)
+    means = solve_bsde_means(TERMINAL_STATE, fp, basis_degree)
     n = scenario.grid_n
-    res = scenario.theta[:n] - 2.0 * gamma2 * scenario.sigma[:n] * diag.z_values[:n]
+    res = scenario.theta[:n] - 2.0 * gamma2 * scenario.sigma[:n] * means.z_mean[:n]
     R = rate_to_horizon(scenario)
-    implied = diag.z_values[:n] * growth_factors(-R[:n]) / scenario.sigma[:n]
+    implied = means.z_mean[:n] * growth_factors(-R[:n]) / scenario.sigma[:n]
     return FlowDiagnostics(
-        diagonal=diag,
+        means=means,
         residuals=res,
         residual_rms=float(np.sqrt(np.mean(res ** 2))),
         residual_max=float(np.max(np.abs(res))),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import FORMATS, Table, emit_outputs, render_json
-from .bsde import DriverSpec, mv_flow_residual, simulate_factors, solve_bsde_means
+from .bsde import TERMINAL_STATE, mv_flow_residual, simulate_factors, solve_bsde_means
 from .equilibrium import SCHEMES, backward_sweep, mv_gamma2
 from .errors import AmbiguousRoot, EqmoError, ParseError, ValidationError
 from .moments import conditional_moments, mc_conditional_moments, moment_grid, \
@@ -210,7 +210,7 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
         n = s.grid_n
         table = Table(
             ("t", "y_diag", "z_diag", "residual", "implied_u"),
-            (s.times[:n], diag.diagonal.y_values[:n], diag.diagonal.z_values[:n],
+            (s.times[:n], diag.means.y_mean[:n], diag.means.z_mean[:n],
              diag.residuals, diag.implied_u),
         )
         summary = {
@@ -225,11 +225,7 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
         }
         return 0, {"bsde_diagonal": table, "bsde_summary": summary}
     fp = simulate_factors(bundle.factor, s.times, config.paths, config.seed)
-    spec = DriverSpec(
-        driver=lambda t, state, y, z: 0.0,
-        terminal=lambda fpaths, idx: fpaths.state[-1],
-    )
-    means = solve_bsde_means(spec, fp, basis_degree)
+    means = solve_bsde_means(TERMINAL_STATE, fp, basis_degree)
     n = s.grid_n
     table = Table(("t", "y_mean", "z_mean"),
                   (s.times[:n], means.y_mean[:n], means.z_mean[:n]))

@@ -130,33 +130,20 @@ def _cauchy_root_bound(poly: Polynomial) -> float:
 
 
 def _compose_linear(outer: tuple[float, ...], a0: float, a1: float) -> list[float]:
-    """Coefficients of outer(a0 + a1 w) as plain floats.
+    """Coefficients of outer(a0 + a1 w) as plain floats, by the Horner
+    recurrence acc <- acc (a0 + a1 w) + c with trailing zeros stripped.
 
-    Repeats the arithmetic of ``Polynomial(outer).compose(Polynomial((a0,
-    a1)))`` operation for operation (Horner over polynomial products, each
-    product coefficient summed from 0.0 in ascending order of the outer
-    index, trailing zeros stripped), so every coefficient is bitwise the one
-    the Polynomial objects would produce. Adding a zero constant term is
-    skipped: a product coefficient already starts from +0.0, so adding 0.0
-    leaves its bits unchanged.
+    Each coefficient is summed from 0.0, as ``Polynomial.__mul__`` sums its
+    products, so a zero comes out as +0.0 and every coefficient is bitwise
+    that of ``Polynomial(outer).compose(Polynomial((a0, a1)))``.
     """
-    inner = [a0, a1]
-    while inner and inner[-1] == 0.0:
-        inner.pop()
     acc: list[float] = []
     for c in reversed(outer):
-        prod: list[float] = []
-        if acc and inner:
-            prod = [0.0] * (len(acc) + len(inner) - 1)
-            for i, a in enumerate(acc):
-                for j, b in enumerate(inner):
-                    prod[i + j] += a * b
-            while prod and prod[-1] == 0.0:
-                prod.pop()
-        if c != 0.0:
-            acc = [prod[0] + c] + prod[1:] if prod else [c]
-        else:
-            acc = prod
+        prev = 0.0  # old acc[k - 1], which the a1 w term shifts up to k
+        for k, x in enumerate(acc):
+            acc[k], prev = 0.0 + a0 * x + a1 * prev, x
+        acc.append(0.0 + a1 * prev)
+        acc[0] += c
         while acc and acc[-1] == 0.0:
             acc.pop()
     return acc

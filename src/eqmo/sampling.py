@@ -36,8 +36,9 @@ member at once but holds only Y and one Z buffer, keep 4 float64 per path
 and date; their peak RSS measured about 40 MB + 32 bytes per cell of this
 matrix (fresh-process ``ru_maxrss``, grid_n 50, 40000 and 80000 paths), so
 the bound keeps such a run under about 1.0 GB. A means solve
-(``solve_bsde_means``, the ``bsde`` command on a factor scenario) keeps 2
-float64 per path and date and a flow of identical members keeps 3."""
+(``solve_bsde_means``, which is all the ``bsde`` command runs on either
+factor kind) keeps 2 float64 per path and date and a flow of identical
+members keeps 3."""
 
 
 def worker_count() -> int:

@@ -1,10 +1,12 @@
 """Artifact layer: exact CSV/JSON text, lossless floats, refusals, emission."""
 import csv
+import errno
 import io
 import json
 import math
 import os
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,3 +176,31 @@ class TestAllOrNothing:
         with pytest.raises(IoError, match="non-finite"):
             emit_outputs(self.results(), "json", str(out))
         assert not out.exists()
+
+    def test_failed_write_leaves_no_file_of_the_run(self, tmp_path):
+        # a previous run's files stay as they were; the failing run adds none
+        def run(x):
+            return emit_outputs({"a_table": Table(("x",), ([x],)), "b_summary": {"x": x}},
+                                "csv", str(tmp_path))
+
+        before = run(1.0)
+        old = {name: read(tmp_path / name) for name in os.listdir(tmp_path)}
+        real_fdopen = os.fdopen
+        opened = []
+
+        def fdopen(fd, *args, **kwargs):
+            fh = real_fdopen(fd, *args, **kwargs)
+            opened.append(fh)
+            if len(opened) == 2:  # the second file's write hits a full disk
+                def write(text):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                fh.write = write
+            return fh
+
+        with mock.patch.object(os, "fdopen", fdopen):
+            with pytest.raises(IoError, match="b_summary.json"):
+                run(2.0)
+        assert len(opened) == 2
+        assert sorted(os.listdir(tmp_path)) == sorted(before) + ["manifest.json"]
+        assert {name: read(tmp_path / name) for name in os.listdir(tmp_path)} == old
+        assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-artifact-")]

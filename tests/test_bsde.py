@@ -401,6 +401,20 @@ class TestBatchedFlow:
             tracemalloc.stop()
         assert peak < 4 * 8 * (degree + 1) * paths
 
+    @pytest.mark.parametrize("n", [20, 80])
+    def test_mv_flow_residual_holds_state_dw_and_a_few_rows(self, n):
+        # the flow's diagonal means come from one means solve: beside the
+        # wealth paths and their increments (2n + 1 rows) only a few buffers
+        paths = 20_000
+        scenario = mv_base(grid_n=n).scenario
+        tracemalloc.start()
+        try:
+            mv_flow_residual(scenario, 1.0, paths, 73)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * n + 1 + 16) * 8 * paths
+
     def test_non_finite_member_terminal_rejected(self):
         fp = simulate_factors(brownian_factor(), grid_times(6), 64, 1)
 
@@ -431,7 +445,7 @@ class TestReducerRoute:
     the full grids that ``solve_bsde`` fills, bit for bit."""
 
     SPECS = {
-        "cli": DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1]),
+        "cli": bsde.TERMINAL_STATE,
         "yz": DriverSpec(driver=lambda t, st, y, z: -0.3 * y + 0.1 * z,
                          terminal=lambda f, s: np.cos(f.state[-1]) + f.state[-1] ** 2),
     }

@@ -536,5 +536,5 @@ class TestGrowthFactors:
         s = self.case.scenario
         diag = mv_flow_residual(s, 0.8, paths=2000, seed=3)
         n = s.grid_n
-        ref = diag.diagonal.z_values[:n] * self.libm(-self.R[:n]) / s.sigma[:n]
+        ref = diag.means.z_mean[:n] * self.libm(-self.R[:n]) / s.sigma[:n]
         assert diag.implied_u.tobytes() == ref.tobytes()

@@ -87,6 +87,7 @@ class TestAgainstNumpyOracle:
                     min_size=2, max_size=7))
     @settings(max_examples=150, deadline=None)
     @example([-0.5, 1 / 3, 1 / 3, 1 / 3, -0.5])  # double root at x = 1
+    @example([0.6, 0.06])  # root on the endpoint x = -10
     def test_matches_companion_matrix(self, coeffs):
         p = Polynomial(tuple(coeffs))
         assume(p.degree >= 1)
@@ -95,8 +96,9 @@ class TestAgainstNumpyOracle:
         # a multiple real root comes back from the companion matrix as a
         # near-real complex pair, which the real filter below would drop
         assume(not any(1e-9 <= abs(z.imag) < 1e-4 for z in npr))
+        # real_roots searches the closed interval, endpoints included
         real = sorted(float(z.real) for z in npr
-                      if abs(z.imag) < 1e-9 and -10.0 < z.real < 10.0)
+                      if abs(z.imag) < 1e-9 and -10.0 <= z.real <= 10.0)
         # only compare when the oracle's roots are well separated and simple
         assume(all(b - a > 1e-4 for a, b in zip(real, real[1:])))
         deriv = p.derivative()
