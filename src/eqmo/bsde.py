@@ -24,17 +24,18 @@ The mean-variance check ``mv_flow_residual`` needs only the path means of an
 identical-member flow's diagonal, so it takes them from ``solve_bsde_means``
 and never forms the flow.
 
-Every other route is one backward loop over dates on an ordered list of
-specs. Each date builds one regression operator, fits each spec's row on it,
-feeds each driver the (Y, Z) rows of its dependencies at that date and hands
-the rows to a visitor; each spec keeps only its next-date Y row and one Z
-buffer. The visitor decides what is kept: ``solve_bsde`` and
-``solve_recurrent_system`` fill full (n + 1) x paths grids, so with the
-state and dW they hold 4 float64 per path-date; ``solve_bsde_means`` keeps
-per-date path means (2 per path-date: the state and dW), which is all the
-``bsde`` command holds on either factor kind; the identical-member flow keeps
-Y and the Z means (3); ``convergence_study`` keeps its two squared-error
-buffers.
+Every other route is one backward loop over dates per BSDE. Each date
+builds one regression operator, fits the Y row on it, feeds the driver the
+(Y, Z) rows of its dependency grids at that date and hands the rows to a
+visitor; the loop keeps only the next-date Y row and one Z buffer. The
+visitor decides what is kept: ``solve_bsde`` fills full (n + 1) x paths
+grids, so with the state and dW it holds 4 float64 per path-date;
+``solve_bsde_means`` keeps per-date path means (2 per path-date: the state
+and dW), which is all the ``bsde`` command holds on either factor kind; the
+identical-member flow keeps Y and the Z means (3); ``convergence_study``
+keeps its two squared-error buffers. A recurrent system is its members'
+``solve_bsde`` calls in order, each fed the earlier members' grids, so m
+members hold 2 + 2m float64 per path-date.
 """
 from __future__ import annotations
 
@@ -212,27 +213,8 @@ class _Summary(NamedTuple):
     z_saturation: float
 
 
-# visit(i, k, y_row, z_row): spec k's rows at date i
-_Visit = Callable[[int, int, np.ndarray, np.ndarray], None]
-
-
-class _Grids:
-    """Visitor that keeps every date's rows: one full ``BsdeGrid`` per spec,
-    rows below the start index left at zero."""
-
-    def __init__(self, specs: int, fp: FactorPaths):
-        self.fp = fp
-        self.Y, self.Z = np.zeros((2, specs, fp.grid_n + 1, fp.paths))
-
-    def __call__(self, i: int, k: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
-        self.Y[k, i] = y_row
-        self.Z[k, i] = z_row
-
-    def build(self, summaries: Sequence[_Summary], basis_degree: int) -> list[BsdeGrid]:
-        fp = self.fp
-        return [BsdeGrid(times=fp.times, Y=Y, Z=Z, basis_degree=basis_degree,
-                         paths=fp.paths, seed=fp.seed, **summary._asdict())
-                for Y, Z, summary in zip(self.Y, self.Z, summaries)]
+# visit(i, y_row, z_row): the solution's rows at date i
+_Visit = Callable[[int, np.ndarray, np.ndarray], None]
 
 
 class _Regression:
@@ -248,6 +230,10 @@ class _Regression:
     inverted through its SVD; rank deficiency raises unless the state is
     constant, where the basis drops to the intercept. ``step`` is the date
     index, reported on failure.
+
+    On the intercept-only basis every product with B is a path sum, taken
+    by ``np.sum``: BLAS splits a one-column product across its threads, so
+    its rounding would follow ``OPENBLAS_NUM_THREADS``.
     """
 
     def __init__(self, state_row: np.ndarray, dW_row: np.ndarray, degree: int,
@@ -260,15 +246,16 @@ class _Regression:
         std = math.sqrt(float(np.multiply(x, x, out=B[0]).sum()) / paths)
         if std <= _CONST_STATE_TOL * (1.0 + abs(mean)):
             B = np.ones((1, paths))
+            G, self.Gw = np.array([[float(paths)]]), np.array([[dW_row.sum()]])
         else:
             B[0] = 1.0
             np.divide(x, std, out=x)
             for k in range(2, degree + 1):
                 np.multiply(B[k - 1], x, out=B[k])
-        # power sums m = 0..d-1 from the rows, m = d..2d against the top row
-        hankel = np.add.outer(np.arange(len(B)), np.arange(len(B)))
-        G = np.concatenate((B[:-1].sum(axis=1), B @ B[-1]))[hankel]
-        self.Gw = np.concatenate((B[:-1] @ dW_row, B @ (B[-1] * dW_row)))[hankel]
+            # power sums m = 0..d-1 from the rows, m = d..2d against the top row
+            hankel = np.add.outer(np.arange(len(B)), np.arange(len(B)))
+            G = np.concatenate((B[:-1].sum(axis=1), B @ B[-1]))[hankel]
+            self.Gw = np.concatenate((B[:-1] @ dW_row, B @ (B[-1] * dW_row)))[hankel]
         U, s, Vt = np.linalg.svd(G)
         if s[0] <= 0.0 or s[-1] <= 1e-13 * s[0]:
             raise RegressionSingular(
@@ -276,12 +263,16 @@ class _Regression:
                 f"singular values {s}", step=step)
         self.B, self.dW, self.inverse = B, dW_row, (U / s) @ Vt
 
+    def products(self, rows: np.ndarray) -> np.ndarray:
+        """rows @ B' for one row or a (members x paths) matrix of them."""
+        if len(self.B) == 1:
+            return rows.sum(axis=-1, keepdims=True)
+        return rows @ self.B.T
 
-def _check_options(basis_degree: int, picard: int) -> None:
+
+def _check_options(basis_degree: int) -> None:
     if basis_degree < 1:
         raise ValidationError(f"basis degree must be >= 1, got {basis_degree}")
-    if picard < 1:
-        raise ValidationError(f"picard iterations must be >= 1, got {picard}")
 
 
 def _check_deps(index: int, spec: DriverSpec, supplied: int) -> None:
@@ -317,101 +308,83 @@ def _fit_date(reg: _Regression, rows: np.ndarray, dt: float, C: np.ndarray,
     (rows @ (B dW)' - coeffs_C @ Gw) / dt @ G^-1 and is never formed;
     rows @ (B dW)' is taken as (rows dW) @ B', with rows dW in ``C``.
     """
-    B = reg.B
-    coeffs_C = (rows @ B.T) @ reg.inverse
+    coeffs_C = reg.products(rows) @ reg.inverse
     np.multiply(rows, reg.dW, out=C)
-    coeffs_Z = ((C @ B.T - coeffs_C @ reg.Gw) / dt) @ reg.inverse
-    np.matmul(coeffs_C, B, out=C)
-    np.matmul(coeffs_Z, B, out=Z)
+    coeffs_Z = ((reg.products(C) - coeffs_C @ reg.Gw) / dt) @ reg.inverse
+    np.matmul(coeffs_C, reg.B, out=C)
+    np.matmul(coeffs_Z, reg.B, out=Z)
 
 
 def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
            Z: np.ndarray, dep_rows: Sequence[tuple[np.ndarray, np.ndarray]],
-           picard: int, z_bound: float, dt: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Y = C + f(t, state, Y, Z [, deps]) dt by ``picard`` passes from Y = C,
-    with ``spec.depends_on`` indexing ``dep_rows``; returns Y, the last f and
-    the count of Z values at the truncation bound."""
+           z_bound: float, dt: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The explicit step Y = C + f(t, state, C, Z [, deps]) dt, with
+    ``spec.depends_on`` indexing ``dep_rows``; returns Y, f and the count of
+    Z values at the truncation bound."""
     saturated = 0
     if spec.growth_class == "quadratic_in_z":
         saturated = int(np.count_nonzero(np.abs(Z) >= z_bound))
         Z = np.clip(Z, -z_bound, z_bound)
-    deps = tuple(dep_rows[d] for d in spec.depends_on)
-    Y = C
-    for _ in range(picard):
-        if spec.depends_on:
-            f = spec.driver(t, state, Y, Z, deps)
-        else:
-            f = spec.driver(t, state, Y, Z)
-        f = np.asarray(f, dtype=float)
-        Y = C + f * dt
-    return Y, f, saturated
+    if spec.depends_on:
+        f = spec.driver(t, state, C, Z, tuple(dep_rows[d] for d in spec.depends_on))
+    else:
+        f = spec.driver(t, state, C, Z)
+    f = np.asarray(f, dtype=float)
+    return C + f * dt, f, saturated
 
 
-def _solve_system(specs: Sequence[DriverSpec], fp: FactorPaths, basis_degree: int,
-                  start_index: int, z_bound: float, picard: int,
-                  deps: Sequence[BsdeGrid], visit: _Visit) -> list[_Summary]:
-    """The one backward regression loop over dates, for an ordered list of
-    BSDEs on [t_start, T]; returns each spec's Y_0 summary.
+def _solve_one(spec: DriverSpec, fp: FactorPaths, basis_degree: int,
+               start_index: int, z_bound: float, deps: Sequence[BsdeGrid],
+               visit: _Visit) -> _Summary:
+    """The one backward regression loop over dates, for one BSDE on
+    [t_start, T]; returns its Y_0 summary.
 
-    Each spec keeps only its Y row at the next date and one Z buffer. The
-    loop hands every date's rows to ``visit(i, k, y_row, z_row)``: first the
-    terminal rows (Z zero) at i = n, then each date down to ``start_index``.
-    The rows are valid during the call only; the Z buffer is rewritten at the
-    next date. Spec k's ``depends_on`` indexes ``deps`` (full grids, read at
-    the current date) followed by the specs before it (their rows of the
-    current date). Each date builds one regression operator on its state row,
-    which fits every spec's own row (so each spec is bitwise its standalone
-    solve) and is dropped before the next date.
+    It keeps only the Y row of the next date and one Z buffer, and hands
+    every date's rows to ``visit(i, y_row, z_row)``: first the terminal row
+    (Z zero) at i = n, then each date down to ``start_index``. The rows are
+    valid during the call only; the Z buffer is rewritten at the next date.
+    ``spec.depends_on`` indexes ``deps``, full grids read at the current
+    date. Each date builds one regression operator on its state row, which
+    is dropped once the date is fitted.
     """
-    _check_options(basis_degree, picard)
+    _check_options(basis_degree)
     n, paths, dt = fp.grid_n, fp.paths, fp.dt
     if not 0 <= start_index <= n:
         raise ValidationError(f"start_index {start_index} outside [0, {n}]")
-    for k, spec in enumerate(specs):
-        _check_deps(k, spec, len(deps) + k)
+    _check_deps(0, spec, len(deps))
 
-    ys, zs = [], []
-    for k, spec in enumerate(specs):
-        y = np.empty(paths)
-        y[:] = np.broadcast_to(np.asarray(spec.terminal(fp, start_index), dtype=float),
-                               (paths,))
-        _check_terminal(y)
-        ys.append(y)
-        zs.append(np.zeros(paths))
-        visit(n, k, y, zs[k])
-    saturated = [0] * len(specs)
-    y0_samples = list(ys)
+    y = np.empty(paths)
+    y[:] = np.broadcast_to(np.asarray(spec.terminal(fp, start_index), dtype=float),
+                           (paths,))
+    _check_terminal(y)
+    z = np.zeros(paths)
+    visit(n, y, z)
+    saturated = 0
+    y0_sample = y
     C = np.empty(paths)
 
     for i in range(n - 1, start_index - 1, -1):
-        reg = _Regression(fp.state[i], fp.dW[i], basis_degree, i)
-        t, state = float(fp.times[i]), fp.state[i]
+        _fit_date(_Regression(fp.state[i], fp.dW[i], basis_degree, i), y, dt, C, z)
         dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
-        for k, spec in enumerate(specs):
-            _fit_date(reg, ys[k], dt, C, zs[k])
-            y, f, sat = _drive(spec, t, state, C, zs[k], dep_rows, picard, z_bound, dt)
-            saturated[k] += sat
-            if i == start_index:
-                y0_samples[k] = ys[k] + f * dt
-            ys[k] = y
-            dep_rows.append((y, zs[k]))
-            visit(i, k, y, zs[k])
-        del reg  # one date's basis alive at a time
+        y_i, f, sat = _drive(spec, float(fp.times[i]), fp.state[i], C, z, dep_rows,
+                             z_bound, dt)
+        saturated += sat
+        if i == start_index:
+            y0_sample = y + f * dt
+        y = y_i
+        visit(i, y, z)
 
-    summaries = []
-    for spec, y, sat, y0 in zip(specs, ys, saturated, y0_samples):
-        total = (n - start_index) * paths if spec.growth_class == "quadratic_in_z" else 0
-        _warn_saturated(sat, total, z_bound, stacklevel=4)
-        summaries.append(_Summary(
-            y0_mean=float(np.mean(y)),
-            y0_se=float(np.std(y0, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0,
-            z_saturation=(sat / total if total else 0.0),
-        ))
-    return summaries
+    total = (n - start_index) * paths if spec.growth_class == "quadratic_in_z" else 0
+    _warn_saturated(saturated, total, z_bound, stacklevel=4)
+    return _Summary(
+        y0_mean=float(np.mean(y)),
+        y0_se=float(np.std(y0_sample, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0,
+        z_saturation=(saturated / total if total else 0.0),
+    )
 
 
 def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
-               start_index: int = 0, z_bound: float = 50.0, picard: int = 1,
+               start_index: int = 0, z_bound: float = 50.0,
                deps: Sequence[BsdeGrid] = ()) -> BsdeGrid:
     """Backward regression solve of one BSDE on [t_start, T].
 
@@ -419,10 +392,15 @@ def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
     on their own subinterval). Y_0 statistics refer to the first solved row.
     ``spec.depends_on`` indexes ``deps``.
     """
-    grids = _Grids(1, fp)
-    summaries = _solve_system([spec], fp, basis_degree, start_index, z_bound, picard,
-                              deps, grids)
-    return grids.build(summaries, basis_degree)[0]
+    Y, Z = np.zeros((2, fp.grid_n + 1, fp.paths))
+
+    def visit(i: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
+        Y[i] = y_row
+        Z[i] = z_row
+
+    summary = _solve_one(spec, fp, basis_degree, start_index, z_bound, deps, visit)
+    return BsdeGrid(times=fp.times, Y=Y, Z=Z, basis_degree=basis_degree, paths=fp.paths,
+                    seed=fp.seed, **summary._asdict())
 
 
 @dataclass(frozen=True)
@@ -444,10 +422,10 @@ def solve_bsde_means(spec: DriverSpec, fp: FactorPaths,
     dW it holds O(paths) memory, whatever the number of dates."""
     means = np.zeros((2, fp.grid_n + 1))
 
-    def visit(i: int, k: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
+    def visit(i: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
         means[:, i] = np.mean(y_row), np.mean(z_row)
 
-    (summary,) = _solve_system([spec], fp, basis_degree, 0, 50.0, 1, (), visit)
+    summary = _solve_one(spec, fp, basis_degree, 0, 50.0, (), visit)
     return BsdeMeans(fp.times, means[0], means[1], summary.y0_mean, summary.y0_se)
 
 
@@ -468,7 +446,6 @@ class DiagonalProcess:
 
 def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
                         basis_degree: int = 3, *, z_bound: float = 50.0,
-                        picard: int = 1,
                         deps: Sequence[BsdeGrid] = ()) -> DiagonalProcess:
     """Solve the flow of BSDEs ``family(s)`` on [s, T], s = 0..n, over the
     shared path set and extract member s at time s.
@@ -483,7 +460,7 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
     called on its own row. Z truncation warns at most once per flow, counting
     over all quadratic members.
     """
-    _check_options(basis_degree, picard)
+    _check_options(basis_degree)
     n, dt = fp.grid_n, fp.dt
     specs = [family(s) for s in range(n + 1)]
     for s, spec in enumerate(specs):
@@ -498,11 +475,11 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
 
     if all(spec is specs[0] for spec in specs) \
             and np.all(Y.view(np.uint64) == Y[0].view(np.uint64)):
-        def visit(i: int, k: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
+        def visit(i: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
             Y[i] = y_row
             z_diag[i] = np.mean(z_row)
 
-        _solve_system(specs[:1], fp, basis_degree, 0, z_bound, picard, deps, visit)
+        _solve_one(specs[0], fp, basis_degree, 0, z_bound, deps, visit)
     else:
         saturated = 0
         total = 0
@@ -516,8 +493,7 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
             t, state = float(fp.times[i]), fp.state[i]
             dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
             for k, spec in enumerate(specs[:i + 1]):
-                Y[k], _, sat = _drive(spec, t, state, Y[k], Z[k], dep_rows, picard,
-                                      z_bound, dt)
+                Y[k], _, sat = _drive(spec, t, state, Y[k], Z[k], dep_rows, z_bound, dt)
                 saturated += sat
                 if spec.growth_class == "quadratic_in_z":
                     total += fp.paths
@@ -527,10 +503,11 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
 
 
 def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
-                           basis_degree: int = 3, *, start_index: int = 0,
-                           z_bound: float = 50.0, picard: int = 1) -> list[BsdeGrid]:
+                           basis_degree: int = 3, *, z_bound: float = 50.0) -> list[BsdeGrid]:
     """Solve an ordered list of BSDEs where drivers may read the (Y, Z) grids
-    of strictly earlier members; the options are those of ``solve_bsde``."""
+    of strictly earlier members: each member is ``solve_bsde`` fed the
+    earlier members' grids as ``deps``, solved in order once every
+    dependency has been checked. The options are those of ``solve_bsde``."""
     for own, spec in enumerate(specs):
         bad = [d for d in spec.depends_on if d >= own]
         if bad:
@@ -538,10 +515,10 @@ def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
                 f"spec {own} depends on indices {bad}; dependencies must be "
                 "strictly earlier in the list"
             )
-    grids = _Grids(len(specs), fp)
-    summaries = _solve_system(specs, fp, basis_degree, start_index, z_bound, picard, (),
-                              grids)
-    return grids.build(summaries, basis_degree)
+    grids: list[BsdeGrid] = []
+    for spec in specs:
+        grids.append(solve_bsde(spec, fp, basis_degree, z_bound=z_bound, deps=grids))
+    return grids
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +562,7 @@ def convergence_study(paths: int, reps: int, seed: int,
             fp = simulate_factors(brownian_factor(), times, paths,
                                   (seed + 7919 * grid_n + rep) % SEED_LIMIT)
 
-            def visit(i: int, k: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
+            def visit(i: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
                 err = np.square(fp.state[i], out=y_err[i])
                 err += 1.0 - times[i]
                 np.square(np.subtract(y_row, err, out=err), out=err)
@@ -593,7 +570,7 @@ def convergence_study(paths: int, reps: int, seed: int,
                     err = np.multiply(fp.state[i], 2.0, out=z_err[i])
                     np.square(np.subtract(z_row, err, out=err), out=err)
 
-            (summary,) = _solve_system([spec], fp, 3, 0, 50.0, 1, (), visit)
+            summary = _solve_one(spec, fp, 3, 0, 50.0, (), visit)
             y_mses.append(float(np.mean(y_err)))
             z_mses.append(float(np.mean(z_err)))
             y0s.append(summary.y0_mean)

@@ -30,15 +30,15 @@ MAX_PATHS = 10 ** 8
 MAX_CELLS = 3 * 10 ** 7
 """Largest paths x cols matrix :func:`time_major_normals` fills. The
 regression route keeps every path at every date: the state and dW matrices,
-plus whatever its solve keeps. A full-grid solve (``solve_bsde``,
-``solve_recurrent_system``) and an s-dependent flow, which fits every live
-member at once but holds only Y and one Z buffer, keep 4 float64 per path
-and date; their peak RSS measured about 40 MB + 32 bytes per cell of this
-matrix (fresh-process ``ru_maxrss``, grid_n 50, 40000 and 80000 paths), so
-the bound keeps such a run under about 1.0 GB. A means solve
-(``solve_bsde_means``, which is all the ``bsde`` command runs on either
-factor kind) keeps 2 float64 per path and date and a flow of identical
-members keeps 3."""
+plus whatever its solve keeps. A full-grid ``solve_bsde`` and an
+s-dependent flow, which fits every live member at once but holds only Y and
+one Z buffer, keep 4 float64 per path and date; their peak RSS measured
+about 40 MB + 32 bytes per cell of this matrix (fresh-process
+``ru_maxrss``, grid_n 50, 40000 and 80000 paths), so the bound keeps such a
+run under about 1.0 GB. A means solve (``solve_bsde_means``, which is all
+the ``bsde`` command runs on either factor kind) keeps 2 float64 per path
+and date, a flow of identical members keeps 3 and a recurrent system of m
+members (``solve_recurrent_system``) keeps 2 + 2m."""
 
 
 def worker_count() -> int:

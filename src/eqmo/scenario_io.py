@@ -24,6 +24,7 @@ from .bsde import FACTOR_KINDS, FactorModel
 from .equilibrium import SCHEMES
 from .errors import ParseError
 from .model import MODES, MarketScenario, ObjectiveSpec, ObjectiveTerm
+from .sampling import MAX_PATHS, SEED_LIMIT
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,12 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
     },
     "numerics": {
         "grid_n": (_bounded(_int, 1), 100),
-        "paths": (_int, 100_000),
-        "seed": (_int, None),
+        "paths": (_bounded(_int, 1, MAX_PATHS), 100_000),
+        "seed": (_bounded(_int, 0, SEED_LIMIT - 1), None),
         "scheme": (_choice(SCHEMES), "implicit"),
-        "tolerance": (_scalar, 1e-8),
+        # v = 0 lies on the deviation grid, so max Phi >= 0: a negative
+        # tolerance would fail every strategy
+        "tolerance": (_bounded(_scalar, 0.0), 1e-8),
         "basis_degree": (_bounded(_int, 1), 3),
         "u_scale": (_scalar, 1.0),
     },

@@ -193,8 +193,6 @@ class TestSolverOptions:
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
         with pytest.raises(ValidationError):
             solve_bsde(spec, fp, basis_degree=0)
-        with pytest.raises(ValidationError):
-            solve_bsde(spec, fp, picard=0)
 
     def test_regression_singular_on_degenerate_state(self):
         # two-point state at date 1 cannot support a cubic basis; the error
@@ -226,24 +224,15 @@ class TestSolverOptions:
         quiet = solve_bsde(spec, fp, z_bound=50.0)
         assert quiet.z_saturation == 0.0
 
-    def test_picard_refinement_tightens_y_dependent_driver(self):
-        # f = -0.3 y on a frozen state: each pass adds one power of dt to the
-        # fixed-point expansion y = C / (1 + 0.3 dt)
+    def test_y_dependent_driver_step_is_explicit(self):
+        # f = -0.3 y on a frozen state: the driver reads the continuation,
+        # so each step multiplies by (1 - 0.3 dt)
         n = 10
         fp = simulate_factors(frozen_state_model(), grid_times(n), 256, 17)
         spec = DriverSpec(driver=lambda t, s, y, z: -0.3 * y,
                           terminal=lambda f, s: np.ones(f.paths))
-        one = solve_bsde(spec, fp, picard=1)
-        dt = T / n
-        y1 = 1.0
-        y50 = 1.0
-        for _ in range(n):
-            y1 = y1 * (1.0 - 0.3 * dt)
-            y50 = y50 / (1.0 + 0.3 * dt)
-        assert one.y0_mean == pytest.approx(y1, abs=1e-14)
-        fifty = solve_bsde(spec, fp, picard=50)
-        assert fifty.y0_mean == pytest.approx(y50, abs=1e-12)
-        assert one.y0_mean != fifty.y0_mean
+        grid = solve_bsde(spec, fp)
+        assert grid.y0_mean == pytest.approx((1.0 - 0.3 * T / n) ** n, abs=1e-14)
 
     def test_terminal_must_be_finite(self):
         fp = simulate_factors(brownian_factor(), grid_times(4), 64, 1)
@@ -323,7 +312,7 @@ class TestBatchedFlow:
                               terminal=lambda f, idx: f.state[-1] ** 2 * (1.0 + 0.05 * idx),
                               growth_class="quadratic_in_z")
 
-        options = dict(z_bound=0.05, picard=3)
+        options = dict(z_bound=0.05)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             diag = solve_flow_diagonal(family, fp, **options)
@@ -351,17 +340,17 @@ class TestBatchedFlow:
     def test_identical_members_take_one_solve(self):
         fp = simulate_factors(brownian_factor(), grid_times(6), 500, 47)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1] ** 2)
-        with mock.patch.object(bsde, "_solve_system", wraps=bsde._solve_system) as solver:
+        with mock.patch.object(bsde, "_solve_one", wraps=bsde._solve_one) as solver:
             solve_flow_diagonal(lambda s: spec, fp)
         assert solver.call_count == 1
-        assert len(solver.call_args.args[0]) == 1  # member 0's specs: one solve on [0, T]
+        assert solver.call_args.args[0] is spec  # member 0: one solve on [0, T]
 
     def test_shared_spec_with_index_terminal_is_not_single_solve(self):
         n = 6
         fp = simulate_factors(frozen_state_model(), grid_times(n), 64, 1)
         spec = DriverSpec(driver=ZERO_DRIVER,
                           terminal=lambda f, idx: np.full(f.paths, float(idx)))
-        with mock.patch.object(bsde, "_solve_system", wraps=bsde._solve_system) as solver:
+        with mock.patch.object(bsde, "_solve_one", wraps=bsde._solve_one) as solver:
             diag = solve_flow_diagonal(lambda s: spec, fp)
         assert solver.call_count == 0
         assert np.array_equal(diag.y_values, np.arange(n + 1.0))
@@ -567,6 +556,24 @@ class TestRecurrentSystems:
         with pytest.raises(CyclicDependency):
             solve_recurrent_system([spec0, spec1], fp)
 
+    def test_cycle_in_late_spec_raised_before_any_regression(self):
+        # spec 2 reads itself: the check covers every spec before the solves
+        built = []
+
+        class Counted(bsde._Regression):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        ok = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
+        bad = DriverSpec(driver=lambda t, st, y, z, deps: deps[0][0],
+                         terminal=lambda f, s: f.state[-1], depends_on=(2,))
+        fp = simulate_factors(brownian_factor(), grid_times(4), 64, 1)
+        with mock.patch.object(bsde, "_Regression", Counted):
+            with pytest.raises(CyclicDependency, match="spec 2"):
+                solve_recurrent_system([ok, ok, bad], fp)
+        assert built == []
+
     def test_self_reference_rejected(self):
         spec0 = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: np.ones(f.paths),
                            depends_on=(0,))
@@ -614,7 +621,7 @@ class TestRecurrentSystems:
                        terminal=lambda f, s: np.cos(f.state[-1]),
                        growth_class="quadratic_in_z", depends_on=(1, 0)),
         ]
-        options = dict(z_bound=0.5, picard=3)
+        options = dict(z_bound=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ZTruncationSaturated)
             system = solve_recurrent_system(specs, fp, **options)
@@ -642,7 +649,7 @@ class TestRecurrentSystems:
         with mock.patch.object(bsde, "_Regression", Counted):
             solve_bsde(spec, fp)
             solve_recurrent_system([spec, spec], fp)
-        assert len(peak) == 16 and max(peak) == 1
+        assert len(peak) == 24 and max(peak) == 1
 
     def test_missing_dependency_message_names_spec_and_supply(self):
         fp = simulate_factors(frozen_state_model(), grid_times(4), 64, 1)

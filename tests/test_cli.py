@@ -314,6 +314,26 @@ class TestDeterminism:
             outs[workers] = tree_bytes(out)
         assert outs["1"] == outs["3"]
 
+    @pytest.mark.parametrize("name,seed", [("mv_base", "5"), ("ou_factor", "2")])
+    def test_bsde_bytes_do_not_follow_blas_threads(self, tmp_path, name, seed):
+        # date 0 has a constant state, whose intercept-only fit is a sum over
+        # all paths: a one-column BLAS product would round it per thread count
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        manifests = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "eqmo.cli", "--command", "bsde",
+                 "--scenario", os.path.join(SCN, f"{name}.scn"), "--out", str(out),
+                 "--seed", seed, "--paths", "30000", "--grid-n", "20"],
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifests[threads] = read_json(out / "manifest.json")
+        assert manifests["1"] == manifests["2"]
+
 
 class TestRunConfig:
     def make(self, **over):

@@ -178,6 +178,16 @@ MALFORMED = {
                           "basis_degree: expected a value >= 1"),
     "z_bound_removed": ("bsde", MINIMAL + "\n[numerics]\nz_bound = 10\n", 11,
                         "'z_bound'"),
+    "paths_zero": ("mc", MINIMAL + "\n[numerics]\npaths = 0\n", 11,
+                   r"paths: expected a value in \[1, 100000000\], got '0'"),
+    "paths_above_max": ("bsde", MINIMAL + "\n[numerics]\npaths = 100000001\n", 11,
+                        r"paths: expected a value in \[1, 100000000\]"),
+    "seed_negative": ("mc", MINIMAL + "\n[numerics]\nseed = -1\n", 11,
+                      r"seed: expected a value in \[0, 9223372036854775807\], got '-1'"),
+    "seed_too_large": ("bsde", MINIMAL + "\n[numerics]\nseed = 9223372036854775808\n",
+                       11, r"seed: expected a value in \[0, 9223372036854775807\]"),
+    "tolerance_negative": ("verify", MINIMAL + "\n[numerics]\ntolerance = -1e-9\n", 11,
+                           "tolerance: expected a value >= 0"),
 }
 
 
@@ -209,7 +219,9 @@ class TestNonFiniteNumbers(_RejectedWithLine):
 
 @pytest.mark.parametrize("case", ["T_array", "x0_array", "kind_unknown", "non_utf8",
                                   "eta_negative", "rho_nonzero", "grid_n_zero",
-                                  "basis_degree_zero", "z_bound_removed"])
+                                  "basis_degree_zero", "z_bound_removed", "paths_zero",
+                                  "paths_above_max", "seed_negative", "seed_too_large",
+                                  "tolerance_negative"])
 class TestMalformedValues(_RejectedWithLine):
     pass
 
