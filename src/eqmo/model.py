@@ -7,6 +7,7 @@ rather than quadrature noise.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,8 +158,9 @@ class MarketScenario:
     def dt(self) -> float:
         return self.T / self.grid_n
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
+        """The grid t_0 = 0, ..., t_grid_n = T; built once, read-only."""
         return _readonly(np.linspace(0.0, self.T, self.grid_n + 1))
 
     def grid_index(self, t: float) -> int:
@@ -171,17 +173,19 @@ class MarketScenario:
         return idx
 
 
-def _sum_to_horizon(increments: np.ndarray) -> np.ndarray:
+def _sum_to_horizon(increments: np.ndarray, start: float = 0.0) -> np.ndarray:
     """Right-to-left partial sums: out[i] = out[i + 1] + increments[i] with
-    out[n] = 0, for n = len(increments).
+    out[n] = start, for n = len(increments).
 
-    A cumsum over the reversed increments behind a leading zero; numpy's
+    A cumsum over the reversed increments behind a leading ``start``; numpy's
     cumsum adds sequentially, so every sum is associated exactly as the
     backward loop ``out[i] = out[i + 1] + increments[i]`` would associate it,
-    signed zeros included.
+    signed zeros included. Summing a suffix's increments onto the whole sum
+    at the suffix's start therefore gives the whole-array values bitwise.
     """
-    out = np.zeros(len(increments) + 1)
+    out = np.empty(len(increments) + 1)
     rev = out[::-1]
+    rev[0] = start
     rev[1:] = increments[::-1]
     np.cumsum(rev, out=rev)
     return out
@@ -366,7 +370,7 @@ class StrategyGrid:
             raise GridMismatch(
                 f"strategy length {self.values.size} != grid length {scenario.grid_n + 1}"
             )
-        if not np.allclose(self.times, scenario.times, rtol=0.0, atol=1e-12):
+        if not (np.abs(self.times - scenario.times) <= 1e-12).all():
             raise GridMismatch("strategy times differ from scenario grid")
 
     def scaled(self, factor: float) -> "StrategyGrid":

@@ -105,10 +105,34 @@ def gaussian_central_moments(V: float, n: int) -> list[float]:
     _check_moment_order(n)
     if V < 0.0:
         raise NegativeVariance(f"V = {V} < 0")
-    return [
-        _DOUBLE_FACTORIAL[k] * V ** (k // 2) if k % 2 == 0 else 0.0
-        for k in range(2, n + 1)
-    ]
+    try:
+        return [
+            _DOUBLE_FACTORIAL[k] * V ** (k // 2) if k % 2 == 0 else 0.0
+            for k in range(2, n + 1)
+        ]
+    except OverflowError:  # a float ** int raises where numpy would give inf
+        raise ValidationError(f"Gaussian moments of V = {V} overflow") from None
+
+
+def _increments(scenario: MarketScenario, g: np.ndarray, u: np.ndarray, lo: int):
+    """Per-step mean and variance contributions g theta u dt and
+    g^2 sigma^2 u^2 dt of the steps lo, ..., lo + len(u) - 1, where g holds
+    their growth factors e^{R_i} and u their controls."""
+    hi = lo + len(u)
+    dt = scenario.dt
+    return (g * scenario.theta[lo:hi] * u * dt,
+            g * g * np.float_power(scenario.sigma[lo:hi], 2) * np.float_power(u, 2) * dt)
+
+
+def _moments_from(scenario: MarketScenario, u: np.ndarray, lo: int):
+    """(R, g, M, V) on the grid suffix [t_lo, T] under the controls u[lo:]:
+    R, M and V at indices lo..grid_n, g at lo..grid_n - 1. A reversed cumsum
+    at i >= lo reads only increments i..grid_n - 1, so every value is bitwise
+    the whole-grid one (lo = 0 is the whole grid)."""
+    R = rate_to_horizon(scenario)[lo:]
+    g = growth_factors(R[:-1])
+    dM, dV = _increments(scenario, g, u[lo:scenario.grid_n], lo)
+    return R, g, _sum_to_horizon(dM), _sum_to_horizon(dV)
 
 
 def moments_to_go(scenario: MarketScenario, strategy: StrategyGrid):
@@ -129,22 +153,15 @@ def moments_to_go(scenario: MarketScenario, strategy: StrategyGrid):
       0.1 %; either would move V.
     """
     strategy.check_grid(scenario)
-    R = rate_to_horizon(scenario)
-    n = scenario.grid_n
-    dt = scenario.dt
-    u = strategy.values[:n]
-    g = growth_factors(R[:n])
-    M = _sum_to_horizon(g * scenario.theta[:n] * u * dt)
-    V = _sum_to_horizon(
-        g * g * np.float_power(scenario.sigma[:n], 2) * np.float_power(u, 2) * dt
-    )
+    _, _, M, V = _moments_from(scenario, strategy.values, 0)
     return M, V
 
 
 @dataclass(frozen=True)
 class MomentGrid:
     """Exact conditional moments of X_T at every grid time from one
-    accumulation: m1(t_i, x) = x e^{R_i} + M_i, variance V_i."""
+    accumulation: m1(t_i, x) = x e^{R_i} + M_i, variance V_i. The profiles
+    may cover a suffix of the grid; index 0 is then its first time."""
 
     R: np.ndarray
     M: np.ndarray
@@ -176,17 +193,23 @@ def conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
 
 
 def objective_value(objective: ObjectiveSpec, mv: MomentVector) -> float:
-    """Evaluate the sparse objective polynomial at the given moments."""
+    """Evaluate the sparse objective polynomial at the given moments; a value
+    that overflows the float range is a ValidationError."""
     if mv.order < objective.max_order:
         raise OrderMismatch(
             f"moment order {mv.order} < objective order {objective.max_order}"
         )
     total = 0.0
-    for term in objective.terms:
-        val = term.coeff
-        for k, e in term.factors:
-            val *= mv.moment(k, objective.mode) ** e
-        total += val
+    try:
+        for term in objective.terms:
+            val = term.coeff
+            for k, e in term.factors:
+                val *= mv.moment(k, objective.mode) ** e
+            total += val
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValidationError("objective value overflows at these moments")
     return total
 
 

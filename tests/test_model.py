@@ -171,6 +171,15 @@ class TestMarketScenario:
         with pytest.raises(ValueError):
             s.theta[0] = 9.9
 
+    def test_times_built_once_read_only(self):
+        s = MarketScenario.constant(0.0, 0.3, 0.2, 3.7, 1.0, 7)
+        times = s.times
+        assert s.times is times
+        assert not times.flags.writeable
+        with pytest.raises(ValueError):
+            times[1] = 0.5
+        assert times.tobytes() == np.linspace(0.0, 3.7, 8).tobytes()
+
     def test_grid_index(self):
         s = MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, 100)
         assert s.grid_index(0.0) == 0
@@ -325,6 +334,17 @@ class TestStrategyGrid:
         u.check_grid(s4)
         with pytest.raises(GridMismatch):
             u.check_grid(s5)
+
+    def test_check_grid_time_tolerance(self):
+        # t_0 = 0, so an offset there is the difference itself, exactly
+        s = MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, 4)
+        for t0 in (1e-12, -1e-12):
+            StrategyGrid(np.r_[t0, s.times[1:]], np.ones(5)).check_grid(s)
+        for t0 in (np.nextafter(1e-12, 1.0), np.nextafter(-1e-12, -1.0),
+                   np.nan, np.inf, -np.inf):
+            u = StrategyGrid(np.r_[t0, s.times[1:]], np.ones(5))
+            with pytest.raises(GridMismatch, match="strategy times differ from scenario grid"):
+                u.check_grid(s)
 
     def test_shape_and_finiteness(self):
         with pytest.raises(GridMismatch):

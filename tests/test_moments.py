@@ -14,6 +14,7 @@ from eqmo.errors import (
     OrderMismatch,
     OutOfRange,
     UnsupportedOrder,
+    ValidationError,
 )
 from eqmo.model import (
     MarketScenario,
@@ -59,6 +60,8 @@ class TestGaussianCentralMoments:
             gaussian_central_moments(1.0, 9)
         with pytest.raises(UnsupportedOrder):
             gaussian_central_moments(1.0, 1)
+        with pytest.raises(ValidationError, match="overflow"):
+            gaussian_central_moments(1e200, 4)  # 3 V^2 is beyond the float range
 
 
 class TestMomentsToGo:
@@ -229,6 +232,15 @@ class TestObjectiveValue:
         mv = MomentVector(m1=0.0, V=1.0, central=(1.0, 0.0, 3.0),
                           cumulant=(1.0, 0.0, 0.0), order=4)
         assert objective_value(obj, mv) == 6.0
+
+    def test_overflow_is_a_typed_error(self):
+        mv = MomentVector(m1=1.0, V=1e200, central=(1e200,), cumulant=(1e200,), order=2)
+        squared = ObjectiveSpec("cumulant", (ObjectiveTerm(((2, 2),), -1.0),))
+        with pytest.raises(ValidationError, match="overflows"):
+            objective_value(squared, mv)  # float ** int raises OverflowError
+        product = ObjectiveSpec("central", (ObjectiveTerm(((1, 1), (2, 1)), 1e300),))
+        with pytest.raises(ValidationError, match="overflows"):
+            objective_value(product, mv)  # a float product overflows to inf
 
     def test_order_mismatch(self):
         s, u = base_case()

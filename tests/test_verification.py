@@ -1,11 +1,23 @@
 """Spike-gain certification and the finite-deviation oracle cross-check."""
+import warnings
+
 import numpy as np
 import pytest
 
-from eqmo.corpus import mv_base, mv_discounted, random_curved_corpus, raw_m4, theta_zero
+import eqmo.model
+import eqmo.moments
+from eqmo.corpus import (
+    kurtosis_cumulant,
+    mv_base,
+    mv_discounted,
+    random_curved_corpus,
+    raw_m4,
+    theta_zero,
+)
 from eqmo.equilibrium import backward_sweep, mv_closed_form, phi_polynomial
-from eqmo.errors import EpsNotOnGrid, OutOfRange
+from eqmo.errors import EpsNotOnGrid, EqmoError, OutOfRange, ValidationError
 from eqmo.model import StrategyGrid
+from eqmo.moments import conditional_moments, objective_value
 from eqmo.verify import equilibrium_report, finite_eps_check
 
 
@@ -112,6 +124,35 @@ class TestFiniteEpsCheck:
             finite_eps_check(case.scenario, case.objective, u, 0.99, 0.1,
                              [case.scenario.dt * 2])
 
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+    def test_non_finite_deviation_is_refused(self, v):
+        case = mv_base()
+        u = mv_closed_form(case.scenario, 1.0)
+        dt = case.scenario.dt
+        with pytest.raises(ValidationError, match="strategy values must be finite"):
+            finite_eps_check(case.scenario, case.objective, u, 0.5, v, [dt, 2 * dt])
+        # no window, no perturbed strategy: nothing to refuse
+        assert finite_eps_check(case.scenario, case.objective, u, 0.5, v, []) == []
+
+    @pytest.mark.parametrize("make, v", [(mv_base, 1e200), (raw_m4, 1e200), (raw_m4, 1e150)])
+    def test_huge_deviation_is_a_typed_error(self, make, v):
+        # at 1e200 (u + v)^2 overflows to inf in the variance increment; at
+        # 1e150 the variance stays finite and raw_m4's 3 V^2 overflows instead
+        case = make()
+        u = mv_closed_form(case.scenario, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(EqmoError):
+                finite_eps_check(case.scenario, case.objective, u, 0.5, v,
+                                 [case.scenario.dt])
+
+    def test_huge_finite_deviation_gives_a_finite_slope(self):
+        case = mv_base()
+        u = mv_closed_form(case.scenario, 1.0)
+        slope = finite_eps_check(case.scenario, case.objective, u, 0.5, 1e150,
+                                 [case.scenario.dt])[0]
+        assert np.isfinite(slope) and slope < 0.0
+
     def test_quadratic_shape_in_v(self):
         # slopes averaged over eps behave as a concave parabola with max at 0
         case = mv_base()
@@ -159,3 +200,75 @@ class TestOracleOnCurvedObjectives:
                  in zip(gaps, gaps[1:], (1, 2, 4), (2, 4, 8))]
         assert all(d < 0.0 for d in per_k)
         assert max(per_k) / min(per_k) > 0.95, per_k
+
+
+def literal_slopes(scenario, objective, strategy, t, v, ks):
+    """The oracle as its definition reads: a perturbed StrategyGrid per window
+    and whole-grid conditional moments for it and for the base."""
+    i0 = scenario.grid_index(t)
+    n = objective.max_order
+    base = objective_value(objective, conditional_moments(scenario, strategy, t, scenario.x0, n))
+    slopes = []
+    for k in ks:
+        pert = strategy.perturbed(i0, i0 + k, v)
+        J = objective_value(objective, conditional_moments(scenario, pert, t, scenario.x0, n))
+        slopes.append((J - base) / (k * scenario.dt))
+    return slopes
+
+
+class TestOracleMatchesLiteralPerturbation:
+    """finite_eps_check sums each window onto the base's suffix accumulation;
+    its slopes must be bitwise those of the literal perturbed strategy."""
+
+    WIDTHS = (1, 2, 4, 8)
+    VS = (-0.5, 0.25, 1.0, 3.0)
+
+    def assert_bitwise(self, case, strategy):
+        s = case.scenario
+        n = s.grid_n
+        # t = 0, an interior time, a window of width 8 ending at T, t_{N-1}
+        for i in (0, n // 3, n - max(self.WIDTHS), n - 1):
+            t = float(s.times[i])
+            ks = [k for k in self.WIDTHS if i + k <= n]
+            for v in self.VS:
+                got = finite_eps_check(s, case.objective, strategy, t, v,
+                                       [k * s.dt for k in ks])
+                assert got == literal_slopes(s, case.objective, strategy, t, v, ks), (i, v)
+
+    def test_random_curved_corpus(self):
+        # central m4, m6 and the product term m2^2, on time-varying markets;
+        # a seeded rough strategy, since some cases have no swept equilibrium
+        rng = np.random.default_rng(5)
+        for case in random_curved_corpus(count=12):
+            u = StrategyGrid.from_values(case.scenario,
+                                         rng.uniform(-2.0, 6.0, case.scenario.grid_n + 1))
+            self.assert_bitwise(case, u)
+
+    def test_kurtosis_cumulant(self):
+        case = kurtosis_cumulant()
+        self.assert_bitwise(case, backward_sweep(case.scenario, case.objective,
+                                                 "implicit").strategy)
+
+    def test_discounted_market(self):
+        case = mv_discounted()
+        assert np.any(case.scenario.r != 0.0)
+        self.assert_bitwise(case, mv_closed_form(case.scenario, 1.0).scaled(1.1))
+
+    def test_one_growth_factor_pass_per_call(self, monkeypatch):
+        # the base accumulation is the only one; windows reuse its factors
+        calls = []
+        real = eqmo.model.growth_factors
+
+        def counted(R):
+            calls.append(len(R))
+            return real(R)
+
+        for module in (eqmo.model, eqmo.moments):
+            monkeypatch.setattr(module, "growth_factors", counted)
+        case = mv_discounted()
+        s = case.scenario
+        u = mv_closed_form(s, 1.0)
+        slopes = finite_eps_check(s, case.objective, u, 0.25, 0.5,
+                                  [k * s.dt for k in (1, 2, 4, 8, 16)])
+        assert len(slopes) == 5
+        assert calls == [s.grid_n - s.grid_index(0.25)]
