@@ -45,10 +45,8 @@ from .model import (
     ObjectiveTerm,
     Polynomial,
     StrategyGrid,
-    cumulants_to_moments,
     gaussian_risk_polynomial,
     growth_factors,
-    mean_variance_objective,
     moments_to_cumulants,
     rate_to_horizon,
     validate_scenario,
@@ -71,10 +69,8 @@ from .equilibrium import (
     default_v_grid,
     mv_closed_form,
     mv_gamma2,
-    phi_polynomial,
     phi_profile,
     scan_phi_max,
-    stationarity_solve_step,
 )
 from .verify import (
     EquilibriumReport,

@@ -64,11 +64,6 @@ class SweepResult:
     scheme: str
 
 
-def _check_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValidationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-
-
 def _phi_coefficients(w1: float, D: np.ndarray, g: np.ndarray,
                       scenario: MarketScenario, u: np.ndarray):
     """Arrays (a, b) with Phi(t_i, v) = a_i v + b_i v^2, given D = G'(V), the
@@ -87,14 +82,6 @@ def phi_profile(scenario: MarketScenario, objective: ObjectiveSpec,
     g = growth_factors(rate_to_horizon(scenario))
     return _phi_coefficients(objective.mean_weight(), Dpoly(V), g, scenario,
                              strategy.values)
-
-
-def phi_polynomial(scenario: MarketScenario, objective: ObjectiveSpec,
-                   strategy: StrategyGrid, t: float) -> Polynomial:
-    """The perturbation gain quadratic in v at grid time t (zero constant term)."""
-    i = scenario.grid_index(t)
-    a, b = phi_profile(scenario, objective, strategy)
-    return Polynomial((0.0, float(a[i]), float(b[i])))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +153,10 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
                      scheme: str, terminal: bool) -> float:
     """Stationarity root at one grid point given the future variance-to-go.
 
+    Explicit and terminal steps solve the linear equation with D frozen at
+    D(V_plus); D = 0 raises :class:`NoSecondOrderTerm`, and D > 0 (the root
+    is a minimizer) raises :class:`AmbiguousRoot` with the root as candidate.
+
     Implicit steps ask :func:`real_roots` for the root nearest
     ``prev_value`` (u at the next grid point, within O(dt) of the answer).
     It returns a Newton root r alone when its Taylor certificate shows p'
@@ -185,7 +176,11 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
         D = Dpoly(V_plus)
         if D == 0.0:
             raise NoSecondOrderTerm(f"D = 0 at variance-to-go {V_plus}")
-        return -w1 * g * theta / (2.0 * D * s)
+        u = -w1 * g * theta / (2.0 * D * s)
+        if D > 0.0:
+            raise AmbiguousRoot(f"stationary point {u} is a minimizer: D = {D} > 0 "
+                                f"at variance-to-go {V_plus}", candidates=(u,))
+        return u
     # implicit: substitute V = V_plus + dt * e^{2R} sigma^2 u^2 into D(V); a
     # zero D leaves the constant w1 g theta, which the degree check refuses
     poly = Polynomial(_stationarity_coeffs(w1, Dpoly, V_plus, theta, g, s, dt))
@@ -210,41 +205,6 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
     return min(admissible, key=lambda u: abs(u - prev_value))
 
 
-def _solve_step(i: int, w1: float, Dpoly: Polynomial, V_plus: float,
-                theta: float, sigma: float, g: float, dt: float,
-                prev_value: float, scheme: str, terminal: bool) -> float:
-    """:func:`_stationary_root` at grid index i; a SolverError it raises is
-    re-raised with the step index and time."""
-    try:
-        return _stationary_root(w1, Dpoly, V_plus, theta, sigma, g, dt,
-                                prev_value, scheme, terminal)
-    except SolverError as e:
-        cls = type(e)
-        msg = f"step {i} (t = {i * dt:.6g}): {e}"
-        if isinstance(e, AmbiguousRoot):
-            raise cls(msg, candidates=e.candidates, step=i) from e
-        raise cls(msg, step=i) from e
-
-
-def stationarity_solve_step(scenario: MarketScenario, objective: ObjectiveSpec,
-                            V_plus: float, t: float, prev_value: float,
-                            scheme: str = "explicit") -> float:
-    """Control value solving the per-step first-order condition at time t.
-
-    ``V_plus`` is the variance-to-go accumulated over (t, T] by the
-    already-fixed future controls; the conditional mean does not enter the
-    equation because the objective is affine in it.
-    """
-    _check_scheme(scheme)
-    i = scenario.grid_index(t)
-    R = rate_to_horizon(scenario)
-    return _solve_step(
-        i, objective.mean_weight(), gaussian_risk_polynomial(objective).derivative(),
-        float(V_plus), float(scenario.theta[i]), float(scenario.sigma[i]), math.exp(R[i]),
-        scenario.dt, prev_value, scheme, terminal=(i == scenario.grid_n),
-    )
-
-
 def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
                    scheme: str = "explicit") -> SweepResult:
     """Solve the stationarity condition backward from T on the whole grid.
@@ -253,8 +213,12 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     polynomial) stationarity equation given the variance-to-go of the future
     steps, then its own variance contribution is committed. Residuals report
     |dPhi/dv at 0| re-evaluated at the committed state.
+
+    A :class:`SolverError` of step i leaves with ``step = i`` and the step
+    and time before its message; an overflowing V[i] raises one the same way.
     """
-    _check_scheme(scheme)
+    if scheme not in SCHEMES:
+        raise ValidationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     validate_scenario(scenario, objective)
     Dpoly = gaussian_risk_polynomial(objective).derivative()
     w1 = objective.mean_weight()
@@ -267,12 +231,21 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     g = g_all.tolist()
     u = [0.0] * (n + 1)
     V = [0.0] * (n + 1)
-    u[n] = _solve_step(n, w1, Dpoly, 0.0, theta[n], sigma[n], g[n], dt, 0.0,
-                       scheme, terminal=True)
-    for i in range(n - 1, -1, -1):
-        u[i] = _solve_step(i, w1, Dpoly, V[i + 1], theta[i], sigma[i], g[i], dt,
-                           u[i + 1], scheme, terminal=False)
-        V[i] = V[i + 1] + g[i] * g[i] * sigma[i] ** 2 * u[i] ** 2 * dt
+    i = n
+    try:
+        u[n] = _stationary_root(w1, Dpoly, 0.0, theta[n], sigma[n], g[n], dt, 0.0,
+                                scheme, terminal=True)
+        for i in range(n - 1, -1, -1):
+            u[i] = _stationary_root(w1, Dpoly, V[i + 1], theta[i], sigma[i], g[i],
+                                    dt, u[i + 1], scheme, terminal=False)
+            V[i] = V[i + 1] + g[i] * g[i] * sigma[i] ** 2 * u[i] ** 2 * dt
+    except OverflowError:  # a float ** int raises where numpy would give inf
+        raise SolverError(f"step {i} (t = {i * dt:.6g}): variance-to-go overflows",
+                          step=i) from None
+    except SolverError as e:
+        e.step = i
+        e.args = (f"step {i} (t = {i * dt:.6g}): {e}",)
+        raise
     u_arr = np.array(u)
     V_arr = np.array(V)
     D = Dpoly(V_arr)

@@ -297,11 +297,6 @@ class ObjectiveSpec:
         return tuple(t for t in self.terms if t.degree_in_mean() == 0)
 
 
-def mean_variance_objective(gamma2: float = 1.0, mode: str = "central") -> ObjectiveSpec:
-    """J = m1 - gamma2 * q2."""
-    return ObjectiveSpec.from_weights(mode, {1: 1.0, 2: -float(gamma2)})
-
-
 def gaussian_risk_polynomial(objective: ObjectiveSpec) -> Polynomial:
     """Risk part of the objective as a polynomial G(V) in the variance.
 
@@ -376,12 +371,6 @@ class StrategyGrid:
     def scaled(self, factor: float) -> "StrategyGrid":
         return StrategyGrid(self.times, self.values * float(factor))
 
-    def perturbed(self, i_lo: int, i_hi: int, v: float) -> "StrategyGrid":
-        """Add deviation v on grid steps [i_lo, i_hi)."""
-        vals = self.values.copy()
-        vals[i_lo:i_hi] += v
-        return StrategyGrid(self.times, vals)
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -419,7 +408,7 @@ def validate_scenario(scenario: MarketScenario, objective: ObjectiveSpec) -> Non
 
 
 # ---------------------------------------------------------------------------
-# central moments <-> cumulants (orders 2..8)
+# central moments -> cumulants (orders 2..8)
 
 
 def _check_order(values, what: str) -> list[float]:
@@ -446,19 +435,3 @@ def moments_to_cumulants(central) -> list[float]:
     ]
     return k[: len(m)]
 
-
-def cumulants_to_moments(cumulants) -> list[float]:
-    """Exact inverse of :func:`moments_to_cumulants`."""
-    k = _check_order(cumulants, "cumulant")
-    k2, k3, k4, k5, k6, k7, k8 = (k + [0.0] * 7)[:7]
-    m = [
-        k2,
-        k3,
-        k4 + 3.0 * k2 ** 2,
-        k5 + 10.0 * k3 * k2,
-        k6 + 15.0 * k4 * k2 + 10.0 * k3 ** 2 + 15.0 * k2 ** 3,
-        k7 + 21.0 * k5 * k2 + 35.0 * k4 * k3 + 105.0 * k3 * k2 ** 2,
-        k8 + 28.0 * k6 * k2 + 56.0 * k5 * k3 + 35.0 * k4 ** 2
-        + 210.0 * k4 * k2 ** 2 + 280.0 * k3 ** 2 * k2 + 105.0 * k2 ** 4,
-    ]
-    return m[: len(k)]

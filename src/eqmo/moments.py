@@ -128,11 +128,16 @@ def _moments_from(scenario: MarketScenario, u: np.ndarray, lo: int):
     """(R, g, M, V) on the grid suffix [t_lo, T] under the controls u[lo:]:
     R, M and V at indices lo..grid_n, g at lo..grid_n - 1. A reversed cumsum
     at i >= lo reads only increments i..grid_n - 1, so every value is bitwise
-    the whole-grid one (lo = 0 is the whole grid)."""
+    the whole-grid one (lo = 0 is the whole grid). The sums carry any
+    non-finite increment to index lo, where one check refuses the overflow."""
     R = rate_to_horizon(scenario)[lo:]
     g = growth_factors(R[:-1])
-    dM, dV = _increments(scenario, g, u[lo:scenario.grid_n], lo)
-    return R, g, _sum_to_horizon(dM), _sum_to_horizon(dV)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dM, dV = _increments(scenario, g, u[lo:scenario.grid_n], lo)
+        M, V = _sum_to_horizon(dM), _sum_to_horizon(dV)
+    if not (math.isfinite(M[0]) and math.isfinite(V[0])):
+        raise ValidationError("moments-to-go overflow under this strategy")
+    return R, g, M, V
 
 
 def moments_to_go(scenario: MarketScenario, strategy: StrategyGrid):
@@ -214,14 +219,18 @@ def objective_value(objective: ObjectiveSpec, mv: MomentVector) -> float:
 
 
 def _wealth_step_coeffs(scenario: MarketScenario, strategy: StrategyGrid):
-    """Per-step update X_{i+1} = g_i (X_i + a_i + b_i xi_i) for i < grid_n."""
+    """Per-step update X_{i+1} = g_i (X_i + a_i + b_i xi_i) for i < grid_n;
+    a coefficient that overflows is a ValidationError."""
     strategy.check_grid(scenario)
     dt = scenario.dt
     n = scenario.grid_n
     u = strategy.values[:n]
-    g = np.exp(scenario.r[:n] * dt)
-    a = scenario.theta[:n] * u * dt
-    b = scenario.sigma[:n] * u * math.sqrt(dt)
+    with np.errstate(over="ignore"):
+        g = np.exp(scenario.r[:n] * dt)
+        a = scenario.theta[:n] * u * dt
+        b = scenario.sigma[:n] * u * math.sqrt(dt)
+    if not (np.isfinite(g).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("wealth step coefficients overflow under this strategy")
     return g, a, b
 
 

@@ -143,9 +143,10 @@ def finite_eps_check(scenario: MarketScenario, objective: ObjectiveSpec,
         raise ValidationError("strategy values must be finite")
     slopes = []
     for k in widths:
-        dM, dV = _increments(scenario, g[:k], u[i0:i0 + k] + v, i0)
-        window = MomentGrid(R[:k + 1], _sum_to_horizon(dM, M[k]),
-                            _sum_to_horizon(dV, V[k]))
+        with np.errstate(over="ignore", invalid="ignore"):  # .at() refuses non-finite
+            dM, dV = _increments(scenario, g[:k], u[i0:i0 + k] + v, i0)
+            window = MomentGrid(R[:k + 1], _sum_to_horizon(dM, M[k]),
+                                _sum_to_horizon(dV, V[k]))
         J = objective_value(objective, window.at(0, scenario.x0, n))
         slopes.append((J - base) / (k * dt))
     return slopes

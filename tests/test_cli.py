@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from eqmo import cli
+from eqmo import cli, errors
 from eqmo.bsde import FactorPaths
 from eqmo.cli import DEFAULT_SEED, RunConfig, main
 from eqmo.errors import ValidationError
@@ -33,6 +34,15 @@ term = 2:1 -> -1.0
 grid_n = 20
 paths = 4000
 """
+
+
+# (scenario, line, replacement, commands that read it): values whose moments
+# overflow the float range; homogeneity and bsde do not read u_scale
+HOSTILE = {
+    "theta_1e300": (MV, "theta = 0.3\n", "theta = 1e300\n", cli.COMMANDS),
+    "u_scale_1e200": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e200\n",
+                      ("solve", "verify", "moments", "mc")),
+}
 
 
 def run(command, scenario, out, *extra):
@@ -215,6 +225,30 @@ class TestBsde:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["step"]) == ("RegressionSingular", 1)
         assert not out.exists()
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("name, command", [(name, command) for name in sorted(HOSTILE)
+                                               for command in HOSTILE[name][3]])
+    def test_overflow_ends_in_one_typed_diagnostic(self, tmp_path, capsys, name, command):
+        path, line, replacement, _ = HOSTILE[name]
+        with open(path) as fh:
+            text = fh.read()
+        assert line in text
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would escape untyped
+            code = run(command, scn_file(tmp_path, text.replace(line, replacement)),
+                       out, "--paths", "2000")
+        assert code == 1
+        diag = json.loads(capsys.readouterr().err)  # exactly one JSON object
+        assert diag["error"] != "IoError"
+        assert issubclass(getattr(errors, diag["error"]), errors.EqmoError)
+        assert not out.exists()
+        if name == "theta_1e300" and command not in ("homogeneity", "bsde"):
+            # the sweep: u = 1.25e301 at step 99 squares past the float range
+            assert (diag["error"], diag["step"]) == ("SolverError", 99)
+            assert "variance-to-go overflows" in diag["message"]
 
 
 class TestModuleEntryPoint:

@@ -25,9 +25,7 @@ from eqmo.equilibrium import (
     _stationary_root,
     backward_sweep,
     mv_closed_form,
-    phi_polynomial,
     phi_profile,
-    stationarity_solve_step,
 )
 from eqmo.errors import (
     AmbiguousRoot,
@@ -40,10 +38,10 @@ from eqmo.errors import (
 from eqmo.model import (
     MarketScenario,
     ObjectiveSpec,
+    ObjectiveTerm,
     Polynomial,
     StrategyGrid,
     gaussian_risk_polynomial,
-    mean_variance_objective,
     rate_to_horizon,
 )
 from eqmo.moments import moments_to_go
@@ -51,6 +49,8 @@ from eqmo.roots import _nearest_root as nearest_root
 from eqmo.scenario_io import parse_scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+MV = ObjectiveSpec.from_weights("central", {1: 1.0, 2: -1.0})
+SEEKING = ObjectiveSpec.from_weights("central", {1: 1.0, 2: 1.0})  # D = +1
 
 
 def full_isolation():
@@ -75,20 +75,19 @@ class TestPhiPolynomial:
     def test_mv_equilibrium_profile(self):
         case = mv_base()
         u = StrategyGrid.constant(case.scenario, 3.75)
-        phi = phi_polynomial(case.scenario, case.objective, u, 0.5)
+        a, b = phi_profile(case.scenario, case.objective, u)
+        i = case.scenario.grid_index(0.5)
         # 0.3 v - 0.04 (7.5 v + v^2) = -0.04 v^2 exactly up to float eps
-        assert phi.coeff(0) == 0.0
-        assert abs(phi.coeff(1)) < 1e-15
-        assert abs(phi.coeff(2) + 0.04) < 1e-15
+        assert abs(a[i]) < 1e-15
+        assert abs(b[i] + 0.04) < 1e-15
 
     def test_perturbed_control_profile(self):
         case = mv_base()
         u = StrategyGrid.constant(case.scenario, 4.0)
-        phi = phi_polynomial(case.scenario, case.objective, u, 0.0)
+        a, b = phi_profile(case.scenario, case.objective, u)
         # 0.3 v - 0.04 (8 v + v^2)
-        assert abs(phi.coeff(1) + 0.02) < 1e-15
-        assert abs(phi.coeff(2) + 0.04) < 1e-15
-        assert phi(0.0) == 0.0
+        assert abs(a[0] + 0.02) < 1e-15
+        assert abs(b[0] + 0.04) < 1e-15
 
     def test_mean_only_objective_is_linear_gain(self):
         s = mv_base().scenario
@@ -100,64 +99,67 @@ class TestPhiPolynomial:
         assert np.allclose(a, 0.0, atol=1e-14)
 
 
-class TestStationarityStep:
-    def setup_method(self):
-        self.s = mv_base().scenario
-        self.obj = mean_variance_objective()
+def stationary_root(objective, V_plus, scheme, prev_value=0.0, terminal=False,
+                    theta=0.3):
+    """One step on the mv_base market (sigma 0.2, r = 0, dt 0.01)."""
+    return _stationary_root(objective.mean_weight(),
+                            gaussian_risk_polynomial(objective).derivative(), V_plus,
+                            theta, 0.2, 1.0, 0.01, prev_value, scheme, terminal)
 
+
+class TestStationarityStep:
     def test_mv_closed_form_value(self):
-        u = stationarity_solve_step(self.s, self.obj, 0.3, 0.5, 0.0,
-                                    "explicit")
+        u = stationary_root(MV, 0.3, "explicit")
         assert abs(u - 3.75) < 1e-12
 
     def test_raw_m4_terminal(self):
-        case = raw_m4()
-        u = stationarity_solve_step(case.scenario, case.objective, 0.0,
-                                    case.scenario.T, 0.0, "implicit")
+        u = stationary_root(raw_m4().objective, 0.0, "implicit", terminal=True)
         assert abs(u - 3.75) < 1e-12
 
     def test_odd_only_weights_no_second_order(self):
         obj = ObjectiveSpec.from_weights("central", {1: 1.0, 3: 0.5})
         with pytest.raises(NoSecondOrderTerm):
-            stationarity_solve_step(self.s, obj, 0.1, 0.5, 0.0, "explicit")
+            stationary_root(obj, 0.1, "explicit")
         with pytest.raises(NoSecondOrderTerm):
-            stationarity_solve_step(self.s, obj, 0.1, 0.5, 0.0, "implicit")
+            stationary_root(obj, 0.1, "implicit")
 
     def test_risk_seeking_objective_has_no_maximizer_branch(self):
-        obj = ObjectiveSpec.from_weights("central", {1: 1.0, 2: 1.0})
-        with pytest.raises(AmbiguousRoot) as exc_info:
-            stationarity_solve_step(self.s, obj, 0.1, 0.5, 0.0, "implicit")
-        assert exc_info.value.candidates
+        for scheme in ("explicit", "implicit"):
+            with pytest.raises(AmbiguousRoot) as exc_info:
+                stationary_root(SEEKING, 0.1, scheme)
+            assert exc_info.value.candidates, scheme
 
     def test_theta_zero_shortcut(self):
-        case = theta_zero()
-        u = stationarity_solve_step(case.scenario, case.objective, 0.2,
-                                    0.5, 1.0, "implicit")
+        u = stationary_root(theta_zero().objective, 0.2, "implicit", prev_value=1.0,
+                            theta=0.0)
         assert u == 0.0
 
     def test_schemes_agree_for_mv(self):
         # D is constant for MV, so substitution changes nothing
-        ue = stationarity_solve_step(self.s, self.obj, 0.3, 0.5, 0.0,
-                                     "explicit")
-        ui = stationarity_solve_step(self.s, self.obj, 0.3, 0.5, 0.0,
-                                     "implicit")
+        ue = stationary_root(MV, 0.3, "explicit")
+        ui = stationary_root(MV, 0.3, "implicit")
         assert abs(ue - ui) < 1e-12
 
     def test_standalone_errors_carry_step(self):
-        # t = 0.5 is grid index 50 of the 100-step mv_base grid
-        obj = ObjectiveSpec.from_weights("central", {1: 1.0, 2: 1.0})
-        with pytest.raises(AmbiguousRoot) as exc_info:
-            stationarity_solve_step(self.s, obj, 0.1, 0.5, 0.0, "implicit")
-        assert exc_info.value.step == 50
-        assert exc_info.value.candidates
-        odd = ObjectiveSpec.from_weights("central", {1: 1.0, 3: 0.5})
-        with pytest.raises(NoSecondOrderTerm) as exc_info:
-            stationarity_solve_step(self.s, odd, 0.1, 0.5, 0.0, "explicit")
-        assert exc_info.value.step == 50
+        # the sweep tags each error with its step; both objectives stop at the
+        # terminal step T, where D(0) = +1 and D = 0 respectively
+        s = mv_base().scenario
+        m2_m3 = ObjectiveSpec("central", (ObjectiveTerm(((1, 1),), 1.0),
+                                          ObjectiveTerm(((2, 1), (3, 1)), -1.0)))
+        for scheme in ("explicit", "implicit"):
+            with pytest.raises(AmbiguousRoot) as exc_info:
+                backward_sweep(s, SEEKING, scheme)
+            assert exc_info.value.step == s.grid_n
+            (root,) = exc_info.value.candidates  # the minimizer u = -theta / (2 sigma^2)
+            assert abs(root + 3.75) < 1e-12
+            assert str(exc_info.value).startswith(f"step {s.grid_n} (t = 1): ")
+            with pytest.raises(NoSecondOrderTerm) as exc_info:
+                backward_sweep(s, m2_m3, scheme)  # passes validate_scenario
+            assert exc_info.value.step == s.grid_n
 
     def test_scheme_validation(self):
         with pytest.raises(ValidationError):
-            stationarity_solve_step(self.s, self.obj, 0.0, 0.5, 0.0, "rk4")
+            backward_sweep(mv_base().scenario, MV, "rk4")
 
 
 class TestFloatStationarityCoefficients:
@@ -189,7 +191,7 @@ class TestFloatStationarityCoefficients:
     def test_stationarity_coeffs_match_compose_reference(self):
         rng = np.random.default_rng(22)
         cases = [case.objective for case in random_curved_corpus(count=20)]
-        cases += [raw_m4().objective, mean_variance_objective()]
+        cases += [raw_m4().objective, MV]
         for objective in cases:
             Dpoly = gaussian_risk_polynomial(objective).derivative()
             w1 = objective.mean_weight()
@@ -249,7 +251,8 @@ class TestBackwardSweep:
                            "implicit")
         with pytest.raises(AmbiguousRoot) as exc_info:
             backward_sweep(case.scenario, obj, "implicit")
-        assert exc_info.value.step == case.scenario.grid_n - 1
+        # D(0) = +1: the terminal step's root is a minimizer
+        assert exc_info.value.step == case.scenario.grid_n
         assert "step" in str(exc_info.value)
 
     def test_all_named_corpus_cases_produce_valid_reports(self):
@@ -305,7 +308,7 @@ class TestRandomizedCorpusProperties:
     def test_mv_property_random_constants(self, theta, sigma, r, gamma2):
         s = MarketScenario.constant(r=r, theta=theta, sigma=sigma, T=1.0,
                                     x0=1.0, grid_n=16)
-        obj = mean_variance_objective(gamma2)
+        obj = ObjectiveSpec.from_weights("central", {1: 1.0, 2: -gamma2})
         sweep = backward_sweep(s, obj, "explicit")
         closed = mv_closed_form(s, gamma2)
         scale = max(1.0, float(np.max(np.abs(closed.values))))
@@ -346,26 +349,40 @@ class TestRandomizedCorpusProperties:
         assert checked >= 50
 
     def test_curved_corpus_passes_or_fails_typed(self):
-        # curved risk parts on time-varying markets: every implicit sweep is
-        # certified by the Phi scan with round-off residuals, or it stops at
-        # a named step with a typed error; it never returns a wrong strategy
+        # curved risk parts on time-varying markets: every sweep stops at a
+        # named step with a typed error or stays on the maximizer branch
+        # (D <= 0); an implicit one is also certified by the Phi scan with
+        # round-off residuals. Explicit sweeps keep O(dt) residuals on curved
+        # objectives by design, so the scan does not certify them; they stop
+        # (case: step) where D frozen at V(t_{i+1}) turns positive, making
+        # the step's root a minimizer.
         from eqmo.verify import equilibrium_report
 
-        cases = random_curved_corpus(seed=20261017, count=60)
-        passed = 0
-        for case in cases:
-            try:
-                sweep = backward_sweep(case.scenario, case.objective, "implicit")
-            except (AmbiguousRoot, NoRealRoot) as e:
-                assert e.step is not None, case.name
-                assert 0 <= e.step <= case.scenario.grid_n, case.name
-                continue
-            report = equilibrium_report(case.scenario, case.objective,
-                                        sweep.strategy, tolerance=1e-8)
-            assert report.passed, (case.name, report.max_phi)
-            assert np.max(sweep.residuals) <= 1e-9, case.name
-            passed += 1
-        assert passed >= 0.9 * len(cases)
+        explicit_stops = {20261017: {5: 27, 42: 24, 58: 30},
+                          7: {10: 6, 24: 20, 26: 26, 49: 8}}
+        for seed in (20261017, 7):
+            cases = random_curved_corpus(seed=seed, count=60)
+            for scheme in ("explicit", "implicit"):
+                passed = 0
+                stops = {}
+                for j, case in enumerate(cases):
+                    try:
+                        sweep = backward_sweep(case.scenario, case.objective, scheme)
+                    except (AmbiguousRoot, NoRealRoot) as e:
+                        assert e.step is not None, case.name
+                        assert 0 <= e.step <= case.scenario.grid_n, case.name
+                        stops[j] = e.step
+                        continue
+                    assert np.max(sweep.D) <= 0.0, (scheme, case.name)
+                    if scheme == "implicit":
+                        report = equilibrium_report(case.scenario, case.objective,
+                                                    sweep.strategy, tolerance=1e-8)
+                        assert report.passed, (case.name, report.max_phi)
+                        assert np.max(sweep.residuals) <= 1e-9, case.name
+                    passed += 1
+                assert passed >= 0.9 * len(cases), (seed, scheme)
+                if scheme == "explicit":
+                    assert stops == explicit_stops[seed]
 
 
 class TestCertifiedNewtonStep:
@@ -463,19 +480,20 @@ class TestCertifiedNewtonStep:
     def test_standalone_step_on_curved_objective(self):
         case = raw_m4()
         with isolations() as isolate:
-            u = stationarity_solve_step(case.scenario, case.objective, 0.2,
-                                        0.5, 3.0, "implicit")
+            u = stationary_root(case.objective, 0.2, "implicit", prev_value=3.0)
         with full_isolation():
-            full = stationarity_solve_step(case.scenario, case.objective, 0.2,
-                                           0.5, 3.0, "implicit")
+            full = stationary_root(case.objective, 0.2, "implicit", prev_value=3.0)
         assert isolate.call_count == 0
         assert abs(u - full) <= 1e-15 * abs(full)
-        # no maximizer branch: the error still names grid index 50
+        # no maximizer branch: the step lists its roots, the sweep names its
+        # terminal step, where D(0) = +1
         seeking = ObjectiveSpec.from_weights("central", {1: 1.0, 2: 1.0, 4: 0.5})
         with pytest.raises(AmbiguousRoot) as exc_info:
-            stationarity_solve_step(case.scenario, seeking, 0.1, 0.5, 3.0,
-                                    "implicit")
-        assert exc_info.value.step == 50
+            stationary_root(seeking, 0.1, "implicit", prev_value=3.0)
+        assert exc_info.value.candidates
+        with pytest.raises(AmbiguousRoot) as exc_info:
+            backward_sweep(case.scenario, seeking, "implicit")
+        assert exc_info.value.step == case.scenario.grid_n
         assert exc_info.value.candidates
 
 

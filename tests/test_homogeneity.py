@@ -17,17 +17,18 @@ from eqmo.equilibrium import (
     default_v_grid,
     mv_closed_form,
     mv_gamma2,
-    phi_polynomial,
+    phi_profile,
     scan_phi_max,
 )
 from eqmo.errors import EmptyVGrid, UnsupportedObjectiveClass
-from eqmo.model import ObjectiveSpec, StrategyGrid, mean_variance_objective
+from eqmo.model import ObjectiveSpec, StrategyGrid
 from eqmo.verify import homogeneity_check_numeric, homogeneity_predicate
 
 
 class TestPredicate:
     def test_mv_holds(self):
-        assert homogeneity_predicate(mean_variance_objective()) is True
+        mv = ObjectiveSpec.from_weights("central", {1: 1.0, 2: -1.0})
+        assert homogeneity_predicate(mv) is True
 
     def test_cumulant_kurtosis_holds(self):
         assert homogeneity_predicate(kurtosis_cumulant().objective) is True
@@ -83,8 +84,9 @@ class TestNumericCheck:
         assert v < 0.0  # gain comes from shrinking the risky position
         # witness value is reproducible through the quadratic itself
         u = mv_closed_form(case.scenario, mv_gamma2(case.objective))
-        quad = phi_polynomial(case.scenario, case.objective, u, t)
-        assert abs(quad(v) - phi) < 1e-12
+        a, b = phi_profile(case.scenario, case.objective, u)
+        i = case.scenario.grid_index(t)
+        assert abs((b[i] * v + a[i]) * v - phi) < 1e-12
 
     def test_raw_m4_witness_magnitude_oracle(self):
         # under the MV strategy, V(t) = 0.5625 (1 - t) and

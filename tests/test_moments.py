@@ -21,7 +21,6 @@ from eqmo.model import (
     ObjectiveSpec,
     ObjectiveTerm,
     StrategyGrid,
-    mean_variance_objective,
     rate_to_horizon,
 )
 from eqmo.moments import (
@@ -217,7 +216,8 @@ class TestObjectiveValue:
     def test_mv_oracle(self):
         s, u = base_case()
         mv = conditional_moments(s, u, 0.0, 1.0, 2)
-        assert abs(objective_value(mean_variance_objective(), mv) - 1.5625) < 1e-12
+        mv_obj = ObjectiveSpec.from_weights("central", {1: 1.0, 2: -1.0})
+        assert abs(objective_value(mv_obj, mv) - 1.5625) < 1e-12
 
     def test_raw_m4_oracle(self):
         s, u = base_case()
@@ -255,4 +255,4 @@ class TestObjectiveValue:
         mv = conditional_moments(s, u, 0.0, 1.0, 4)
         # k4 = 0 exactly, so the kurtosis term contributes nothing
         assert objective_value(obj, mv) == objective_value(
-            mean_variance_objective(mode="cumulant"), mv)
+            ObjectiveSpec.from_weights("cumulant", {1: 1.0, 2: -1.0}), mv)

@@ -14,7 +14,7 @@ from eqmo.corpus import (
     raw_m4,
     theta_zero,
 )
-from eqmo.equilibrium import backward_sweep, mv_closed_form, phi_polynomial
+from eqmo.equilibrium import backward_sweep, mv_closed_form, phi_profile
 from eqmo.errors import EpsNotOnGrid, EqmoError, OutOfRange, ValidationError
 from eqmo.model import StrategyGrid
 from eqmo.moments import conditional_moments, objective_value
@@ -83,12 +83,13 @@ class TestFiniteEpsCheck:
         case = mv_base()
         u = StrategyGrid.constant(case.scenario, 4.0)
         dt = case.scenario.dt
-        quad = phi_polynomial(case.scenario, case.objective, u, 0.5)
+        a, b = phi_profile(case.scenario, case.objective, u)
+        i = case.scenario.grid_index(0.5)
         for v in (-0.25, 0.1, 1.0):
             for k in (1, 2, 4):
                 slope = finite_eps_check(case.scenario, case.objective, u,
                                          0.5, v, [k * dt])[0]
-                assert abs(slope - quad(v)) < 1e-10
+                assert abs(slope - (b[i] * v + a[i]) * v) < 1e-10
 
     def test_equilibrium_strategy_has_nonpositive_slopes(self):
         case = mv_base()
@@ -103,10 +104,11 @@ class TestFiniteEpsCheck:
         case = mv_discounted()
         u = mv_closed_form(case.scenario, 1.0)
         dt = case.scenario.dt
-        quad = phi_polynomial(case.scenario, case.objective, u, 0.5)
+        a, b = phi_profile(case.scenario, case.objective, u)
+        i = case.scenario.grid_index(0.5)
         slope = finite_eps_check(case.scenario, case.objective, u, 0.5, 0.3,
                                  [dt])[0]
-        assert abs(slope - quad(0.3)) < 1e-10
+        assert abs(slope - (b[i] * 0.3 + a[i]) * 0.3) < 1e-10
 
     def test_eps_must_sit_on_grid(self):
         case = mv_base()
@@ -134,14 +136,17 @@ class TestFiniteEpsCheck:
         # no window, no perturbed strategy: nothing to refuse
         assert finite_eps_check(case.scenario, case.objective, u, 0.5, v, []) == []
 
-    @pytest.mark.parametrize("make, v", [(mv_base, 1e200), (raw_m4, 1e200), (raw_m4, 1e150)])
+    @pytest.mark.parametrize("make, v", [(mv_base, 1e200), (raw_m4, 1e200), (raw_m4, 1e150),
+                                         (raw_m4, 1e160)])
     def test_huge_deviation_is_a_typed_error(self, make, v):
-        # at 1e200 (u + v)^2 overflows to inf in the variance increment; at
-        # 1e150 the variance stays finite and raw_m4's 3 V^2 overflows instead
+        # at 1e200 and 1e160 (u + v)^2 overflows to inf in the variance
+        # increment; at 1e150 the variance stays finite and raw_m4's 3 V^2
+        # overflows instead. No numpy warning comes first: under -W error it
+        # would surface as an untyped exception.
         case = make()
         u = mv_closed_form(case.scenario, 1.0)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             with pytest.raises(EqmoError):
                 finite_eps_check(case.scenario, case.objective, u, 0.5, v,
                                  [case.scenario.dt])
@@ -180,8 +185,10 @@ class TestOracleOnCurvedObjectives:
     def gaps(case, ks, v):
         s = case.scenario
         u = backward_sweep(s, case.objective, "implicit").strategy
-        t = float(s.times[s.grid_n // 4])
-        phi = phi_polynomial(s, case.objective, u, t)(v)
+        i = s.grid_n // 4
+        t = float(s.times[i])
+        a, b = phi_profile(s, case.objective, u)
+        phi = (b[i] * v + a[i]) * v
         slopes = finite_eps_check(s, case.objective, u, t, v, [k * s.dt for k in ks])
         return [slope - phi for slope in slopes]
 
@@ -204,13 +211,16 @@ class TestOracleOnCurvedObjectives:
 
 def literal_slopes(scenario, objective, strategy, t, v, ks):
     """The oracle as its definition reads: a perturbed StrategyGrid per window
-    and whole-grid conditional moments for it and for the base."""
+    (v added on steps [i0, i0 + k)) and whole-grid conditional moments for it
+    and for the base."""
     i0 = scenario.grid_index(t)
     n = objective.max_order
     base = objective_value(objective, conditional_moments(scenario, strategy, t, scenario.x0, n))
     slopes = []
     for k in ks:
-        pert = strategy.perturbed(i0, i0 + k, v)
+        values = strategy.values.copy()
+        values[i0:i0 + k] += v
+        pert = StrategyGrid(strategy.times, values)
         J = objective_value(objective, conditional_moments(scenario, pert, t, scenario.x0, n))
         slopes.append((J - base) / (k * scenario.dt))
     return slopes
