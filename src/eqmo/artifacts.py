@@ -3,19 +3,19 @@
 A ``Table`` holds named columns, each converted once to Python scalars. One
 value renderer serves CSV cells and JSON scalars alike: every float is
 rendered with 17 significant digits (lossless for binary64) and a non-finite
-one is refused. JSON objects are emitted with sorted keys. Emission is
-all-or-nothing: every file's text is rendered before the first is written,
-so a value that cannot be serialized leaves no file behind, and every file is
-written to a temp file in the target directory before the first is renamed
-to its final name, so a failed write (disk full, permissions) leaves none
-behind either. Reruns with identical inputs produce byte-identical files,
-which the manifest records as sha256 digests.
+one is refused. JSON objects are emitted with sorted keys. Tables render a
+column at a time (one finiteness check per float column) and each row by one
+per-table ``%`` template, as ``csv.writer`` and :func:`render_json` would.
+Emission is all-or-nothing: every file's text is rendered before the first
+is written, so a value that cannot be serialized leaves no file behind, and
+every file is written to a temp file in the target directory before the
+first is renamed to its final name, so a failed write (disk full,
+permissions) leaves none behind either. Reruns with identical inputs produce
+byte-identical files, which the manifest records as sha256 digests.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import math
 import os
 import tempfile
@@ -108,12 +108,47 @@ class Table:
         object.__setattr__(self, "columns", columns)
 
 
+def _column(column: list, render) -> tuple[str, list]:
+    """(row template slot, values) of a column: floats as they are behind
+    ``%.17g`` after one finiteness check, else ``render`` texts behind ``%s``."""
+    if set(map(type, column)) <= {float, np.float64}:
+        if not all(map(math.isfinite, column)):
+            list(map(_scalar, column))  # raises at the first non-finite value
+        return "%.17g", column
+    return "%s", list(map(render, column))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a field of ``csv.writer`` with "\\n" line ends (minimal quoting)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_csv(table: Table) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.header)
-    writer.writerows(zip(*[list(map(_scalar, c)) for c in table.columns]))
-    return buf.getvalue()
+    columns = [_column(c, lambda x: _csv_field(_scalar(x))) for c in table.columns]
+    template = ",".join([slot for slot, _ in columns])
+    lines = [",".join([_csv_field(str(name)) for name in table.header])]
+    lines += map(template.__mod__, zip(*[values for _, values in columns]))
+    if len(columns) == 1:  # csv.writer quotes a lone empty field
+        lines = [line or '""' for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+def _render_rows(table: Table) -> str:
+    """:func:`render_json` of the list of row objects keyed by the header."""
+    by_name = dict(zip(table.header, table.columns))  # a repeated name keeps its last
+    names = sorted(by_name)
+    try:
+        columns = [_column(by_name[name], lambda x: render_json(x, 2)) for name in names]
+    except IoError:  # raise the error of the value that the rows meet first
+        render_json([dict(zip(table.header, row)) for row in zip(*table.columns)])
+        raise
+    fields = [f'    "{_escape(str(name))}": '.replace("%", "%%") + slot
+              for name, (slot, _) in zip(names, columns)]
+    template = "  {\n" + ",\n".join(fields) + "\n  }"
+    rows = list(map(template.__mod__, zip(*[values for _, values in columns])))
+    return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
 
 
 FORMATS = ("csv", "json")
@@ -137,8 +172,7 @@ def emit_outputs(results: Mapping[str, object], fmt: str, out_dir: str) -> dict[
         elif fmt == "csv":
             texts[f"{name}.csv"] = render_csv(value)
         else:
-            rows = [dict(zip(value.header, row)) for row in zip(*value.columns)]
-            texts[f"{name}.json"] = render_json(rows) + "\n"
+            texts[f"{name}.json"] = _render_rows(value) + "\n"
     manifest = {filename: hashlib.sha256(text.encode("utf-8")).hexdigest()
                 for filename, text in texts.items()}
     texts["manifest.json"] = render_json({"files": manifest}) + "\n"

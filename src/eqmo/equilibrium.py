@@ -66,10 +66,13 @@ class SweepResult:
 
 def _phi_coefficients(w1: float, D: np.ndarray, g: np.ndarray,
                       scenario: MarketScenario, u: np.ndarray):
-    """Arrays (a, b) with Phi(t_i, v) = a_i v + b_i v^2, given D = G'(V), the
-    growth factors g = e^R and the control values u on the grid."""
-    b = D * g * g * scenario.sigma ** 2
-    a = w1 * g * scenario.theta + 2.0 * b * u
+    """Arrays (a, b) with Phi(t_i, v) = a_i v + b_i v^2 from D = G'(V), g = e^R
+    and the controls u on the grid; an overflow is a ValidationError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = D * g * g * scenario.sigma ** 2
+        a = w1 * g * scenario.theta + 2.0 * b * u
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("Phi coefficients overflow under this strategy")
     return a, b
 
 
@@ -79,9 +82,8 @@ def phi_profile(scenario: MarketScenario, objective: ObjectiveSpec,
     strategy.check_grid(scenario)
     Dpoly = gaussian_risk_polynomial(objective).derivative()
     _, V = moments_to_go(scenario, strategy)
-    g = growth_factors(rate_to_horizon(scenario))
-    return _phi_coefficients(objective.mean_weight(), Dpoly(V), g, scenario,
-                             strategy.values)
+    return _phi_coefficients(objective.mean_weight(), Dpoly(V), scenario.growth,
+                             scenario, strategy.values)
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +110,6 @@ def mv_closed_form(scenario: MarketScenario, gamma2: float) -> StrategyGrid:
     R = rate_to_horizon(scenario)
     values = scenario.theta * growth_factors(-R) / (2.0 * gamma2 * scenario.sigma ** 2)
     return StrategyGrid(scenario.times, values)
-
-
-def _cauchy_root_bound(poly: Polynomial) -> float:
-    """Radius containing every root: 1 + max |c_i| / |c_lead|."""
-    c = poly.coeffs
-    return 1.0 + max(map(abs, c[:-1])) / abs(c[-1])
 
 
 def _compose_linear(outer: tuple[float, ...], a0: float, a1: float) -> list[float]:
@@ -157,17 +153,15 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
     D(V_plus); D = 0 raises :class:`NoSecondOrderTerm`, and D > 0 (the root
     is a minimizer) raises :class:`AmbiguousRoot` with the root as candidate.
 
-    Implicit steps ask :func:`real_roots` for the root nearest
-    ``prev_value`` (u at the next grid point, within O(dt) of the answer).
-    It returns a Newton root r alone when its Taylor certificate shows p'
-    has no zero within |r - prev_value| of ``prev_value``, so no other root,
-    touch root or merged pair of the full isolation is nearer. If r is off
-    the maximizer branch (D(V_plus + dt s r^2) > 0), every root is isolated
-    again without the shortcut; when the certificate fails the first call
-    already isolates every root. Either way the step filters the admissible
-    roots and takes the nearest, so errors and their candidates are those
-    of the full isolation. Degree-1 polynomials (variance-affine
-    objectives) keep the closed form -c0 / c1.
+    Implicit steps make one :func:`real_roots` call for the root nearest
+    ``prev_value`` (u at the next grid point, within O(dt) of the answer):
+    a Newton root r alone when its Taylor certificate shows that no other
+    root, touch root or merged pair of the full isolation is nearer, else
+    every root. A lone root on the maximizer branch (D(V_plus + dt s r^2)
+    <= 0) is the step's root; a lone root off it sends the step to isolate
+    every root. The step takes the admissible root nearest ``prev_value``,
+    so errors and their candidates are those of the full isolation. Degree
+    1 (variance-affine objectives) is the closed form -c0 / c1.
     """
     if theta == 0.0:
         return 0.0  # stationarity degenerates to 2 D e^{2R} sigma^2 u = 0
@@ -186,16 +180,16 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
     poly = Polynomial(_stationarity_coeffs(w1, Dpoly, V_plus, theta, g, s, dt))
     if poly.degree < 1:
         raise NoSecondOrderTerm("stationarity polynomial degenerates to a constant")
-    bound = _cauchy_root_bound(poly)
+    bound = 1.0 + max(map(abs, poly.coeffs[:-1])) / abs(poly.coeffs[-1])  # Cauchy bound
     candidates = real_roots(poly, -bound, bound, near=prev_value)
-    admissible = [u for u in candidates
-                  if Dpoly(V_plus + dt * s * u * u) <= 0.0]
-    if candidates and not admissible:
+    if len(candidates) == 1:
+        u = candidates[0]
+        if Dpoly(V_plus + dt * s * u * u) <= 0.0:
+            return u
         candidates = real_roots(poly, -bound, bound)
-        admissible = [u for u in candidates
-                      if Dpoly(V_plus + dt * s * u * u) <= 0.0]
     if not candidates:
         raise NoRealRoot("stationarity polynomial has no real root")
+    admissible = [u for u in candidates if Dpoly(V_plus + dt * s * u * u) <= 0.0]
     if not admissible:
         raise AmbiguousRoot(
             f"no stationarity root on the maximizer branch (D <= 0); "
@@ -222,13 +216,11 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     validate_scenario(scenario, objective)
     Dpoly = gaussian_risk_polynomial(objective).derivative()
     w1 = objective.mean_weight()
-    R = rate_to_horizon(scenario)
     n = scenario.grid_n
     dt = scenario.dt
     theta = scenario.theta.tolist()
     sigma = scenario.sigma.tolist()
-    g_all = growth_factors(R)
-    g = g_all.tolist()
+    g = scenario.growth.tolist()
     u = [0.0] * (n + 1)
     V = [0.0] * (n + 1)
     i = n
@@ -249,7 +241,7 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     u_arr = np.array(u)
     V_arr = np.array(V)
     D = Dpoly(V_arr)
-    a, _ = _phi_coefficients(w1, D, g_all, scenario, u_arr)
+    a, _ = _phi_coefficients(w1, D, scenario.growth, scenario, u_arr)
     return SweepResult(StrategyGrid(scenario.times, u_arr), V_arr, D, np.abs(a), scheme)
 
 
@@ -270,19 +262,23 @@ def default_v_grid(strategy: StrategyGrid) -> np.ndarray:
 def scan_phi_max(scenario: MarketScenario, objective: ObjectiveSpec,
                  strategy: StrategyGrid, v_grid: np.ndarray):
     """Max of Phi over grid times x (v_grid plus the continuous quadratic
-    vertex where b < 0); returns (max_phi, witness, per_t_max)."""
+    vertex where b < 0); returns (max_phi, witness, per_t_max). A maximum
+    past the float range is a ValidationError."""
     v_grid = np.asarray(v_grid, dtype=float)
     if v_grid.size == 0:
         raise EmptyVGrid("deviation grid is empty")
     a, b = phi_profile(scenario, objective, strategy)
-    phis = a[:, None] * v_grid[None, :] + b[:, None] * v_grid[None, :] ** 2
-    per_t_max = phis.max(axis=1)
-    per_t_arg = v_grid[np.argmax(phis, axis=1)]
-    concave = b < 0.0
-    v_star = np.where(concave, -a / np.where(concave, 2.0 * b, 1.0), 0.0)
-    phi_star = np.where(concave, -(a * a) / np.where(concave, 4.0 * b, 1.0), -np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phis = a[:, None] * v_grid[None, :] + b[:, None] * v_grid[None, :] ** 2
+        per_t_max = phis.max(axis=1)
+        per_t_arg = v_grid[np.argmax(phis, axis=1)]
+        concave = b < 0.0
+        v_star = np.where(concave, -a / np.where(concave, 2.0 * b, 1.0), 0.0)
+        phi_star = np.where(concave, -(a * a) / np.where(concave, 4.0 * b, 1.0), -np.inf)
     better = concave & (phi_star > per_t_max)
     per_t_max = np.where(better, phi_star, per_t_max)
+    if not np.isfinite(per_t_max).all():
+        raise ValidationError("Phi overflows on the deviation grid under this strategy")
     per_t_arg = np.where(better, v_star, per_t_arg)
     i = int(np.argmax(per_t_max))
     witness = (float(scenario.times[i]), float(per_t_arg[i]), float(per_t_max[i]))

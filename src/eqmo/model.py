@@ -163,6 +163,12 @@ class MarketScenario:
         """The grid t_0 = 0, ..., t_grid_n = T; built once, read-only."""
         return _readonly(np.linspace(0.0, self.T, self.grid_n + 1))
 
+    @functools.cached_property
+    def growth(self) -> np.ndarray:
+        """e^R at every grid index from :func:`growth_factors`, built once and
+        read-only; an overflow at any index refuses every reader, suffix or not."""
+        return _readonly(growth_factors(rate_to_horizon(self)))
+
     def grid_index(self, t: float) -> int:
         """Index of the grid point equal to ``t`` (within ``GRID_TOL * max(1,T)``)."""
         from .errors import OffGridTime
@@ -206,9 +212,13 @@ def growth_factors(R: np.ndarray) -> np.ndarray:
     Every e^{R_i} (and e^{-R_i}, from ``growth_factors(-R)``) in eqmo comes
     from here, so the moment engine, the sweep, Phi and the closed forms
     share their growth factors bit for bit. ``np.exp`` differs from
-    ``math.exp`` in the last bit on a few percent of inputs.
+    ``math.exp`` in the last bit on a few percent of inputs. A factor past
+    the float range is a ValidationError.
     """
-    return np.fromiter(map(math.exp, R.tolist()), float, len(R))
+    try:
+        return np.fromiter(map(math.exp, R.tolist()), float, len(R))
+    except OverflowError:
+        raise ValidationError(f"growth factor exp({np.max(R):.6g}) of R overflows") from None
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .model import (
     StrategyGrid,
     _DOUBLE_FACTORIAL,
     _sum_to_horizon,
-    growth_factors,
     moments_to_cumulants,
     rate_to_horizon,
 )
@@ -126,12 +125,12 @@ def _increments(scenario: MarketScenario, g: np.ndarray, u: np.ndarray, lo: int)
 
 def _moments_from(scenario: MarketScenario, u: np.ndarray, lo: int):
     """(R, g, M, V) on the grid suffix [t_lo, T] under the controls u[lo:]:
-    R, M and V at indices lo..grid_n, g at lo..grid_n - 1. A reversed cumsum
-    at i >= lo reads only increments i..grid_n - 1, so every value is bitwise
-    the whole-grid one (lo = 0 is the whole grid). The sums carry any
-    non-finite increment to index lo, where one check refuses the overflow."""
+    R, M and V at indices lo..grid_n, the cached e^R g at lo..grid_n - 1. A
+    reversed cumsum at i >= lo reads only increments i..grid_n - 1, so every
+    value is bitwise the whole-grid one (lo = 0 is the whole grid). The sums
+    carry any non-finite increment to index lo, where one check refuses it."""
     R = rate_to_horizon(scenario)[lo:]
-    g = growth_factors(R[:-1])
+    g = scenario.growth[lo:scenario.grid_n]
     with np.errstate(over="ignore", invalid="ignore"):
         dM, dV = _increments(scenario, g, u[lo:scenario.grid_n], lo)
         M, V = _sum_to_horizon(dM), _sum_to_horizon(dV)
@@ -282,7 +281,8 @@ def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
 
     Point estimates use all paths; standard errors come from the spread of
     ``MC_BATCHES`` contiguous path batches (batch boundaries depend only on
-    path index, keeping results independent of the worker count).
+    path index, keeping results independent of the worker count). An
+    estimate or standard error past the float range is a ValidationError.
     """
     _check_moment_order(n)
     if paths < 1000:
@@ -294,10 +294,13 @@ def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
         d = v - m1
         return [m1] + [float(np.mean(d ** k)) for k in range(2, n + 1)]
 
-    est = sample_stats(X)
     edges = np.linspace(0, paths, MC_BATCHES + 1).astype(int)
-    per_batch = np.array([sample_stats(X[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
-    se = np.std(per_batch, axis=0, ddof=1) / math.sqrt(MC_BATCHES)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = sample_stats(X)
+        per_batch = np.array([sample_stats(X[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
+        se = np.std(per_batch, axis=0, ddof=1) / math.sqrt(MC_BATCHES)
+    if not (np.isfinite(est).all() and np.isfinite(se).all()):
+        raise ValidationError("Monte Carlo moment estimates overflow under this strategy")
     central = tuple(est[1:])
     cumulant = tuple(moments_to_cumulants(central))
     mv = MomentVector(est[0], central[0], central, cumulant, n)

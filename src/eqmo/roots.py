@@ -1,4 +1,4 @@
-"""Real-root isolation for low-degree polynomials on a bounded interval.
+"""Real roots of low-degree polynomials: all on an interval, or the nearest.
 
 :func:`real_roots` isolates every root. Roots of the derivative (found
 recursively) split [lo, hi] into monotone pieces; each piece with a sign
@@ -7,10 +7,10 @@ where the polynomial itself (nearly) vanishes are kept as even-multiplicity
 touch roots. Degrees here are tiny (<= 7), so no eigenvalue machinery is
 used.
 
-A caller that wants only the root nearest a point x0 it already knows to be
-close (``real_roots(..., near=x0)``) is first offered a cheap path: Newton's
-method from x0, then a certificate that p' has no zero on the interval
-[x0 - h, x0 + h] that reaches past the Newton root r. On that interval p is
+A caller that knows a point x0 close to the root it wants
+(``real_roots(..., near=x0)``) is first offered :func:`nearest_root`:
+Newton's method from x0, then a certificate that p' has no zero on the
+interval [x0 - h, x0 + h] that reaches past the Newton root r. There p is
 strictly monotone, so r is its only root and every other root, and every
 critical point that the isolation could report as a touch root, lies farther
 from x0 than r. When Newton stalls or the certificate fails, every root is
@@ -19,6 +19,7 @@ isolated as without ``near``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from .model import Polynomial
 
@@ -67,7 +68,7 @@ def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12,
     appear once. The zero polynomial returns no roots.
 
     With ``near``, a polynomial of degree >= 2 whose root nearest ``near``
-    is certified by :func:`_nearest_root` and lies in [lo, hi] returns that
+    is certified by :func:`nearest_root` and lies in [lo, hi] returns that
     root alone: the list then holds the nearest root, not every root.
     """
     if hi < lo:
@@ -75,7 +76,7 @@ def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12,
     if poly.degree <= 0:
         return []
     if near is not None and poly.degree >= 2:
-        r = _nearest_root(poly.coeffs, near, tol)
+        r = nearest_root(poly.coeffs, near, tol)
         if r is not None and lo <= r <= hi:
             return [r]
     if poly.degree == 1:
@@ -107,12 +108,11 @@ def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12,
     return roots
 
 
-def _nearest_root(coeffs: tuple[float, ...], x0: float,
-                  tol: float = 1e-12) -> float | None:
+def nearest_root(coeffs: Sequence[float], x0: float, tol: float = 1e-12) -> float | None:
     """The root of ``sum(coeffs[k] x**k)`` nearest x0, certified, or None.
 
-    ``coeffs`` are those of a :class:`Polynomial` of degree >= 2, so the
-    leading one is nonzero.
+    ``coeffs`` are those of a polynomial of degree >= 2, lowest power
+    first, so the last one is nonzero.
 
     Newton's method from x0 (p and p' from one Horner loop) stops once
     |step| <= tol max(1, |x|) and returns r = x - step. The certificate

@@ -114,8 +114,8 @@ def finite_eps_check(scenario: MarketScenario, objective: ObjectiveSpec,
     fixed dt the gap is affine in eps with an O(dt) intercept, so at eps = dt
     it halves with each halving of dt.
 
-    Cost: one moments-to-go accumulation over the suffix [t, T] (one
-    growth-factor pass of grid_n - i0 steps), then k steps per window, so
+    Cost: one moments-to-go accumulation over the suffix [t, T] on the
+    scenario's cached growth factors, then k steps per window, so
     O(grid_n - i0 + sum of k) in place of two whole-grid accumulations per
     window. The result is bitwise the literal perturbation: the perturbed
     and base strategies share every increment from t + eps on, and the

@@ -6,12 +6,15 @@ import json
 import math
 import os
 import struct
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eqmo.artifacts import Table, emit_outputs, render_csv, render_json
+from eqmo.artifacts import Table, _scalar, emit_outputs, render_csv, render_json
 from eqmo.errors import IoError
 
 FLOATS = [-0.0, 0.1, 1 / 3, 5e-324, 1.7976931348623157e308, 2.0 ** 53 + 2]
@@ -204,3 +207,88 @@ class TestAllOrNothing:
         assert sorted(os.listdir(tmp_path)) == sorted(before) + ["manifest.json"]
         assert {name: read(tmp_path / name) for name in os.listdir(tmp_path)} == old
         assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-artifact-")]
+
+
+# The per-value algorithms that the column-at-a-time renderers replaced:
+# csv.writer over one _scalar text per value, and render_json over row dicts.
+def reference_csv(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.header)
+    writer.writerows(zip(*[list(map(_scalar, c)) for c in table.columns]))
+    return buf.getvalue()
+
+
+def reference_json(table):
+    rows = [dict(zip(table.header, row)) for row in zip(*table.columns)]
+    return render_json(rows) + "\n"
+
+
+def emitted_json(table):
+    with tempfile.TemporaryDirectory() as out:
+        emit_outputs({"t": table}, "json", out)
+        return read(os.path.join(out, "t.json"))
+
+
+def outcome(render, table):
+    try:
+        return render(table)
+    except IoError as exc:
+        return ("IoError", str(exc))
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+texts = st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
+                          st.sampled_from(list(',"%\n\r\t\x00\x01\\ '))), max_size=6)
+floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(SPECIAL_FLOATS))
+scalars = st.one_of(
+    floats,
+    floats.map(np.float64),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    texts,
+)
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(min_value=0, max_value=5))
+    columns = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(["array", "floats", "float64", "mixed"]))
+        elements = {"mixed": scalars, "float64": floats.map(np.float64)}.get(kind, floats)
+        column = draw(st.lists(elements, min_size=rows, max_size=rows))
+        if rows and draw(st.integers(min_value=0, max_value=9)) == 0:
+            column[draw(st.integers(min_value=0, max_value=rows - 1))] = \
+                draw(st.sampled_from(NON_FINITE))
+        columns.append(np.array(column, dtype=float) if kind == "array" else column)
+    header = draw(st.lists(st.one_of(texts, st.sampled_from(["t", "u", ""])),
+                           min_size=len(columns), max_size=len(columns)))
+    return Table(tuple(header), tuple(columns))
+
+
+class TestColumnRenderingMatchesPerValueReference:
+    @given(tables())
+    @settings(max_examples=300, deadline=None)
+    def test_csv(self, table):
+        assert outcome(render_csv, table) == outcome(reference_csv, table)
+
+    @given(tables())
+    @settings(max_examples=300, deadline=None)
+    def test_json_emission(self, table):
+        assert outcome(emitted_json, table) == outcome(reference_json, table)
+
+    def test_first_error_in_row_order(self):
+        # the json rows meet inf (row 0, key "b") before nan (row 1, key "a");
+        # csv meets the column "a" first
+        table = Table(("a", "b"), ([1.0, math.nan], [math.inf, 2.0]))
+        assert outcome(emitted_json, table) == ("IoError", "refusing to serialize "
+                                                "non-finite value inf")
+        assert outcome(render_csv, table) == ("IoError", "refusing to serialize "
+                                              "non-finite value nan")
+

@@ -36,12 +36,19 @@ paths = 4000
 """
 
 
-# (scenario, line, replacement, commands that read it): values whose moments
-# overflow the float range; homogeneity and bsde do not read u_scale
+# (scenario, line, replacement, commands): values whose moments, growth
+# factors, Phi or Monte Carlo estimates overflow the float range under those
+# commands; homogeneity and bsde do not read u_scale
 HOSTILE = {
     "theta_1e300": (MV, "theta = 0.3\n", "theta = 1e300\n", cli.COMMANDS),
     "u_scale_1e200": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e200\n",
                       ("solve", "verify", "moments", "mc")),
+    "r_1e3": (MV, "r = 0\n", "r = 1e3\n", ("solve", "verify", "moments", "mc")),
+    "r_-1e3": (MV, "r = 0\n", "r = -1e3\n", ("homogeneity", "bsde")),
+    "u_scale_1e100": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e100\n",
+                      ("verify",)),
+    "u_scale_1e50": (MV, "scheme = explicit\n", "scheme = explicit\nu_scale = 1e50\n",
+                     ("mc",)),
 }
 
 

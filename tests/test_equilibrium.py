@@ -44,9 +44,10 @@ from eqmo.model import (
     gaussian_risk_polynomial,
     rate_to_horizon,
 )
-from eqmo.moments import moments_to_go
-from eqmo.roots import _nearest_root as nearest_root
+from eqmo.moments import conditional_moments, moments_to_go
+from eqmo.roots import nearest_root
 from eqmo.scenario_io import parse_scenario
+from eqmo.verify import finite_eps_check
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 MV = ObjectiveSpec.from_weights("central", {1: 1.0, 2: -1.0})
@@ -55,7 +56,7 @@ SEEKING = ObjectiveSpec.from_weights("central", {1: 1.0, 2: 1.0})  # D = +1
 
 def full_isolation():
     """Patch out the certified Newton path: every implicit step isolates all roots."""
-    return mock.patch.object(roots, "_nearest_root", lambda *a, **k: None)
+    return mock.patch.object(roots, "nearest_root", lambda *a, **k: None)
 
 
 def step_calls():
@@ -128,6 +129,14 @@ class TestStationarityStep:
             with pytest.raises(AmbiguousRoot) as exc_info:
                 stationary_root(SEEKING, 0.1, scheme)
             assert exc_info.value.candidates, scheme
+
+    def test_non_finite_coefficients_are_refused(self):
+        # g = 1e200 squares past the float range: s = g^2 sigma^2 = inf; the
+        # step's Polynomial refuses the coefficients, at every degree
+        for objective in (MV, raw_m4().objective):
+            with pytest.raises(ValidationError, match="coefficients must be finite"):
+                _stationary_root(1.0, gaussian_risk_polynomial(objective).derivative(), 0.1,
+                                 0.3, 0.2, 1e200, 0.01, 3.0, "implicit", False)
 
     def test_theta_zero_shortcut(self):
         u = stationary_root(theta_zero().objective, 0.2, "implicit", prev_value=1.0,
@@ -424,12 +433,15 @@ class TestCertifiedNewtonStep:
 
     def test_degree_one_keeps_closed_form(self):
         case = mv_discounted()
-        with step_calls() as calls:
-            sweep = backward_sweep(case.scenario, case.objective, "implicit")
-        with full_isolation():
-            full = backward_sweep(case.scenario, case.objective, "implicit")
-        assert calls.call_count == case.scenario.grid_n
-        assert sweep.strategy.values.tobytes() == full.strategy.values.tobytes()
+        s = case.scenario
+        with step_calls() as calls, isolations() as isolate:
+            sweep = backward_sweep(s, case.objective, "implicit")
+        assert calls.call_count == s.grid_n and isolate.call_count == 0
+        # -c0 / c1 of w1 g theta + 2 s D u with D = -1 (w1 = 1, w2 = -1)
+        g = s.growth.tolist()
+        want = [-(g[i] * s.theta[i]) / (2.0 * (g[i] * g[i] * s.sigma[i] ** 2) * -1.0)
+                for i in range(s.grid_n)]
+        assert sweep.strategy.values[:-1].tobytes() == np.array(want).tobytes()
 
     # With g = sigma = dt = 1, V_plus = 0, w1 = 1 and D(V) = d0 + d1 V, the
     # stationarity polynomial is theta + 2 d0 u + 2 d1 u^3; positive roots lie
@@ -547,6 +559,20 @@ class TestGrowthFactors:
         for i in range(n - 1, -1, -1):
             ref[i] = ref[i + 1] + inc[i]
         assert M.tobytes() == ref.tobytes()
+
+    def test_overflow_anywhere_refuses_every_suffix(self):
+        # r = 2000 on the first half of [0, 1]: R_0 = 1000 overflows e^R,
+        # while R = 0 from t = 0.5 on; the cached e^R spans the whole grid,
+        # so the moments at t = 0.8 are refused too
+        n = 10
+        s = MarketScenario(r=np.where(np.arange(n + 1) < n // 2, 2000.0, 0.0),
+                           theta=0.3, sigma=0.2, T=1.0, x0=1.0, grid_n=n)
+        u = StrategyGrid(s.times, np.full(n + 1, 0.5))
+        assert rate_to_horizon(s)[n // 2:].max() == 0.0
+        for call in (lambda: conditional_moments(s, u, 0.8, 1.0, 2),
+                     lambda: finite_eps_check(s, MV, u, 0.8, 0.5, [s.dt])):
+            with pytest.raises(ValidationError, match=r"growth factor exp\(1000\) of R overflows"):
+                call()
 
     def test_flow_implied_u(self):
         from eqmo.bsde import mv_flow_residual

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from eqmo.model import Polynomial
 from eqmo import roots
-from eqmo.roots import _nearest_root as nearest_root
+from eqmo.roots import nearest_root
 from eqmo.roots import real_roots
 
 
@@ -194,8 +194,8 @@ class TestNearestRoot:
 
 
 class TestNearArgument:
-    """``real_roots(..., near=x0)``: the certified nearest root alone, or the
-    full isolation when it cannot be certified; the recursion into the
+    """``real_roots(..., near=x0)``: the certified :func:`nearest_root` alone,
+    or the full isolation when it cannot be certified; the recursion into the
     derivative runs only for the full isolation."""
 
     @staticmethod
@@ -208,19 +208,26 @@ class TestNearArgument:
         p = poly_from_roots([-1.0, 0.5, 2.0])
         got, isolated = self.call(p, -5.0, 5.0, 1.9)
         assert not isolated
+        assert got == [nearest_root(p.coeffs, 1.9)]
         assert len(got) == 1 and abs(got[0] - 2.0) <= 1e-15 * 2.0
+        full = min(real_roots(p, -5.0, 5.0), key=lambda u: abs(u - 1.9))
+        assert abs(got[0] - full) <= 1e-15 * 2.0
 
     def test_uncertified_start_isolates_every_root(self):
         p = poly_from_roots([1.0, 1.001, -2.001])
+        assert nearest_root(p.coeffs, 1.0005) is None
         got, isolated = self.call(p, -5.0, 5.0, 1.0005)
         assert isolated
         assert got == real_roots(p, -5.0, 5.0)
+        assert len(got) == 3
 
     def test_root_outside_interval_isolates(self):
+        # the certified root 2 lies outside [-5, 1]
         p = poly_from_roots([-1.0, 0.5, 2.0])
         got, isolated = self.call(p, -5.0, 1.0, 1.9)
         assert isolated
         assert got == real_roots(p, -5.0, 1.0)
+        assert got == pytest.approx([-1.0, 0.5], abs=1e-12)
 
     def test_degree_one_and_zero_ignore_near(self):
         assert real_roots(Polynomial((-1.0, 2.0)), -5.0, 5.0, near=3.0) == [0.5]

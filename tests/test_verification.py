@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+import eqmo.equilibrium
 import eqmo.model
-import eqmo.moments
 from eqmo.corpus import (
     kurtosis_cumulant,
     mv_base,
@@ -265,7 +265,8 @@ class TestOracleMatchesLiteralPerturbation:
         self.assert_bitwise(case, mv_closed_form(case.scenario, 1.0).scaled(1.1))
 
     def test_one_growth_factor_pass_per_call(self, monkeypatch):
-        # the base accumulation is the only one; windows reuse its factors
+        # one whole-grid e^R pass per scenario object, cached on it: every
+        # oracle call, base and windows alike, and the sweep read that cache
         calls = []
         real = eqmo.model.growth_factors
 
@@ -273,12 +274,18 @@ class TestOracleMatchesLiteralPerturbation:
             calls.append(len(R))
             return real(R)
 
-        for module in (eqmo.model, eqmo.moments):
+        for module in (eqmo.model, eqmo.equilibrium):
             monkeypatch.setattr(module, "growth_factors", counted)
         case = mv_discounted()
         s = case.scenario
         u = mv_closed_form(s, 1.0)
-        slopes = finite_eps_check(s, case.objective, u, 0.25, 0.5,
-                                  [k * s.dt for k in (1, 2, 4, 8, 16)])
-        assert len(slopes) == 5
-        assert calls == [s.grid_n - s.grid_index(0.25)]
+        assert calls == [s.grid_n + 1]  # e^{-R}, which the cache does not hold
+        for t in (0.25, 0.5, 0.75):
+            slopes = finite_eps_check(s, case.objective, u, t, 0.5,
+                                      [k * s.dt for k in (1, 2, 4, 8, 16)])
+            assert len(slopes) == 5
+        backward_sweep(s, case.objective, "explicit")
+        assert calls == [s.grid_n + 1] * 2
+        fresh = mv_discounted().scenario
+        finite_eps_check(fresh, case.objective, u, 0.25, 0.5, [s.dt])
+        assert calls == [s.grid_n + 1] * 3
