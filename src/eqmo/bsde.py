@@ -14,28 +14,29 @@ target's coefficients are (Y_{i+1} (B dW_i)' - c_C Gw) / dt G^-1 with
 Gw = B diag(dW_i) B', so the target is never formed and C_i and Z_i are each
 written once, into reusable buffers.
 
-A flow has one BSDE per start index s on [s, T] over a shared path set; its
-diagonal samples member s at time s. All members at a date project onto the
-same state row, so a flow costs O(n) dates, not O(n^2) rows: a family of
-identical members is one solve whose row s is member s, and any other family
-fits its live members together, one matrix-matrix regression per date, with
-each member's C written over its own row of Y; it holds Y and one Z buffer.
-The mean-variance check ``mv_flow_residual`` needs only the path means of an
-identical-member flow's diagonal, so it takes them from ``solve_bsde_means``
-and never forms the flow.
+One backward loop over dates, ``_solve_one``, serves every route. It
+carries a block of member rows: row k starts as the terminal of its spec and
+is live at dates i >= k, so a single BSDE is one row and a flow (one BSDE
+per start index s on [s, T] over a shared path set, whose diagonal samples
+member s at time s) is n + 1 rows. Each date builds one regression operator
+on its state row, fits the live rows in place with their Z into one buffer,
+drives each live member on its own rows and the (Y, Z) rows of its
+dependency grids at that date, and hands the block to a visitor. All
+members at a date project onto the same state row, so a flow costs O(n)
+dates, not O(n^2) rows; a flow of identical members is one row whose value
+at date s is member s.
 
-Every other route is one backward loop over dates per BSDE. Each date
-builds one regression operator, fits the Y row on it, feeds the driver the
-(Y, Z) rows of its dependency grids at that date and hands the rows to a
-visitor; the loop keeps only the next-date Y row and one Z buffer. The
-visitor decides what is kept: ``solve_bsde`` fills full (n + 1) x paths
-grids, so with the state and dW it holds 4 float64 per path-date;
-``solve_bsde_means`` keeps per-date path means (2 per path-date: the state
-and dW), which is all the ``bsde`` command holds on either factor kind; the
-identical-member flow keeps Y and the Z means (3); ``convergence_study``
-keeps its two squared-error buffers. A recurrent system is its members'
-``solve_bsde`` calls in order, each fed the earlier members' grids, so m
-members hold 2 + 2m float64 per path-date.
+The loop holds its block and the Z buffer; the visitor decides what else
+is kept. ``solve_bsde`` fills full (n + 1) x paths grids, so with the state
+and dW it holds 4 float64 per path-date, as an s-dependent flow does with
+its n + 1 rows and n-row Z buffer. ``solve_bsde_means`` keeps per-date path
+means (2 per path-date: the state and dW), which is all the ``bsde`` command
+holds on either factor kind: ``mv_flow_residual`` needs only the path means
+of an identical-member flow's diagonal, so it never forms the flow. The
+identical-member flow keeps Y (3); ``convergence_study`` keeps its two
+squared-error buffers. A recurrent system is its members' ``solve_bsde``
+calls in order, each fed the earlier members' grids, so m members hold
+2 + 2m float64 per path-date.
 """
 from __future__ import annotations
 
@@ -213,7 +214,7 @@ class _Summary(NamedTuple):
     z_saturation: float
 
 
-# visit(i, y_row, z_row): the solution's rows at date i
+# visit(i, Y, Z): the block of member rows and their Z rows at date i
 _Visit = Callable[[int, np.ndarray, np.ndarray], None]
 
 
@@ -240,10 +241,14 @@ class _Regression:
                  step: int | None = None):
         paths = state_row.size
         B = np.empty((degree + 1, paths))
-        mean = float(np.mean(state_row))
-        x = np.subtract(state_row, mean, out=B[1])
-        # row 0 holds the squared deviations, summed as np.std sums them
-        std = math.sqrt(float(np.multiply(x, x, out=B[0]).sum()) / paths)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(state_row))
+            x = np.subtract(state_row, mean, out=B[1])
+            # row 0 holds the squared deviations, summed as np.std sums them
+            std = math.sqrt(float(np.multiply(x, x, out=B[0]).sum()) / paths)
+        if not math.isfinite(std):
+            raise ValidationError(f"regression state at step {step} overflows: its "
+                                  "squared deviations leave the float range")
         if std <= _CONST_STATE_TOL * (1.0 + abs(mean)):
             B = np.ones((1, paths))
             G, self.Gw = np.array([[float(paths)]]), np.array([[dW_row.sum()]])
@@ -270,31 +275,17 @@ class _Regression:
         return rows @ self.B.T
 
 
-def _check_options(basis_degree: int) -> None:
-    if basis_degree < 1:
-        raise ValidationError(f"basis degree must be >= 1, got {basis_degree}")
-
-
-def _check_deps(index: int, spec: DriverSpec, supplied: int) -> None:
-    missing = [d for d in spec.depends_on if d >= supplied]
-    if missing:
-        raise ValidationError(f"spec {index} depends on grids {missing} but only "
-                              f"{supplied} dependency grids were supplied")
-
-
-def _check_terminal(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+def _terminals(specs: Sequence[DriverSpec], fp: FactorPaths,
+               start_index: int) -> np.ndarray:
+    """The block of terminal rows: row k is ``specs[k].terminal(fp, start_index + k)``."""
+    if not 0 <= start_index <= fp.grid_n:
+        raise ValidationError(f"start_index {start_index} outside [0, {fp.grid_n}]")
+    Y = np.empty((len(specs), fp.paths))
+    for k, spec in enumerate(specs):
+        Y[k] = np.asarray(spec.terminal(fp, start_index + k), dtype=float)
+    if not np.all(np.isfinite(Y)):
         raise ValidationError("terminal condition produced non-finite values")
-
-
-def _warn_saturated(saturated: int, total: int, z_bound: float,
-                    stacklevel: int = 3) -> None:
-    if total > 0 and saturated > 0.01 * total:
-        warnings.warn(
-            f"{saturated / total:.1%} of Z values hit the truncation bound {z_bound}",
-            ZTruncationSaturated,
-            stacklevel=stacklevel,
-        )
+    return Y
 
 
 def _fit_date(reg: _Regression, rows: np.ndarray, dt: float, C: np.ndarray,
@@ -333,51 +324,56 @@ def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
     return C + f * dt, f, saturated
 
 
-def _solve_one(spec: DriverSpec, fp: FactorPaths, basis_degree: int,
-               start_index: int, z_bound: float, deps: Sequence[BsdeGrid],
-               visit: _Visit) -> _Summary:
-    """The one backward regression loop over dates, for one BSDE on
-    [t_start, T]; returns its Y_0 summary.
+def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
+               basis_degree: int, start_index: int, z_bound: float,
+               deps: Sequence[BsdeGrid], visit: _Visit) -> _Summary:
+    """The one backward regression loop over dates; returns the Y_0 summary
+    of row 0.
 
-    It keeps only the Y row of the next date and one Z buffer, and hands
-    every date's rows to ``visit(i, y_row, z_row)``: first the terminal row
-    (Z zero) at i = n, then each date down to ``start_index``. The rows are
-    valid during the call only; the Z buffer is rewritten at the next date.
-    ``spec.depends_on`` indexes ``deps``, full grids read at the current
-    date. Each date builds one regression operator on its state row, which
-    is dropped once the date is fitted.
+    Row k of the block ``Y`` starts as the terminal of ``specs[k]`` (see
+    ``_terminals``) and is live at dates i >= k: a single BSDE is one row,
+    a flow is n + 1. Each date down to ``start_index`` builds one regression
+    operator on its state row, fits the live rows ``Y[:i + 1]`` in place
+    with their Z into one buffer of at most n rows, and drives each live
+    member on its own row; ``spec.depends_on`` indexes ``deps``, full grids
+    read at the current date. ``visit(i, Y, Z)`` sees the block at every
+    date, first at i = n with the terminals (Z zero); Z is rewritten at the
+    next date. Z truncation warns at most once, over every quadratic member.
     """
-    _check_options(basis_degree)
     n, paths, dt = fp.grid_n, fp.paths, fp.dt
-    if not 0 <= start_index <= n:
-        raise ValidationError(f"start_index {start_index} outside [0, {n}]")
-    _check_deps(0, spec, len(deps))
-
-    y = np.empty(paths)
-    y[:] = np.broadcast_to(np.asarray(spec.terminal(fp, start_index), dtype=float),
-                           (paths,))
-    _check_terminal(y)
-    z = np.zeros(paths)
-    visit(n, y, z)
+    if basis_degree < 1:
+        raise ValidationError(f"basis degree must be >= 1, got {basis_degree}")
+    for k, spec in enumerate(specs):
+        missing = [d for d in spec.depends_on if d >= len(deps)]
+        if missing:
+            raise ValidationError(f"spec {k} depends on grids {missing} but only "
+                                  f"{len(deps)} dependency grids were supplied")
+    Z = np.zeros((min(len(specs), n), paths))
+    visit(n, Y, Z)
     saturated = 0
-    y0_sample = y
-    C = np.empty(paths)
-
+    y0_sample = Y[0]  # row 0's pathwise Y_{s+1} + f dt at s = start_index
     for i in range(n - 1, start_index - 1, -1):
-        _fit_date(_Regression(fp.state[i], fp.dW[i], basis_degree, i), y, dt, C, z)
-        dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
-        y_i, f, sat = _drive(spec, float(fp.times[i]), fp.state[i], C, z, dep_rows,
-                             z_bound, dt)
-        saturated += sat
         if i == start_index:
-            y0_sample = y + f * dt
-        y = y_i
-        visit(i, y, z)
+            y0_sample = Y[0].copy()
+        live = Y[:i + 1]
+        _fit_date(_Regression(fp.state[i], fp.dW[i], basis_degree, i), live, dt, live,
+                  Z[:i + 1])
+        t, state = float(fp.times[i]), fp.state[i]
+        dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
+        for k, spec in enumerate(specs[:i + 1]):
+            Y[k], f, sat = _drive(spec, t, state, Y[k], Z[k], dep_rows, z_bound, dt)
+            saturated += sat
+            if k == 0 and i == start_index:
+                y0_sample += f * dt
+        visit(i, Y, Z)
 
-    total = (n - start_index) * paths if spec.growth_class == "quadratic_in_z" else 0
-    _warn_saturated(saturated, total, z_bound, stacklevel=4)
+    total = paths * sum(n - max(k, start_index) for k, spec in enumerate(specs)
+                        if spec.growth_class == "quadratic_in_z")
+    if total > 0 and saturated > 0.01 * total:
+        warnings.warn(f"{saturated / total:.1%} of Z values hit the truncation bound "
+                      f"{z_bound}", ZTruncationSaturated, stacklevel=3)
     return _Summary(
-        y0_mean=float(np.mean(y)),
+        y0_mean=float(np.mean(Y[0])),
         y0_se=float(np.std(y0_sample, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0,
         z_saturation=(saturated / total if total else 0.0),
     )
@@ -394,11 +390,12 @@ def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
     """
     Y, Z = np.zeros((2, fp.grid_n + 1, fp.paths))
 
-    def visit(i: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
-        Y[i] = y_row
-        Z[i] = z_row
+    def visit(i: int, y_rows: np.ndarray, z_rows: np.ndarray) -> None:
+        Y[i] = y_rows[0]
+        Z[i] = z_rows[0]
 
-    summary = _solve_one(spec, fp, basis_degree, start_index, z_bound, deps, visit)
+    summary = _solve_one([spec], _terminals([spec], fp, start_index), fp, basis_degree,
+                         start_index, z_bound, deps, visit)
     return BsdeGrid(times=fp.times, Y=Y, Z=Z, basis_degree=basis_degree, paths=fp.paths,
                     seed=fp.seed, **summary._asdict())
 
@@ -422,10 +419,11 @@ def solve_bsde_means(spec: DriverSpec, fp: FactorPaths,
     dW it holds O(paths) memory, whatever the number of dates."""
     means = np.zeros((2, fp.grid_n + 1))
 
-    def visit(i: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
-        means[:, i] = np.mean(y_row), np.mean(z_row)
+    def visit(i: int, y_rows: np.ndarray, z_rows: np.ndarray) -> None:
+        means[:, i] = np.mean(y_rows[0]), np.mean(z_rows[0])
 
-    summary = _solve_one(spec, fp, basis_degree, 0, 50.0, (), visit)
+    summary = _solve_one([spec], _terminals([spec], fp, 0), fp, basis_degree, 0, 50.0, (),
+                         visit)
     return BsdeMeans(fp.times, means[0], means[1], summary.y0_mean, summary.y0_se)
 
 
@@ -450,54 +448,41 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
     """Solve the flow of BSDEs ``family(s)`` on [s, T], s = 0..n, over the
     shared path set and extract member s at time s.
 
-    The options are those of ``solve_bsde``. When every member is the same
-    ``DriverSpec`` object and all terminals are bitwise equal, the members
-    differ only in where they start, so one solve on [0, T] gives them all:
-    its row s is member s at time s, bitwise, written over the terminals
-    (Z is reduced to its mean date by date). Otherwise the live
-    members (s <= i) at date i are rows of one (members x paths) matrix,
-    regressed together on the date's state row; each member's driver is then
-    called on its own row. Z truncation warns at most once per flow, counting
-    over all quadratic members.
-    """
-    _check_options(basis_degree)
-    n, dt = fp.grid_n, fp.dt
-    specs = [family(s) for s in range(n + 1)]
-    for s, spec in enumerate(specs):
-        _check_deps(s, spec, len(deps))
-    # row s holds member s: its terminal, then its Y at each earlier date down
-    # to s, after which it is final (member s at its own start time)
-    Y = np.empty((n + 1, fp.paths))
-    for s, spec in enumerate(specs):
-        Y[s] = np.broadcast_to(np.asarray(spec.terminal(fp, s), dtype=float), (fp.paths,))
-    _check_terminal(Y)
-    z_diag = np.zeros(n + 1)
+    The options are those of ``solve_bsde``. The flow is one ``_solve_one``
+    block of n + 1 rows, row s member s from its terminal down to date s:
+    the live members (s <= i) at date i are regressed together on the
+    date's state row, and each member's driver is then called on its own
+    row. When every member is the same ``DriverSpec`` object and all
+    terminals are bitwise equal, the members differ only in where they
+    start, so one row solved on [0, T] gives them all: its value at date s
+    is member s at time s, bitwise a standalone ``solve_bsde``. Z truncation
+    warns at most once per flow, counting over all quadratic members.
 
+    Each date regresses on the state X_t at that date alone, so a member's
+    terminal may depend on s only deterministically, never on quantities
+    conditional on X_s such as m1(s) = E_s[X_T], which no function of the
+    later X_t carries. On ``mv_base`` wealth paths (grid_n 50, 20000 paths)
+    the terminal (X_T - m1(s))^2 gave member n/2 an rms error of 0.10
+    against its exact 0.28, where (X_T - c)^2 + t_s gave 0.023.
+    """
+    n = fp.grid_n
+    specs = [family(s) for s in range(n + 1)]
+    Y = _terminals(specs, fp, 0)
+    z_diag = np.zeros(n + 1)
     if all(spec is specs[0] for spec in specs) \
             and np.all(Y.view(np.uint64) == Y[0].view(np.uint64)):
-        def visit(i: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
-            Y[i] = y_row
-            z_diag[i] = np.mean(z_row)
+        # row 0 is the one solve's block; its value at date i is member i
+        def visit(i: int, y_rows: np.ndarray, z_rows: np.ndarray) -> None:
+            Y[i] = y_rows[0]
+            z_diag[i] = np.mean(z_rows[0])
 
-        _solve_one(specs[0], fp, basis_degree, 0, z_bound, deps, visit)
+        _solve_one(specs[:1], Y[:1], fp, basis_degree, 0, z_bound, deps, visit)
     else:
-        saturated = 0
-        total = 0
-        Z = np.empty((n, fp.paths))
-        for i in range(n - 1, -1, -1):
-            # the live rows Y[:i + 1] take their continuation C in place
-            live = Y[:i + 1]
-            _fit_date(_Regression(fp.state[i], fp.dW[i], basis_degree, i), live, dt,
-                      live, Z[:i + 1])
-            z_diag[i] = float(np.mean(Z[i]))
-            t, state = float(fp.times[i]), fp.state[i]
-            dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
-            for k, spec in enumerate(specs[:i + 1]):
-                Y[k], _, sat = _drive(spec, t, state, Y[k], Z[k], dep_rows, z_bound, dt)
-                saturated += sat
-                if spec.growth_class == "quadratic_in_z":
-                    total += fp.paths
-        _warn_saturated(saturated, total, z_bound)
+        def visit(i: int, y_rows: np.ndarray, z_rows: np.ndarray) -> None:
+            if i < n:
+                z_diag[i] = np.mean(z_rows[i])
+
+        _solve_one(specs, Y, fp, basis_degree, 0, z_bound, deps, visit)
     y_diag = np.array([float(np.mean(row)) for row in Y])
     return DiagonalProcess(fp.times, y_diag, Y, z_diag)
 
@@ -562,15 +547,15 @@ def convergence_study(paths: int, reps: int, seed: int,
             fp = simulate_factors(brownian_factor(), times, paths,
                                   (seed + 7919 * grid_n + rep) % SEED_LIMIT)
 
-            def visit(i: int, y_row: np.ndarray, z_row: np.ndarray) -> None:
+            def visit(i: int, y_rows: np.ndarray, z_rows: np.ndarray) -> None:
                 err = np.square(fp.state[i], out=y_err[i])
                 err += 1.0 - times[i]
-                np.square(np.subtract(y_row, err, out=err), out=err)
+                np.square(np.subtract(y_rows[0], err, out=err), out=err)
                 if i < grid_n:
                     err = np.multiply(fp.state[i], 2.0, out=z_err[i])
-                    np.square(np.subtract(z_row, err, out=err), out=err)
+                    np.square(np.subtract(z_rows[0], err, out=err), out=err)
 
-            summary = _solve_one(spec, fp, 3, 0, 50.0, (), visit)
+            summary = _solve_one([spec], _terminals([spec], fp, 0), fp, 3, 0, 50.0, (), visit)
             y_mses.append(float(np.mean(y_err)))
             z_mses.append(float(np.mean(z_err)))
             y0s.append(summary.y0_mean)

@@ -104,11 +104,17 @@ def mv_gamma2(objective: ObjectiveSpec) -> float:
 
 
 def mv_closed_form(scenario: MarketScenario, gamma2: float) -> StrategyGrid:
-    """Equilibrium of J = m1 - gamma2 m2: u(t) = theta e^{-R} / (2 gamma2 sigma^2)."""
+    """Equilibrium of J = m1 - gamma2 m2: u(t) = theta e^{-R} / (2 gamma2 sigma^2);
+    a denominator or strategy past the float range is a ValidationError."""
     if gamma2 <= 0.0 or not math.isfinite(gamma2):
         raise ValidationError(f"gamma2 must be positive, got {gamma2}")
-    R = rate_to_horizon(scenario)
-    values = scenario.theta * growth_factors(-R) / (2.0 * gamma2 * scenario.sigma ** 2)
+    growth = growth_factors(-rate_to_horizon(scenario))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        risk = 2.0 * gamma2 * scenario.sigma ** 2
+        values = scenario.theta * growth / risk
+    if not (np.isfinite(risk).all() and np.isfinite(values).all()):
+        raise ValidationError("mean-variance strategy theta e^{-R} / (2 gamma2 sigma^2) "
+                              "leaves the float range")
     return StrategyGrid(scenario.times, values)
 
 

@@ -262,14 +262,19 @@ def simulate_terminal_wealth(scenario: MarketScenario, strategy: StrategyGrid,
 def simulate_wealth_paths(scenario: MarketScenario, strategy: StrategyGrid,
                           paths: int, seed: int):
     """Full wealth path matrix (grid_n+1, paths) plus Brownian increments
-    (grid_n, paths); same per-step law as :func:`simulate_terminal_wealth`."""
+    (grid_n, paths); same per-step law as :func:`simulate_terminal_wealth`.
+    Wealth that overflows is a ValidationError."""
     g, a, b = _wealth_step_coeffs(scenario, strategy)
     n = scenario.grid_n
     Z = time_major_normals(seed, paths, n)
     X = np.empty((n + 1, paths))
     X[0] = scenario.x0
-    for i in range(n):
-        X[i + 1] = g[i] * (X[i] + a[i] + b[i] * Z[i])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            X[i + 1] = g[i] * (X[i] + a[i] + b[i] * Z[i])
+    # a non-finite wealth stays non-finite at every later step
+    if not np.isfinite(X[n]).all():
+        raise ValidationError("wealth paths overflow under this strategy")
     Z *= math.sqrt(scenario.dt)  # in place: the normals become the increments dW
     return X, Z
 

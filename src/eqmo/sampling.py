@@ -30,15 +30,17 @@ MAX_PATHS = 10 ** 8
 MAX_CELLS = 3 * 10 ** 7
 """Largest paths x cols matrix :func:`time_major_normals` fills. The
 regression route keeps every path at every date: the state and dW matrices,
-plus whatever its solve keeps. A full-grid ``solve_bsde`` and an
-s-dependent flow, which fits every live member at once but holds only Y and
-one Z buffer, keep 4 float64 per path and date; their peak RSS measured
-about 40 MB + 32 bytes per cell of this matrix (fresh-process
-``ru_maxrss``, grid_n 50, 40000 and 80000 paths), so the bound keeps such a
-run under about 1.0 GB. A means solve (``solve_bsde_means``, which is all
-the ``bsde`` command runs on either factor kind) keeps 2 float64 per path
-and date, a flow of identical members keeps 3 and a recurrent system of m
-members (``solve_recurrent_system``) keeps 2 + 2m."""
+plus whatever its solve keeps. Every solve runs one backward date loop that
+holds its block of member rows and one Z buffer; its visitor keeps the
+rest. A full-grid ``solve_bsde`` (a one-row block filling Y and Z grids)
+and an s-dependent flow (an (n + 1)-row block and an n-row Z buffer) keep 4
+float64 per path and date; their peak RSS measured about 40 MB + 32 bytes
+per cell of this matrix (fresh-process ``ru_maxrss``, grid_n 50, 40000 and
+80000 paths), so the bound keeps such a run under about 1.0 GB. A means
+solve (``solve_bsde_means``, which is all the ``bsde`` command runs on
+either factor kind) keeps 2 float64 per path and date, a flow of identical
+members keeps 3 and a recurrent system of m members
+(``solve_recurrent_system``) keeps 2 + 2m."""
 
 
 def worker_count() -> int:

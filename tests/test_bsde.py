@@ -322,6 +322,22 @@ class TestBatchedFlow:
             ref = per_member_diagonal(family, fp, **options)
         assert_matches_per_member(diag, ref)
 
+    def test_saturation_warning_points_at_the_caller(self):
+        # the single solve and the flow warn from the one date loop, whose
+        # stacklevel names the caller of the public solver
+        fp = simulate_factors(brownian_factor(), grid_times(6), 1000, 41)
+
+        def family(s):
+            return DriverSpec(driver=lambda t, st, y, z: 0.1 * z ** 2,
+                              terminal=lambda f, idx: f.state[-1] ** 2 * (1.0 + 0.05 * idx),
+                              growth_class="quadratic_in_z")
+
+        for solve in (lambda: solve_bsde(family(0), fp, z_bound=0.05),
+                      lambda: solve_flow_diagonal(family, fp, z_bound=0.05)):
+            with pytest.warns(ZTruncationSaturated) as caught:
+                solve()
+            assert [w.filename for w in caught] == [__file__]
+
     def test_driver_reads_dependencies(self):
         fp = simulate_factors(brownian_factor(), grid_times(8), 2000, 43)
         base = solve_bsde(DriverSpec(driver=ZERO_DRIVER,
@@ -343,7 +359,8 @@ class TestBatchedFlow:
         with mock.patch.object(bsde, "_solve_one", wraps=bsde._solve_one) as solver:
             solve_flow_diagonal(lambda s: spec, fp)
         assert solver.call_count == 1
-        assert solver.call_args.args[0] is spec  # member 0: one solve on [0, T]
+        specs, rows = solver.call_args.args[:2]
+        assert specs == [spec] and rows.shape == (1, 500)  # member 0: one row on [0, T]
 
     def test_shared_spec_with_index_terminal_is_not_single_solve(self):
         n = 6
@@ -352,7 +369,9 @@ class TestBatchedFlow:
                           terminal=lambda f, idx: np.full(f.paths, float(idx)))
         with mock.patch.object(bsde, "_solve_one", wraps=bsde._solve_one) as solver:
             diag = solve_flow_diagonal(lambda s: spec, fp)
-        assert solver.call_count == 0
+        assert solver.call_count == 1
+        specs, rows = solver.call_args.args[:2]
+        assert specs == [spec] * (n + 1) and rows.shape == (n + 1, 64)  # every member
         assert np.array_equal(diag.y_values, np.arange(n + 1.0))
 
     def test_peak_memory_is_y_plus_one_z_buffer(self):
