@@ -121,7 +121,9 @@ def simulate_factors(model: FactorModel, times: np.ndarray, paths: int,
     OU step: theta' = theta_bar + (theta - theta_bar) e^{-kappa dt}
     + eta sqrt(-expm1(-2 kappa dt) / (2 kappa)) xi, with the kappa -> 0 limit
     variance dt. kind "none" freezes the state at theta0 but still carries
-    Brownian increments so downstream projections stay well defined.
+    Brownian increments so downstream projections stay well defined. An
+    explosive factor (kappa < 0) whose decay or paths leave the float range
+    is a ValidationError.
     """
     times = np.asarray(times, dtype=float)
     n = len(times) - 1
@@ -136,12 +138,20 @@ def simulate_factors(model: FactorModel, times: np.ndarray, paths: int,
             decay = 1.0
             sd = model.eta * math.sqrt(dt)
         else:
-            decay = math.exp(-model.kappa * dt)
-            sd = model.eta * math.sqrt(-math.expm1(-2.0 * model.kappa * dt)
-                                       / (2.0 * model.kappa))
-        for i in range(n):
-            state[i + 1] = model.theta_bar + (state[i] - model.theta_bar) * decay \
-                + sd * Z[i]
+            try:
+                decay = math.exp(-model.kappa * dt)
+                sd = model.eta * math.sqrt(-math.expm1(-2.0 * model.kappa * dt)
+                                           / (2.0 * model.kappa))
+            except OverflowError:
+                raise ValidationError(
+                    f"OU decay exp({-model.kappa * dt:.6g}) per step overflows") from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n):
+                state[i + 1] = model.theta_bar + (state[i] - model.theta_bar) * decay \
+                    + sd * Z[i]
+        # a non-finite state stays non-finite at every later step
+        if not np.isfinite(state[n]).all():
+            raise ValidationError("factor paths overflow under this model")
     Z *= math.sqrt(dt)  # in place: the normals become the increments dW
     return FactorPaths(times, state, Z, seed)
 

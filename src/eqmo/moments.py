@@ -8,11 +8,12 @@ X_{i+1} = e^{r dt} (X_i + theta u dt + sigma u sqrt(dt) xi), which reproduces
 those sums with zero discretization bias.
 
 The terminal sampler streams its normals one 4096-path block at a time
-(`sampling.for_each_block`): each block is drawn and carried through every
-step before the next is drawn, on `EQMO_WORKERS` threads when that is above
-1. Memory is O(BLOCK * steps + paths), not O(paths * steps), and every path
-sees the same normals and the same float operations as the whole-matrix
-recursion, so samples are bitwise independent of the block schedule.
+(`sampling.for_each_block`): each block is drawn and turned into terminal
+wealth, one weighted row sum per path, before the next is drawn, on
+`EQMO_WORKERS` threads when that is above 1. Memory is
+O(BLOCK * steps + paths), not O(paths * steps), and every path sees the same
+normals and the same float operations as the whole-matrix row sum, so
+samples are bitwise independent of the block schedule.
 """
 from __future__ import annotations
 
@@ -237,25 +238,38 @@ def simulate_terminal_wealth(scenario: MarketScenario, strategy: StrategyGrid,
                              t: float, x: float, paths: int, seed: int) -> np.ndarray:
     """Sample X_T from (t, x) under the strategy; exact discrete transitions.
 
+    Same law and same normals as :func:`simulate_wealth_paths`, whose step
+    X_{j+1} = g_j (X_j + a_j + b_j z_j) unrolls to
+    X_T = G_{i0} x + sum_j G_j a_j + sum_j G_j b_j z_j with the compounded
+    weights G_j = g_j g_{j+1} ... g_{grid_n - 1}. So each path is the
+    constant x_T = G_{i0} x + sum_j G_j a_j plus one weighted row sum of its
+    normals, w = G b. Rows are summed by numpy's pairwise reduction, not
+    BLAS, so a path's bits depend on its own normals only; they differ from
+    the step-by-step recursion at round-off. A weight or constant past the
+    float range is a ValidationError.
+
     Streams the normals one path block at a time, so memory is
     O(BLOCK * steps + paths) rather than O(paths * steps).
     """
     i0 = scenario.grid_index(t)
-    g, a, b = (c[i0:].tolist() for c in _wealth_step_coeffs(scenario, strategy))
-    steps = scenario.grid_n - i0
-    X = np.full(check_paths(paths), float(x))
-    if steps == 0:
-        return X
+    g, a, b = (c[i0:] for c in _wealth_step_coeffs(scenario, strategy))
+    paths = check_paths(paths)
+    if len(g) == 0:
+        return np.full(paths, float(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.cumprod(g[::-1])[::-1]
+        w = G * b
+        x_T = float(G[0]) * float(x) + float(np.sum(G * a))
+    if not (np.isfinite(G).all() and np.isfinite(w).all() and math.isfinite(x_T)):
+        raise ValidationError("compounded wealth weights overflow under this strategy")
+    X = np.empty(paths)
 
     def advance(lo: int, hi: int, Z: np.ndarray) -> None:
-        # g * ((x + a) + b * z) in place: the same roundings in the same order
-        x_ = X[lo:hi]
-        for j in range(steps):
-            x_ += a[j]
-            x_ += b[j] * Z[:, j]
-            x_ *= g[j]
+        # Z is the thread's scratch block, so it takes the weights in place
+        x_ = np.sum(np.multiply(Z, w, out=Z), axis=1, out=X[lo:hi])
+        x_ += x_T
 
-    for_each_block(seed, paths, steps, advance)
+    for_each_block(seed, paths, len(w), advance)
     return X
 
 
@@ -295,9 +309,15 @@ def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
     X = simulate_terminal_wealth(scenario, strategy, t, x, paths, seed)
 
     def sample_stats(v: np.ndarray) -> list[float]:
+        # central powers as running products d^k = d^{k-1} d: libm pow costs
+        # about 40 times as much per element
         m1 = float(np.mean(v))
         d = v - m1
-        return [m1] + [float(np.mean(d ** k)) for k in range(2, n + 1)]
+        p = d * d
+        stats = [m1, float(np.mean(p))]
+        for _ in range(3, n + 1):
+            stats.append(float(np.mean(np.multiply(p, d, out=p))))
+        return stats
 
     edges = np.linspace(0, paths, MC_BATCHES + 1).astype(int)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -98,6 +98,18 @@ class TestFactorModel:
         expected = 0.5 + (0.1 - 0.5) * np.exp(-fp.times)
         assert np.allclose(fp.state[:, 0], expected, atol=1e-12)
 
+    @pytest.mark.parametrize("kappa, match", [(-1e3, "factor paths overflow"),
+                                              (-1e5, "OU decay")])
+    def test_explosive_factor_is_one_typed_error(self, kappa, match):
+        # kappa = -1e3 grows e^20 a step, past the float range by step 36;
+        # at -1e5 the per-step decay factor itself overflows
+        model = FactorModel(kind="ou", kappa=kappa, theta_bar=0.3, eta=0.2,
+                            theta0=0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                simulate_factors(model, grid_times(50), 64, 1)
+
     def test_brownian_factor_helper(self):
         m = brownian_factor()
         assert (m.kind, m.kappa, m.eta, m.theta0) == ("ou", 0.0, 1.0, 0.0)

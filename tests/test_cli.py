@@ -37,8 +37,8 @@ paths = 4000
 
 
 # (scenario, line, replacement, commands): values whose moments, growth
-# factors, Phi or Monte Carlo estimates overflow the float range under those
-# commands; homogeneity and bsde do not read u_scale
+# factors, Phi, Monte Carlo estimates or factor paths overflow the float
+# range under those commands; homogeneity and bsde do not read u_scale
 HOSTILE = {
     "theta_1e300": (MV, "theta = 0.3\n", "theta = 1e300\n", cli.COMMANDS),
     "u_scale_1e200": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e200\n",
@@ -52,6 +52,7 @@ HOSTILE = {
     "theta_1e100": (MV, "theta = 0.3\n", "theta = 1e100\n", ("bsde",)),
     "theta_1e150": (RAW_M4, "theta = 0.3\n", "theta = 1e150\n", ("bsde",)),
     "sigma_1e160": (MV, "sigma = 0.2\n", "sigma = 1e160\n", ("homogeneity", "bsde")),
+    "kappa_-1e3": (OU, "kappa = 1.0\n", "kappa = -1e3\n", ("bsde",)),
 }
 
 
@@ -371,6 +372,25 @@ class TestDeterminism:
                 [sys.executable, "-m", "eqmo.cli", "--command", "bsde",
                  "--scenario", os.path.join(SCN, f"{name}.scn"), "--out", str(out),
                  "--seed", seed, "--paths", "30000", "--grid-n", "20"],
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifests[threads] = read_json(out / "manifest.json")
+        assert manifests["1"] == manifests["2"]
+
+    def test_mc_bytes_do_not_follow_blas_threads(self, tmp_path):
+        # terminal wealth is a weighted row sum of the normals: numpy's
+        # pairwise reduction, not a BLAS product whose order follows threads
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        manifests = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "eqmo.cli", "--command", "mc",
+                 "--scenario", os.path.join(SCN, "mvsk.scn"), "--out", str(out),
+                 "--seed", "3", "--paths", "6000"],
                 env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
                 capture_output=True, text=True,
             )

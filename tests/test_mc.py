@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from eqmo.bsde import brownian_factor, simulate_factors
 from eqmo.cli import RunConfig, main
-from eqmo.corpus import time_varying
+from eqmo.corpus import mv_discounted, random_curved_corpus, time_varying
 from eqmo.errors import TooFewPaths, ValidationError
 from eqmo.model import MarketScenario, StrategyGrid
 from eqmo.moments import (
@@ -103,10 +104,13 @@ class TestWealthSimulation:
         assert np.allclose(x, np.exp(0.03), atol=1e-12)
 
     def test_paths_terminal_row_matches_terminal_sampler(self):
+        # the same normals through the step recursion and the weighted row
+        # sum: equal up to the rounding bound of the two evaluation orders
         s, u = case()
         X, dW = simulate_wealth_paths(s, u, 2000, 13)
         xT = simulate_terminal_wealth(s, u, 0.0, s.x0, 2000, 13)
-        assert np.array_equal(X[-1], xT)
+        bound = rounding_bound(s, u, 0, s.x0, 2000, 13)
+        assert (np.abs(X[-1] - xT) <= bound).all()
         assert X.shape == (s.grid_n + 1, 2000)
         assert dW.shape == (s.grid_n, 2000)
 
@@ -153,6 +157,25 @@ class TestMcConditionalMoments:
         assert base.moments == multi.moments
         assert base.standard_errors == multi.standard_errors
 
+    def test_moments_match_pow_reference(self):
+        # running products d^k = d^{k-1} d in place of libm pow: a product
+        # carries k - 1 roundings and pow errs by under one ulp (2u), so an
+        # element differs by at most gamma_{k+1} |d|^k; the mean of N of
+        # them, summed in any order and divided by N, adds at most
+        # gamma_N mean(|d|^k) to each side. Hence
+        # |est_k - ref_k| <= (gamma_{k+1} + 2 gamma_N) mean(|d|^k)
+        s, u = varying_case(40)
+        paths, n = 5000, 6
+        est = mc_conditional_moments(s, u, 0.0, s.x0, n, paths=paths, seed=17)
+        v = simulate_terminal_wealth(s, u, 0.0, s.x0, paths, 17)
+        m1 = float(np.mean(v))
+        d = v - m1
+        assert est.moments.m1 == m1
+        for k, got in zip(range(2, n + 1), est.moments.central):
+            ref = float(np.mean(d ** k))
+            bound = (gamma(k + 1) + 2.0 * gamma(paths)) * float(np.mean(np.abs(d) ** k))
+            assert abs(got - ref) <= bound, k
+
     def test_interior_start_time(self):
         s, u = case()
         t = float(s.times[20])
@@ -173,19 +196,89 @@ def varying_case(grid_n=12):
     return s, StrategyGrid.from_values(s, 1.5 + 0.5 * np.sin(3.0 * s.times))
 
 
-def terminal_reference(s, u, i0, x, paths, seed):
-    """The full-matrix recursion the streamed sampler replaced."""
+def step_coeffs(s, u, i0):
+    """g, a, b of the steps i0..grid_n - 1 of X_{j+1} = g_j (X_j + a_j + b_j z_j)."""
     n = s.grid_n
-    g = np.exp(s.r[:n] * s.dt)
-    a = s.theta[:n] * u.values[:n] * s.dt
-    b = s.sigma[:n] * u.values[:n] * math.sqrt(s.dt)
+    g = np.exp(s.r[i0:n] * s.dt)
+    a = s.theta[i0:n] * u.values[i0:n] * s.dt
+    b = s.sigma[i0:n] * u.values[i0:n] * math.sqrt(s.dt)
+    return g, a, b
+
+
+def compounded(g):
+    """G_j = g_j g_{j+1} ... g_{m-1}, multiplied from the last step back."""
+    return np.cumprod(g[::-1])[::-1]
+
+
+def terminal_reference(s, u, i0, x, paths, seed):
+    """X_T from the full normal matrix as one weighted row sum per path:
+    G_0 x + sum_j G_j a_j + sum_j G_j b_j z_j."""
+    g, a, b = step_coeffs(s, u, i0)
+    if len(g) == 0:
+        return np.full(paths, float(x))
+    G = compounded(g)
+    Z = blocked_normals(seed, paths, len(g))
+    return np.sum(Z * (G * b), axis=1) + (float(G[0]) * float(x) + float(np.sum(G * a)))
+
+
+def recursion_reference(s, u, i0, x, paths, seed):
+    """X_T from the full normal matrix, step by step as simulate_wealth_paths."""
+    g, a, b = step_coeffs(s, u, i0)
     X = np.full(paths, float(x))
-    if n == i0:
-        return X
-    Z = blocked_normals(seed, paths, n - i0)
-    for j, i in enumerate(range(i0, n)):
-        X = g[i] * (X + a[i] + b[i] * Z[:, j])
+    Z = blocked_normals(seed, paths, len(g))
+    for j in range(len(g)):
+        X = g[j] * (X + a[j] + b[j] * Z[:, j])
     return X
+
+
+U = np.finfo(float).eps / 2  # unit roundoff 2^-53
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative error of a value that
+    carries k roundings, each fl(p op q) = (p op q)(1 + delta), |delta| <= u."""
+    return k * U / (1.0 - k * U)
+
+
+def rounding_bound(s, u, i0, x, paths, seed):
+    """Per-path bound on |row sum - recursion| from the same normals.
+
+    Both evaluate X_T = G_0 x + sum_j G_j a_j + sum_j G_j b_j z_j over m
+    steps, G the exact products of the float g; each term reaches the result
+    with some number of roundings, so the error is at most gamma of the
+    largest count times sum |terms|.
+    - The recursion rounds b z, two sums and a product per step, so a term
+      passes at most 3 roundings per step: gamma_{3m}.
+    - The row sum: G_j carries at most m - 1 (the running product), w = G b
+      one, w z one, the sum of m terms m - 1 in any order and adding x_T
+      one; the terms of x_T carry at most (m - 1) + 1 + (m - 1) + 1 before
+      that last sum: gamma_{2m+1}.
+    gamma_{3m} + gamma_{2m+1} <= gamma_{5m+1}. The float sum of |terms|
+    below carries at most (m + 1) + (m - 1) + 2 roundings per term, all
+    terms nonnegative, so the exact sum is at most it / (1 - gamma_{2m+2}).
+    """
+    g, a, b = step_coeffs(s, u, i0)
+    m = len(g)
+    if m == 0:
+        return np.zeros(paths)
+    G = compounded(g)
+    Z = blocked_normals(seed, paths, m)
+    terms = abs(float(G[0]) * float(x)) + float(np.sum(np.abs(G * a))) \
+        + np.sum(np.abs(Z * (G * b)), axis=1)
+    return gamma(5 * m + 1) * terms / (1.0 - gamma(2 * m + 2))
+
+
+def rounding_case(name):
+    """A market with r != 0 and a strategy that changes sign or level."""
+    if name == "time_varying":
+        return varying_case(60)
+    if name == "mv_discounted":
+        s = mv_discounted(80).scenario
+        return s, StrategyGrid.from_values(s, 2.0 + np.cos(5.0 * s.times))
+    # curved corpus markets under a seeded rough strategy, as the oracle tests
+    s = random_curved_corpus(count=3)[int(name[-1])].scenario
+    rng = np.random.default_rng(5)
+    return s, StrategyGrid.from_values(s, rng.uniform(-2.0, 6.0, s.grid_n + 1))
 
 
 def assert_streamed_matches_reference(paths_list, seed):
@@ -239,6 +332,31 @@ class TestStreamedTerminalWealth:
         finally:
             sys.setswitchinterval(old)
 
+    @pytest.mark.parametrize("name", ["time_varying", "mv_discounted", "curved_0",
+                                      "curved_1", "curved_2"])
+    def test_within_rounding_bound_of_recursion(self, name):
+        s, u = rounding_case(name)
+        assert np.any(s.r != 0.0)
+        paths = BLOCK + 5
+        for i0 in (0, s.grid_n // 2, s.grid_n):
+            got = simulate_terminal_wealth(s, u, float(s.times[i0]), 1.25, paths, 41)
+            want = recursion_reference(s, u, i0, 1.25, paths, 41)
+            bound = rounding_bound(s, u, i0, 1.25, paths, 41)
+            assert (np.abs(got - want) <= bound).all(), i0
+
+    def test_compounded_weight_overflow_is_one_typed_error(self):
+        # every per-step factor e^10 is finite, their product e^1000 is not
+        s = MarketScenario.constant(r=1e3, theta=0.3, sigma=0.25, T=1.0, x0=1.0,
+                                    grid_n=100)
+        u = StrategyGrid.constant(s, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="compounded"):
+                simulate_terminal_wealth(s, u, 0.0, 1.0, 100, 1)
+            # five steps from the horizon the weights are at most e^50
+            late = simulate_terminal_wealth(s, u, float(s.times[95]), 1.0, 100, 1)
+        assert np.isfinite(late).all()
+
     def test_visits_each_block_once_in_order(self):
         seen = []
         ref = blocked_normals(4, 2 * BLOCK + 9, 3)
@@ -263,7 +381,7 @@ class TestTimeMajorSamplers:
         s, u = varying_case()
         X, dW = simulate_wealth_paths(s, u, paths, 14)
         assert np.array_equal(dW, math.sqrt(s.dt) * blocked_normals(14, paths, s.grid_n).T)
-        assert np.array_equal(X[-1], terminal_reference(s, u, 0, s.x0, paths, 14))
+        assert np.array_equal(X[-1], recursion_reference(s, u, 0, s.x0, paths, 14))
 
     @pytest.mark.parametrize("paths", (BLOCK - 1, BLOCK + 5))
     def test_factor_increments_are_scaled_normals(self, paths):
