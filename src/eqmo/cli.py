@@ -34,6 +34,7 @@ from .verify import equilibrium_report, homogeneity_check_numeric, \
 
 COMMANDS = ("solve", "verify", "moments", "homogeneity", "bsde", "mc")
 DEFAULT_SEED = 42
+Z_THRESHOLD = 4.0  # mc exits 2 when some |z| exceeds it
 
 
 @dataclass(frozen=True)
@@ -264,9 +265,9 @@ def _cmd_mc(bundle: ScenarioBundle, config: RunConfig):
         "seed": config.seed,
         "order": order,
         "max_abs_z": worst,
-        "z_threshold": 4.0,
+        "z_threshold": Z_THRESHOLD,
     }
-    return (0 if worst <= 4.0 else 2), {"mc_check": table, "mc_summary": summary}
+    return (0 if worst <= Z_THRESHOLD else 2), {"mc_check": table, "mc_summary": summary}
 
 
 _DISPATCH = {

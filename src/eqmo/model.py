@@ -430,18 +430,21 @@ def _check_order(values, what: str) -> list[float]:
 
 
 def moments_to_cumulants(central) -> list[float]:
-    """Map central moments [m2..mn] to cumulants [k2..kn], n <= 8."""
+    """Map central moments [m2..mn] to cumulants [k2..kn], n <= 8; a cumulant
+    past the float range is a ValidationError."""
     m = _check_order(central, "central moment")
     m2, m3, m4, m5, m6, m7, m8 = (m + [0.0] * 7)[:7]
+    s2, s3 = m2 * m2, m3 * m3  # products, not **: an overflow becomes inf
     k = [
-        m2,
-        m3,
-        m4 - 3.0 * m2 ** 2,
+        m2, m3,
+        m4 - 3.0 * s2,
         m5 - 10.0 * m3 * m2,
-        m6 - 15.0 * m4 * m2 - 10.0 * m3 ** 2 + 30.0 * m2 ** 3,
-        m7 - 21.0 * m5 * m2 - 35.0 * m4 * m3 + 210.0 * m3 * m2 ** 2,
-        m8 - 28.0 * m6 * m2 - 56.0 * m5 * m3 - 35.0 * m4 ** 2
-        + 420.0 * m4 * m2 ** 2 + 560.0 * m3 ** 2 * m2 - 630.0 * m2 ** 4,
-    ]
-    return k[: len(m)]
+        m6 - 15.0 * m4 * m2 - 10.0 * s3 + 30.0 * s2 * m2,
+        m7 - 21.0 * m5 * m2 - 35.0 * m4 * m3 + 210.0 * m3 * s2,
+        m8 - 28.0 * m6 * m2 - 56.0 * m5 * m3 - 35.0 * m4 * m4
+        + 420.0 * m4 * s2 + 560.0 * s3 * m2 - 630.0 * s2 * s2,
+    ][: len(m)]
+    if not all(math.isfinite(v) for v in k):
+        raise ValidationError("cumulants of these central moments overflow")
+    return k
 

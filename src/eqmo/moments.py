@@ -42,8 +42,6 @@ from .model import (
 )
 from .sampling import check_paths, for_each_block, time_major_normals
 
-MC_BATCHES = 20  # path batches behind the Monte Carlo standard errors
-
 
 @dataclass(frozen=True)
 class MomentVector:
@@ -83,7 +81,7 @@ class MomentVector:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sampled MomentVector plus batch standard errors (m1, m2..mn order)."""
+    """Sampled MomentVector plus plug-in standard errors (m1, m2..mn order)."""
 
     moments: MomentVector
     standard_errors: tuple[float, ...]
@@ -298,35 +296,31 @@ def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
                            seed: int) -> McEstimate:
     """Monte Carlo oracle for :func:`conditional_moments`.
 
-    Point estimates use all paths; standard errors come from the spread of
-    ``MC_BATCHES`` contiguous path batches (batch boundaries depend only on
-    path index, keeping results independent of the worker count). An
-    estimate or standard error past the float range is a ValidationError.
+    One pass takes the sample central moments mu_k, k = 2..2n, as running
+    products d^k = d^{k-1} d (libm pow costs about 40 times as much); those
+    up to n are the estimates. The standard errors are the delta-method ones
+    with the sample's own mu_k plugged in: mu_2 / N for the mean and
+    (mu_2k - mu_k^2 - 2k mu_{k-1} mu_{k+1} + k^2 mu_{k-1}^2 mu_2) / N for
+    m_k. A value past the float range is a ValidationError.
     """
     _check_moment_order(n)
     if paths < 1000:
         raise TooFewPaths(f"paths = {paths} < 1000")
     X = simulate_terminal_wealth(scenario, strategy, t, x, paths, seed)
-
-    def sample_stats(v: np.ndarray) -> list[float]:
-        # central powers as running products d^k = d^{k-1} d: libm pow costs
-        # about 40 times as much per element
-        m1 = float(np.mean(v))
-        d = v - m1
-        p = d * d
-        stats = [m1, float(np.mean(p))]
-        for _ in range(3, n + 1):
-            stats.append(float(np.mean(np.multiply(p, d, out=p))))
-        return stats
-
-    edges = np.linspace(0, paths, MC_BATCHES + 1).astype(int)
     with np.errstate(over="ignore", invalid="ignore"):
-        est = sample_stats(X)
-        per_batch = np.array([sample_stats(X[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])])
-        se = np.std(per_batch, axis=0, ddof=1) / math.sqrt(MC_BATCHES)
-    if not (np.isfinite(est).all() and np.isfinite(se).all()):
+        m1 = float(np.mean(X))
+        d = X - m1
+        p = d * d
+        mu = [1.0, 0.0, float(np.mean(p))]  # mu[k]: k-th sample central moment
+        for _ in range(3, 2 * n + 1):
+            mu.append(float(np.mean(np.multiply(p, d, out=p))))
+        # products, not **: an overflow becomes inf and is refused below
+        var = [mu[2]] + [mu[2 * k] - mu[k] * mu[k] - 2 * k * mu[k - 1] * mu[k + 1]
+                         + k * k * mu[k - 1] * mu[k - 1] * mu[2] for k in range(2, n + 1)]
+        se = np.sqrt(np.array(var) / paths)
+    if not np.isfinite(se).all():  # m1 and every mu_k feed some variance
         raise ValidationError("Monte Carlo moment estimates overflow under this strategy")
-    central = tuple(est[1:])
+    central = tuple(mu[2:n + 1])
     cumulant = tuple(moments_to_cumulants(central))
-    mv = MomentVector(est[0], central[0], central, cumulant, n)
+    mv = MomentVector(m1, central[0], central, cumulant, n)
     return McEstimate(mv, tuple(float(s) for s in se), paths, seed)

@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from eqmo.bsde import brownian_factor, simulate_factors
 from eqmo.cli import RunConfig, main
@@ -137,12 +138,28 @@ class TestMcConditionalMoments:
         for a, b, se in zip(exact, sampled, est.standard_errors):
             assert abs(b - a) <= 4.0 * se
 
-    def test_batch_structure(self):
+    def test_plug_in_standard_errors_match_gaussian_delta_method(self):
+        # X_T is exactly N(m1, V) here, so the exact standard error of the
+        # k-th sample moment is sqrt(E[h_k(D)^2] / N), D = X_T - m1, with the
+        # delta method's influence polynomial h_1(x) = x and
+        # h_k(x) = x^k - mu_k - k mu_{k-1} x, mu_2k = (2k-1)!! V^k. The
+        # plug-in se^2 N is to first order the mean of N draws of h_k(D)^2:
+        # plugging in sample moments for the mu's and the mean moves it by
+        # O(1/N) only, since E[h_k(D)] = E[D h_k(D)] = E[h_k(D) h_k'(D)] = 0
+        # for a Gaussian. So it strays from E[h_k^2] by a standard deviation
+        # sqrt((E[h_k^4] - E[h_k^2]^2) / N); allow 5 of them.
         s, u = case()
-        est = mc_conditional_moments(s, u, 0.0, s.x0, 4, paths=5000, seed=1)
-        assert est.paths == 5000
-        assert len(est.standard_errors) == 4  # m1 + m2..m4
+        n, paths = 6, 20_000
+        est = mc_conditional_moments(s, u, 0.0, s.x0, n, paths=paths, seed=1)
+        assert est.paths == paths
+        assert len(est.standard_errors) == n  # m1 + m2..m6
         assert all(se > 0.0 for se in est.standard_errors)
+        V = conditional_moments(s, u, 0.0, s.x0, 2).V
+        for k, se in zip(range(1, n + 1), est.standard_errors):
+            h = influence_polynomial(k, V)
+            v = gaussian_mean(h ** 2, V)
+            spread = math.sqrt((gaussian_mean(h ** 4, V) - v * v) / paths)
+            assert abs(se * se * paths - v) <= 5.0 * spread, k
 
     def test_too_few_paths(self):
         s, u = case()
@@ -183,6 +200,25 @@ class TestMcConditionalMoments:
         est = mc_conditional_moments(s, u, t, 1.3, 4, paths=30_000, seed=21)
         assert abs(est.moments.m1 - analytic.m1) <= 4.0 * est.standard_errors[0]
         assert abs(est.moments.V - analytic.V) <= 4.0 * est.standard_errors[1]
+
+
+def gaussian_moment(j, V):
+    """E[D^j] for D ~ N(0, V): (j - 1)!! V^{j/2} for even j, 0 for odd."""
+    return 0.0 if j % 2 else math.prod(range(j - 1, 0, -2)) * V ** (j // 2)
+
+
+def gaussian_mean(poly, V):
+    """E[poly(D)] for D ~ N(0, V)."""
+    return sum(c * gaussian_moment(j, V) for j, c in enumerate(poly.coef))
+
+
+def influence_polynomial(k, V):
+    """The delta method's h_k: the k-th sample central moment of N draws of
+    D ~ N(0, V) is mu_k + mean(h_k(D)) to first order."""
+    if k == 1:
+        return Polynomial([0.0, 1.0])
+    return Polynomial([-gaussian_moment(k, V), -k * gaussian_moment(k - 1, V)]
+                      + [0.0] * (k - 2) + [1.0])
 
 
 # ---------------------------------------------------------------------------

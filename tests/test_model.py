@@ -454,5 +454,13 @@ class TestMomentCumulantTransforms:
         # order 4 only sees m2..m4
         assert moments_to_cumulants([1.0, 0.0, 3.0]) == [1.0, 0.0, 0.0]
 
+    def test_overflow_is_typed(self):
+        with pytest.raises(ValidationError, match="overflow"):
+            moments_to_cumulants([1e200, 0.0, 1e200])  # m4 - 3 m2^2
+        with pytest.raises(ValidationError, match="overflow"):
+            moments_to_cumulants([1e110, 0.0, 0.0, 0.0, 0.0])  # 30 m2^3 in k6
+        # m2^4 overflows only in k8, which order 2 does not return
+        assert moments_to_cumulants([1e100]) == [1e100]
+
     def test_max_order_constant(self):
         assert MAX_ORDER == 8
