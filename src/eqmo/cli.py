@@ -128,8 +128,7 @@ def _cmd_solve(bundle: ScenarioBundle, config: RunConfig):
         ("t", "u", "V", "D", "residual"),
         (s.times, strategy.values, sweep.variance_to_go, sweep.D, sweep.residuals),
     )
-    order = max(bundle.objective.max_order, 2)
-    mv = conditional_moments(s, strategy, 0.0, s.x0, order)
+    mv = conditional_moments(s, strategy, 0.0, s.x0, bundle.objective.max_order)
     summary = {
         "command": "solve",
         "scheme": sweep.scheme,

@@ -79,7 +79,6 @@ def _phi_coefficients(w1: float, D: np.ndarray, g: np.ndarray,
 def phi_profile(scenario: MarketScenario, objective: ObjectiveSpec,
                 strategy: StrategyGrid):
     """Arrays (a, b) with Phi(t_i, v) = a_i v + b_i v^2 for every grid index."""
-    strategy.check_grid(scenario)
     Dpoly = gaussian_risk_polynomial(objective).derivative()
     _, V = moments_to_go(scenario, strategy)
     return _phi_coefficients(objective.mean_weight(), Dpoly(V), scenario.growth,

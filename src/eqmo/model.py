@@ -17,6 +17,7 @@ from .errors import (
     EmptyRiskTerm,
     GridMismatch,
     NonAffineMeanTerm,
+    OffGridTime,
     SigmaTooSmall,
     UnsupportedOrder,
     ValidationError,
@@ -171,8 +172,6 @@ class MarketScenario:
 
     def grid_index(self, t: float) -> int:
         """Index of the grid point equal to ``t`` (within ``GRID_TOL * max(1,T)``)."""
-        from .errors import OffGridTime
-
         idx = int(round(t / self.dt))
         if idx < 0 or idx > self.grid_n or abs(idx * self.dt - t) > GRID_TOL * max(1.0, self.T):
             raise OffGridTime(f"t={t} is not a grid point of step {self.dt}")
@@ -421,18 +420,17 @@ def validate_scenario(scenario: MarketScenario, objective: ObjectiveSpec) -> Non
 # central moments -> cumulants (orders 2..8)
 
 
-def _check_order(values, what: str) -> list[float]:
-    vals = [float(v) for v in values]
-    n = len(vals) + 1
+def _check_order(n: int) -> None:
+    """A moment order outside [2, MAX_ORDER] is UnsupportedOrder."""
     if n < 2 or n > MAX_ORDER:
-        raise UnsupportedOrder(f"{what} list implies order {n}, supported range [2, {MAX_ORDER}]")
-    return vals
+        raise UnsupportedOrder(f"order {n} outside [2, {MAX_ORDER}]")
 
 
 def moments_to_cumulants(central) -> list[float]:
     """Map central moments [m2..mn] to cumulants [k2..kn], n <= 8; a cumulant
     past the float range is a ValidationError."""
-    m = _check_order(central, "central moment")
+    m = [float(v) for v in central]
+    _check_order(len(m) + 1)
     m2, m3, m4, m5, m6, m7, m8 = (m + [0.0] * 7)[:7]
     s2, s3 = m2 * m2, m3 * m3  # products, not **: an overflow becomes inf
     k = [

@@ -27,15 +27,14 @@ from .errors import (
     OrderMismatch,
     OutOfRange,
     TooFewPaths,
-    UnsupportedOrder,
     ValidationError,
 )
 from .model import (
-    MAX_ORDER,
     MarketScenario,
     ObjectiveSpec,
     StrategyGrid,
     _DOUBLE_FACTORIAL,
+    _check_order,
     _sum_to_horizon,
     moments_to_cumulants,
     rate_to_horizon,
@@ -93,14 +92,9 @@ class McEstimate:
             raise ValidationError("standard errors must be finite and nonnegative")
 
 
-def _check_moment_order(n: int) -> None:
-    if n < 2 or n > MAX_ORDER:
-        raise UnsupportedOrder(f"order {n} outside [2, {MAX_ORDER}]")
-
-
 def gaussian_central_moments(V: float, n: int) -> list[float]:
     """Central moments [m2..mn] of N(mu, V): (k-1)!! V^{k/2} even, 0 odd."""
-    _check_moment_order(n)
+    _check_order(n)
     if V < 0.0:
         raise NegativeVariance(f"V = {V} < 0")
     try:
@@ -190,7 +184,7 @@ def moment_grid(scenario: MarketScenario, strategy: StrategyGrid) -> MomentGrid:
 def conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
                         t: float, x: float, n: int) -> MomentVector:
     """Exact conditional moments of X_T given (t, x) at a grid time t."""
-    _check_moment_order(n)
+    _check_order(n)
     i = scenario.grid_index(t)
     return moment_grid(scenario, strategy).at(i, x, n)
 
@@ -303,7 +297,7 @@ def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
     (mu_2k - mu_k^2 - 2k mu_{k-1} mu_{k+1} + k^2 mu_{k-1}^2 mu_2) / N for
     m_k. A value past the float range is a ValidationError.
     """
-    _check_moment_order(n)
+    _check_order(n)
     if paths < 1000:
         raise TooFewPaths(f"paths = {paths} < 1000")
     X = simulate_terminal_wealth(scenario, strategy, t, x, paths, seed)

@@ -22,8 +22,8 @@ from eqmo.moments import (
     simulate_terminal_wealth,
     simulate_wealth_paths,
 )
-from eqmo.sampling import BLOCK, _pool_size, blocked_normals, worker_count
-from eqmo.sampling import MAX_CELLS, MAX_PATHS, check_paths, for_each_block, time_major_normals
+from eqmo.sampling import BLOCK, MAX_CELLS, MAX_PATHS, _pool_size, check_paths, worker_count
+from eqmo.sampling import for_each_block, time_major_normals
 
 
 def case(grid_n=40):
@@ -32,27 +32,42 @@ def case(grid_n=40):
     return s, StrategyGrid.constant(s, 2.0)
 
 
+def stream(seed, paths, cols):
+    """The (paths, cols) normal stream built whole, the reference of every
+    sampler: BLOCK-row blocks, block b drawn in C order from its own
+    substream SeedSequence((seed, b))."""
+    return np.concatenate([
+        np.random.default_rng(np.random.SeedSequence((seed, b))).standard_normal(
+            (min(lo + BLOCK, paths) - lo, cols))
+        for b, lo in enumerate(range(0, paths, BLOCK))
+    ])
+
+
+def ignore(lo, hi, Z):
+    pass
+
+
 class TestBlockedNormals:
     def test_deterministic(self):
-        a = blocked_normals(9, 5000, 3)
-        b = blocked_normals(9, 5000, 3)
+        a = time_major_normals(9, 5000, 3)
+        b = time_major_normals(9, 5000, 3)
         assert np.array_equal(a, b)
 
     def test_worker_count_invariance(self):
-        base = blocked_normals(9, 10000, 2)
+        base = time_major_normals(9, 10000, 2)
         with mock.patch.dict(os.environ, {"EQMO_WORKERS": "4"}):
-            multi = blocked_normals(9, 10000, 2)
+            multi = time_major_normals(9, 10000, 2)
         assert np.array_equal(base, multi)
 
     def test_block_extension_is_prefix_stable(self):
         # adding paths must not change earlier draws (per-block substreams)
-        small = blocked_normals(9, 4096, 2)
-        large = blocked_normals(9, 8192, 2)
-        assert np.array_equal(small, large[:4096])
+        small = time_major_normals(9, 4096, 2)
+        large = time_major_normals(9, 8192, 2)
+        assert np.array_equal(small, large[:, :4096])
 
     def test_seed_sensitivity(self):
-        assert not np.array_equal(blocked_normals(1, 1000, 1),
-                                  blocked_normals(2, 1000, 1))
+        assert not np.array_equal(time_major_normals(1, 1000, 1),
+                                  time_major_normals(2, 1000, 1))
 
 
 class TestWorkerCount:
@@ -62,7 +77,9 @@ class TestWorkerCount:
             with pytest.raises(ValidationError):
                 worker_count()
             with pytest.raises(ValidationError):
-                blocked_normals(9, 10, 1)
+                for_each_block(9, 10, 1, ignore)
+            with pytest.raises(ValidationError):
+                time_major_normals(9, 10, 1)
 
     def test_pool_is_capped_at_block_count(self):
         # the computed pool size, checked without starting any thread
@@ -74,27 +91,34 @@ class TestWorkerCount:
             assert _pool_size(7) == 2
 
     def test_single_block_with_huge_worker_count_runs_serially(self):
-        base = blocked_normals(9, BLOCK, 2)
+        base = time_major_normals(9, BLOCK, 2)
         with mock.patch.dict(os.environ, {"EQMO_WORKERS": str(10 ** 9)}):
-            assert np.array_equal(blocked_normals(9, BLOCK, 2), base)
+            assert np.array_equal(time_major_normals(9, BLOCK, 2), base)
 
 
 class TestSeedRange:
     @pytest.mark.parametrize("seed", [-1, 2 ** 63, 2 ** 64 - 1, 1.0, True])
     def test_out_of_range_or_non_integer_seed_is_typed_error(self, seed):
         with pytest.raises(ValidationError):
-            blocked_normals(seed, 10, 1)
+            for_each_block(seed, 10, 1, ignore)
+        with pytest.raises(ValidationError):
+            time_major_normals(seed, 10, 1)
 
     @pytest.mark.parametrize("seed", [0, 9, 2 ** 32, 2 ** 63 - 1])
     def test_in_range_streams_are_the_block_substreams(self, seed):
-        got = blocked_normals(seed, BLOCK + 5, 2)
-        for block, (lo, hi) in enumerate(((0, BLOCK), (BLOCK, BLOCK + 5))):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
-            assert np.array_equal(got[lo:hi], rng.standard_normal((hi - lo, 2)))
+        seen = []
+
+        def visit(lo, hi, Z):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, lo // BLOCK)))
+            assert np.array_equal(Z, rng.standard_normal((hi - lo, 2)))
+            seen.append((lo, hi))
+
+        for_each_block(seed, BLOCK + 5, 2, visit)
+        assert seen == [(0, BLOCK), (BLOCK, BLOCK + 5)]
 
     def test_numpy_integer_seed_matches_int(self):
-        assert np.array_equal(blocked_normals(np.int64(9), 100, 2),
-                              blocked_normals(9, 100, 2))
+        assert np.array_equal(time_major_normals(np.int64(9), 100, 2),
+                              time_major_normals(9, 100, 2))
 
 
 class TestWealthSimulation:
@@ -253,7 +277,7 @@ def terminal_reference(s, u, i0, x, paths, seed):
     if len(g) == 0:
         return np.full(paths, float(x))
     G = compounded(g)
-    Z = blocked_normals(seed, paths, len(g))
+    Z = stream(seed, paths, len(g))
     return np.sum(Z * (G * b), axis=1) + (float(G[0]) * float(x) + float(np.sum(G * a)))
 
 
@@ -261,7 +285,7 @@ def recursion_reference(s, u, i0, x, paths, seed):
     """X_T from the full normal matrix, step by step as simulate_wealth_paths."""
     g, a, b = step_coeffs(s, u, i0)
     X = np.full(paths, float(x))
-    Z = blocked_normals(seed, paths, len(g))
+    Z = stream(seed, paths, len(g))
     for j in range(len(g)):
         X = g[j] * (X + a[j] + b[j] * Z[:, j])
     return X
@@ -298,7 +322,7 @@ def rounding_bound(s, u, i0, x, paths, seed):
     if m == 0:
         return np.zeros(paths)
     G = compounded(g)
-    Z = blocked_normals(seed, paths, m)
+    Z = stream(seed, paths, m)
     terms = abs(float(G[0]) * float(x)) + float(np.sum(np.abs(G * a))) \
         + np.sum(np.abs(Z * (G * b)), axis=1)
     return gamma(5 * m + 1) * terms / (1.0 - gamma(2 * m + 2))
@@ -358,7 +382,7 @@ class TestStreamedTerminalWealth:
         def compare():
             assert_streamed_matches_reference(STREAM_PATHS + (paths,), 32)
             assert np.array_equal(time_major_normals(33, paths, 12),
-                                  blocked_normals(33, paths, 12).T)
+                                  stream(33, paths, 12).T)
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -395,7 +419,7 @@ class TestStreamedTerminalWealth:
 
     def test_visits_each_block_once_in_order(self):
         seen = []
-        ref = blocked_normals(4, 2 * BLOCK + 9, 3)
+        ref = stream(4, 2 * BLOCK + 9, 3)
 
         def visit(lo, hi, Z):
             assert np.array_equal(Z, ref[lo:hi])
@@ -410,20 +434,20 @@ class TestTimeMajorSamplers:
     def test_time_major_normals_is_the_transpose(self, paths):
         got = time_major_normals(8, paths, 7)
         assert got.flags.c_contiguous
-        assert np.array_equal(got, blocked_normals(8, paths, 7).T)
+        assert np.array_equal(got, stream(8, paths, 7).T)
 
     @pytest.mark.parametrize("paths", (BLOCK - 1, BLOCK + 5))
     def test_wealth_path_increments_are_scaled_normals(self, paths):
         s, u = varying_case()
         X, dW = simulate_wealth_paths(s, u, paths, 14)
-        assert np.array_equal(dW, math.sqrt(s.dt) * blocked_normals(14, paths, s.grid_n).T)
+        assert np.array_equal(dW, math.sqrt(s.dt) * stream(14, paths, s.grid_n).T)
         assert np.array_equal(X[-1], recursion_reference(s, u, 0, s.x0, paths, 14))
 
     @pytest.mark.parametrize("paths", (BLOCK - 1, BLOCK + 5))
     def test_factor_increments_are_scaled_normals(self, paths):
         times = np.linspace(0.0, 1.0, 9)
         fp = simulate_factors(brownian_factor(), times, paths, 15)
-        Z = blocked_normals(15, paths, 8)
+        Z = stream(15, paths, 8)
         assert np.array_equal(fp.dW, math.sqrt(times[1]) * Z.T)
         state = np.zeros(paths)
         for i in range(8):
@@ -449,8 +473,7 @@ class TestPathLimit:
         s, u = varying_case()
         calls = (
             lambda: check_paths(paths),
-            lambda: blocked_normals(1, paths, 3),
-            lambda: for_each_block(1, paths, 3, lambda lo, hi, Z: None),
+            lambda: for_each_block(1, paths, 3, ignore),
             lambda: time_major_normals(1, paths, 3),
             lambda: simulate_terminal_wealth(s, u, 0.0, 1.0, paths, 1),
             lambda: simulate_wealth_paths(s, u, paths, 1),
@@ -464,6 +487,19 @@ class TestPathLimit:
     def test_bound_itself_is_accepted(self):
         assert check_paths(MAX_PATHS) == MAX_PATHS
         assert check_paths(np.int64(7)) == 7
+
+    @pytest.mark.parametrize("cols", [-1, 2.0, True, None])
+    def test_bad_column_count_is_typed_error(self, cols):
+        with refuse_large_allocations():
+            with pytest.raises(ValidationError, match="cols"):
+                for_each_block(1, 10, cols, ignore)
+            with pytest.raises(ValidationError, match="cols"):
+                time_major_normals(1, 10, cols)
+
+    def test_numpy_integer_and_zero_column_counts(self):
+        assert np.array_equal(time_major_normals(3, 10, np.int64(4)),
+                              time_major_normals(3, 10, 4))
+        assert time_major_normals(3, 10, 0).shape == (0, 10)
 
     @pytest.mark.parametrize("paths", [10 ** 12, MAX_PATHS + 1])
     def test_run_config_rejects(self, paths):
