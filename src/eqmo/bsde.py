@@ -145,10 +145,14 @@ def simulate_factors(model: FactorModel, times: np.ndarray, paths: int,
             except OverflowError:
                 raise ValidationError(
                     f"OU decay exp({-model.kappa * dt:.6g}) per step overflows") from None
+        row = np.empty(paths)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n):
-                state[i + 1] = model.theta_bar + (state[i] - model.theta_bar) * decay \
-                    + sd * Z[i]
+                # (theta_bar + (s - theta_bar) decay) + sd z in place, in that order
+                s = np.subtract(state[i], model.theta_bar, out=state[i + 1])
+                s *= decay
+                s += model.theta_bar
+                s += np.multiply(Z[i], sd, out=row)
         # a non-finite state stays non-finite at every later step
         if not np.isfinite(state[n]).all():
             raise ValidationError("factor paths overflow under this model")
@@ -318,10 +322,11 @@ def _fit_date(reg: _Regression, rows: np.ndarray, dt: float, C: np.ndarray,
 
 def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
            Z: np.ndarray, dep_rows: Sequence[tuple[np.ndarray, np.ndarray]],
-           z_bound: float, dt: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """The explicit step Y = C + f(t, state, C, Z [, deps]) dt, with
-    ``spec.depends_on`` indexing ``dep_rows``; returns Y, f and the count of
-    Z values at the truncation bound."""
+           z_bound: float, dt: float) -> tuple[np.ndarray, int]:
+    """The explicit step C += f(t, state, C, Z [, deps]) dt on the live row C
+    in place, with ``spec.depends_on`` indexing ``dep_rows``; returns f dt and
+    the count of Z values at the truncation bound. f dt is formed before C
+    changes, since a driver may return its own y argument."""
     saturated = 0
     if spec.growth_class == "quadratic_in_z":
         saturated = int(np.count_nonzero(np.abs(Z) >= z_bound))
@@ -330,8 +335,9 @@ def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
         f = spec.driver(t, state, C, Z, tuple(dep_rows[d] for d in spec.depends_on))
     else:
         f = spec.driver(t, state, C, Z)
-    f = np.asarray(f, dtype=float)
-    return C + f * dt, f, saturated
+    f_dt = np.asarray(f, dtype=float) * dt
+    C += f_dt  # even when f is 0: -0.0 + 0.0 is +0.0
+    return f_dt, saturated
 
 
 def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
@@ -371,10 +377,10 @@ def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
         t, state = float(fp.times[i]), fp.state[i]
         dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
         for k, spec in enumerate(specs[:i + 1]):
-            Y[k], f, sat = _drive(spec, t, state, Y[k], Z[k], dep_rows, z_bound, dt)
+            f_dt, sat = _drive(spec, t, state, Y[k], Z[k], dep_rows, z_bound, dt)
             saturated += sat
             if k == 0 and i == start_index:
-                y0_sample += f * dt
+                y0_sample += f_dt
         visit(i, Y, Z)
 
     total = paths * sum(n - max(k, start_index) for k, spec in enumerate(specs)

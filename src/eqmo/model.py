@@ -280,8 +280,7 @@ class ObjectiveSpec:
         order = self.max_order
         if order == 0:
             order = max([t.max_index() for t in terms] + [2])
-        if order < 2 or order > MAX_ORDER:
-            raise UnsupportedOrder(f"max_order {order} outside [2, {MAX_ORDER}]")
+        _check_order(order, "max_order")
         if any(t.max_index() > order for t in terms):
             raise UnsupportedOrder("term index exceeds max_order")
         object.__setattr__(self, "max_order", int(order))
@@ -420,10 +419,11 @@ def validate_scenario(scenario: MarketScenario, objective: ObjectiveSpec) -> Non
 # central moments -> cumulants (orders 2..8)
 
 
-def _check_order(n: int) -> None:
-    """A moment order outside [2, MAX_ORDER] is UnsupportedOrder."""
+def _check_order(n: int, name: str = "order") -> None:
+    """A moment order outside [2, MAX_ORDER] is UnsupportedOrder, reported
+    under ``name``."""
     if n < 2 or n > MAX_ORDER:
-        raise UnsupportedOrder(f"order {n} outside [2, {MAX_ORDER}]")
+        raise UnsupportedOrder(f"{name} {n} outside [2, {MAX_ORDER}]")
 
 
 def moments_to_cumulants(central) -> list[float]:

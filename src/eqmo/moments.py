@@ -7,13 +7,13 @@ sums. The Monte Carlo oracle uses the matching exact per-step update
 X_{i+1} = e^{r dt} (X_i + theta u dt + sigma u sqrt(dt) xi), which reproduces
 those sums with zero discretization bias.
 
-The terminal sampler streams its normals one 4096-path block at a time
-(`sampling.for_each_block`): each block is drawn and turned into terminal
-wealth, one weighted row sum per path, before the next is drawn, on
-`EQMO_WORKERS` threads when that is above 1. Memory is
-O(BLOCK * steps + paths), not O(paths * steps), and every path sees the same
-normals and the same float operations as the whole-matrix row sum, so
-samples are bitwise independent of the block schedule.
+The terminal sampler streams its normals one chunk of about
+`sampling.CHUNK_BYTES` at a time (`sampling.for_each_block`): each chunk is
+drawn and turned into terminal wealth, one weighted row sum per path, before
+the next is drawn, on `EQMO_WORKERS` threads when that is above 1. Memory is
+O(CHUNK_BYTES + paths) per thread, not O(paths * steps), and every path sees
+the same normals and the same float operations as the whole-matrix row sum,
+so samples are bitwise independent of the chunk and block schedule.
 """
 from __future__ import annotations
 
@@ -240,8 +240,8 @@ def simulate_terminal_wealth(scenario: MarketScenario, strategy: StrategyGrid,
     the step-by-step recursion at round-off. A weight or constant past the
     float range is a ValidationError.
 
-    Streams the normals one path block at a time, so memory is
-    O(BLOCK * steps + paths) rather than O(paths * steps).
+    Streams the normals one chunk of rows at a time, so memory is
+    O(CHUNK_BYTES + paths) per thread rather than O(paths * steps).
     """
     i0 = scenario.grid_index(t)
     g, a, b = (c[i0:] for c in _wealth_step_coeffs(scenario, strategy))
@@ -257,7 +257,7 @@ def simulate_terminal_wealth(scenario: MarketScenario, strategy: StrategyGrid,
     X = np.empty(paths)
 
     def advance(lo: int, hi: int, Z: np.ndarray) -> None:
-        # Z is the thread's scratch block, so it takes the weights in place
+        # Z is the thread's scratch chunk, so it takes the weights in place
         x_ = np.sum(np.multiply(Z, w, out=Z), axis=1, out=X[lo:hi])
         x_ += x_T
 
@@ -275,9 +275,13 @@ def simulate_wealth_paths(scenario: MarketScenario, strategy: StrategyGrid,
     Z = time_major_normals(seed, paths, n)
     X = np.empty((n + 1, paths))
     X[0] = scenario.x0
+    row = np.empty(paths)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            X[i + 1] = g[i] * (X[i] + a[i] + b[i] * Z[i])
+            # g (X + a + b z) in place, rounded in that order
+            x = np.add(X[i], a[i], out=X[i + 1])
+            x += np.multiply(Z[i], b[i], out=row)
+            x *= g[i]
     # a non-finite wealth stays non-finite at every later step
     if not np.isfinite(X[n]).all():
         raise ValidationError("wealth paths overflow under this strategy")
@@ -303,7 +307,7 @@ def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
     X = simulate_terminal_wealth(scenario, strategy, t, x, paths, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         m1 = float(np.mean(X))
-        d = X - m1
+        d = np.subtract(X, m1, out=X)  # X is not read again
         p = d * d
         mu = [1.0, 0.0, float(np.mean(p))]  # mu[k]: k-th sample central moment
         for _ in range(3, 2 * n + 1):

@@ -11,9 +11,13 @@ setting. Seeds must lie in [0, 2**63), path counts in [1, MAX_PATHS],
 column counts be integers >= 0 and time-major matrices hold at most
 MAX_CELLS normals.
 
-The stream is never built whole. :func:`for_each_block` hands one block at
-a time to a consumer, so a simulation that reads the normals once keeps only
-O(BLOCK * cols) of them alive; :func:`time_major_normals` fills the
+The stream is never built whole, nor even a whole block of it.
+:func:`for_each_block` fills each block from its one generator in
+consecutive chunks of about CHUNK_BYTES and hands one chunk at a time to a
+consumer. Consecutive fills from a generator give the numbers of one fill,
+so a chunk holds exactly its rows of the block, and a simulation that reads
+the normals once keeps only O(CHUNK_BYTES) of them alive per thread,
+whatever the column count. :func:`time_major_normals` fills the
 (cols, paths) transpose that way.
 """
 from __future__ import annotations
@@ -29,6 +33,11 @@ from .errors import ValidationError
 BLOCK = 4096
 SEED_LIMIT = 2 ** 63
 MAX_PATHS = 10 ** 8
+CHUNK_BYTES = 2 ** 20
+"""Size of the scratch chunk each thread fills and visits, in bytes. Chunks
+of 256 KiB to 2 MiB drew and reduced `mc`'s normals equally fast
+(BENCH_mc_chunk.json); 1 MiB is half of a 2 MiB per-core L2 cache, so a
+visit reads normals that are still cached."""
 MAX_CELLS = 3 * 10 ** 7
 """Largest paths x cols matrix :func:`time_major_normals` fills. The
 regression route keeps every path at every date, so its memory grows with
@@ -88,28 +97,33 @@ def _pool_size(blocks: int) -> int:
 
 def for_each_block(seed: int, paths: int, cols: int,
                    visit: Callable[[int, int, np.ndarray], None]) -> None:
-    """Call ``visit(lo, hi, Z)`` once per block of the (paths, cols) stream,
-    Z holding rows lo:hi: block b = lo // BLOCK drawn in C order from
-    ``SeedSequence((seed, b))``.
+    """Call ``visit(lo, hi, Z)`` once per chunk of the (paths, cols) stream,
+    Z holding rows lo:hi. Block b (rows b * BLOCK up to the next block) is
+    drawn in C order from ``SeedSequence((seed, b))`` as consecutive chunks
+    of max(1, min(BLOCK, CHUNK_BYTES // (8 * cols))) rows, the last one
+    shorter, so the chunks of a block tile it in order.
 
-    Z is scratch space that the thread overwrites with its next block, so
+    Z is scratch space that the thread overwrites with its next chunk, so
     ``visit`` copies whatever must outlive the call. One thread visits the
-    blocks in order; with more workers, thread w visits blocks w, w +
-    workers, ... concurrently with the others, and ``visit`` must then write
-    only rows (or columns) lo:hi of any shared output.
+    chunks in order; with more workers, thread w visits the chunks of blocks
+    w, w + workers, ... in order, concurrently with the others, and ``visit``
+    must then write only rows (or columns) lo:hi of any shared output.
     """
     seed, paths, cols = check_seed(seed), check_paths(paths), _check_cols(cols)
     blocks = (paths + BLOCK - 1) // BLOCK
     workers = _pool_size(blocks)
+    rows = max(1, min(BLOCK, CHUNK_BYTES // (8 * max(cols, 1))))
 
     def work(stripe: range) -> None:
-        scratch = np.empty((min(BLOCK, paths), cols))
+        scratch = np.empty((min(rows, paths), cols))
         for b in stripe:
-            lo = b * BLOCK
-            hi = min(lo + BLOCK, paths)
-            Z = scratch[:hi - lo]
-            np.random.default_rng(np.random.SeedSequence((seed, b))).standard_normal(out=Z)
-            visit(lo, hi, Z)
+            draw = np.random.default_rng(np.random.SeedSequence((seed, b))).standard_normal
+            end = min((b + 1) * BLOCK, paths)
+            for lo in range(b * BLOCK, end, rows):
+                hi = min(lo + rows, end)
+                Z = scratch[:hi - lo]
+                draw(out=Z)
+                visit(lo, hi, Z)
 
     if workers <= 1:
         work(range(blocks))
@@ -122,7 +136,9 @@ def for_each_block(seed: int, paths: int, cols: int,
 
 def time_major_normals(seed: int, paths: int, cols: int) -> np.ndarray:
     """The (paths, cols) stream's transpose as a C-contiguous (cols, paths)
-    array: row j holds every path's j-th normal.
+    array: row j holds every path's j-th normal. Each chunk is written into
+    its columns as it is drawn, so the output plus one chunk per thread is
+    all this holds.
 
     More than MAX_CELLS normals is a ValidationError, raised before anything
     is allocated.

@@ -246,6 +246,24 @@ class TestSolverOptions:
         grid = solve_bsde(spec, fp)
         assert grid.y0_mean == pytest.approx((1.0 - 0.3 * T / n) ** n, abs=1e-14)
 
+    @pytest.mark.parametrize("start_index", [0, 3])
+    def test_driver_returning_its_own_y_argument(self, start_index):
+        # the step adds f dt into the live row in place: a driver that returns
+        # the row itself must see the same step, and the same Y_0 sample, as
+        # one that returns a copy
+        fp = simulate_factors(brownian_factor(), grid_times(8), 500, 23)
+
+        def terminal(f, s):
+            return np.sin(f.state[-1])
+
+        alias = solve_bsde(DriverSpec(driver=lambda t, st, y, z: y, terminal=terminal),
+                           fp, start_index=start_index)
+        copy = solve_bsde(DriverSpec(driver=lambda t, st, y, z: 1.0 * y,
+                                     terminal=terminal), fp, start_index=start_index)
+        assert np.array_equal(alias.Y, copy.Y)
+        assert alias.y0_mean == copy.y0_mean
+        assert alias.y0_se == copy.y0_se
+
     def test_terminal_must_be_finite(self):
         fp = simulate_factors(brownian_factor(), grid_times(4), 64, 1)
         spec = DriverSpec(driver=ZERO_DRIVER,

@@ -1,9 +1,12 @@
 """Monte Carlo wealth simulation against the analytic moment engine."""
+import functools
+import hashlib
 import json
 import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -22,7 +25,15 @@ from eqmo.moments import (
     simulate_terminal_wealth,
     simulate_wealth_paths,
 )
-from eqmo.sampling import BLOCK, MAX_CELLS, MAX_PATHS, _pool_size, check_paths, worker_count
+from eqmo.sampling import (
+    BLOCK,
+    CHUNK_BYTES,
+    MAX_CELLS,
+    MAX_PATHS,
+    _pool_size,
+    check_paths,
+    worker_count,
+)
 from eqmo.sampling import for_each_block, time_major_normals
 
 
@@ -32,15 +43,20 @@ def case(grid_n=40):
     return s, StrategyGrid.constant(s, 2.0)
 
 
+def stream_blocks(seed, paths, cols):
+    """Yield (lo, hi, block) for each BLOCK-row block of the normal stream,
+    block b drawn whole, in C order, from its own substream
+    SeedSequence((seed, b))."""
+    for b, lo in enumerate(range(0, paths, BLOCK)):
+        hi = min(lo + BLOCK, paths)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+        yield lo, hi, rng.standard_normal((hi - lo, cols))
+
+
 def stream(seed, paths, cols):
     """The (paths, cols) normal stream built whole, the reference of every
-    sampler: BLOCK-row blocks, block b drawn in C order from its own
-    substream SeedSequence((seed, b))."""
-    return np.concatenate([
-        np.random.default_rng(np.random.SeedSequence((seed, b))).standard_normal(
-            (min(lo + BLOCK, paths) - lo, cols))
-        for b, lo in enumerate(range(0, paths, BLOCK))
-    ])
+    sampler."""
+    return np.concatenate([block for _, _, block in stream_blocks(seed, paths, cols)])
 
 
 def ignore(lo, hi, Z):
@@ -417,16 +433,48 @@ class TestStreamedTerminalWealth:
             late = simulate_terminal_wealth(s, u, float(s.times[95]), 1.0, 100, 1)
         assert np.isfinite(late).all()
 
-    def test_visits_each_block_once_in_order(self):
-        seen = []
-        ref = stream(4, 2 * BLOCK + 9, 3)
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    @pytest.mark.parametrize("cols", [0, 1, 7, 250, 5000])
+    @pytest.mark.parametrize("paths", [1, BLOCK - 1, BLOCK + 5, 3 * BLOCK + 17])
+    def test_chunks_are_the_stream_and_tile_each_block_in_order(self, paths, cols,
+                                                                workers):
+        # chunks of one block are filled in turn from the block's generator,
+        # so the chunks of each block, taken in visit order, must be the
+        # stream's rows bitwise, compared through sha256 digests of each block
+        rows = max(1, min(BLOCK, CHUNK_BYTES // (8 * max(cols, 1))))
+        want = stream_digests(5, paths, cols)
+        digests = [hashlib.sha256() for _ in want]
+        visits = [[] for _ in want]
 
         def visit(lo, hi, Z):
-            assert np.array_equal(Z, ref[lo:hi])
-            seen.append((lo, hi))
+            assert Z.shape == (hi - lo, cols)
+            visits[lo // BLOCK].append((lo, hi))
+            digests[lo // BLOCK].update(Z)
 
-        for_each_block(4, 2 * BLOCK + 9, 3, visit)
-        assert seen == [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, 2 * BLOCK + 9)]
+        def check_time_major():
+            if paths * cols > MAX_CELLS:
+                with pytest.raises(ValidationError, match="exceeds"):
+                    time_major_normals(5, paths, cols)
+                return
+            out = time_major_normals(5, paths, cols)
+            assert out.shape == (cols, paths) and out.flags.c_contiguous
+            for b, lo in enumerate(range(0, paths, BLOCK)):
+                block = np.ascontiguousarray(out[:, lo:lo + BLOCK].T)
+                assert hashlib.sha256(block).digest() == want[b], b
+
+        with mock.patch.dict(os.environ, {"EQMO_WORKERS": workers}):
+            run_bounded(lambda: for_each_block(5, paths, cols, visit))
+            run_bounded(check_time_major)
+        assert [d.digest() for d in digests] == want
+        for b, lo in enumerate(range(0, paths, BLOCK)):
+            hi = min(lo + BLOCK, paths)
+            assert visits[b] == [(a, min(a + rows, hi)) for a in range(lo, hi, rows)], b
+
+
+@functools.lru_cache(maxsize=None)
+def stream_digests(seed, paths, cols):
+    """sha256 digest of each block of the reference stream, drawn whole."""
+    return [hashlib.sha256(block).digest() for _, _, block in stream_blocks(seed, paths, cols)]
 
 
 class TestTimeMajorSamplers:
@@ -453,6 +501,33 @@ class TestTimeMajorSamplers:
         for i in range(8):
             state = 0.0 + (state - 0.0) * 1.0 + math.sqrt(times[1]) * Z[:, i]
             assert np.array_equal(fp.state[i + 1], state)
+
+
+class TestStreamMemory:
+    """The stream is visited one chunk of about CHUNK_BYTES at a time, so a
+    sampler holds its output and one chunk, whatever the column count."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            with mock.patch.dict(os.environ, {"EQMO_WORKERS": "1"}):
+                fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_terminal_sampler_holds_one_chunk(self):
+        # one 4096 x 5000 block would be 164 MB beside an output of 32 kB
+        paths, steps = 4096, 5000
+        s, u = case(steps)
+        peak = self.traced_peak(lambda: simulate_terminal_wealth(s, u, 0.0, 1.0, paths, 3))
+        assert peak < 8 * paths + 2 * CHUNK_BYTES
+
+    def test_time_major_normals_holds_output_and_one_chunk(self):
+        paths, cols = 4096, 1000
+        peak = self.traced_peak(lambda: time_major_normals(3, paths, cols))
+        assert peak < 8 * paths * cols + 2 * CHUNK_BYTES
 
 
 def refuse_large_allocations():

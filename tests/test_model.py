@@ -254,6 +254,12 @@ class TestObjectiveSpec:
         with pytest.raises(UnsupportedOrder):
             ObjectiveSpec("central", (ObjectiveTerm(((6, 1),), 1.0),), max_order=4)
 
+    @pytest.mark.parametrize("order", [1, 9])
+    def test_explicit_order_bound_names_max_order(self, order):
+        with pytest.raises(UnsupportedOrder,
+                           match=rf"^max_order {order} outside \[2, 8\]$"):
+            ObjectiveSpec("central", (ObjectiveTerm(((2, 1),), 1.0),), max_order=order)
+
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
             ObjectiveSpec("raw", (ObjectiveTerm(((2, 1),), -1.0),))
@@ -434,9 +440,9 @@ class TestMomentCumulantTransforms:
         assert m == pytest.approx([1.0, 2.0, 9.0, 44.0, 265.0], abs=1e-12)
 
     def test_order_bounds(self):
-        with pytest.raises(UnsupportedOrder):
+        with pytest.raises(UnsupportedOrder, match=r"^order 1 outside \[2, 8\]$"):
             moments_to_cumulants([])
-        with pytest.raises(UnsupportedOrder):
+        with pytest.raises(UnsupportedOrder, match=r"^order 9 outside \[2, 8\]$"):
             moments_to_cumulants([1.0] * 8)
 
     @given(st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
