@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep every named corpus case and print solver + verification diagnostics.
 
-Usage: python scripts/run_corpus.py [--scheme implicit]
+Usage: python scripts/run_corpus.py [--scheme {explicit,implicit}]
 """
 import argparse
 import time
@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from eqmo.corpus import named_corpus
-from eqmo.equilibrium import backward_sweep
+from eqmo.equilibrium import SCHEMES, backward_sweep
 from eqmo.errors import EqmoError, UnsupportedObjectiveClass
 from eqmo.verify import equilibrium_report, homogeneity_check_numeric, \
     homogeneity_predicate
@@ -17,7 +17,7 @@ from eqmo.verify import equilibrium_report, homogeneity_check_numeric, \
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--scheme", choices=("explicit", "implicit"), default="implicit")
+    ap.add_argument("--scheme", choices=SCHEMES, default="implicit")
     args = ap.parse_args()
 
     header = (f"{'case':<20} {'u(0)':>10} {'u(T)':>10} {'max res':>9} "

@@ -60,7 +60,6 @@ from .moments import (
     moments_to_go,
     objective_value,
     simulate_terminal_wealth,
-    simulate_wealth_paths,
 )
 from .roots import real_roots
 from .equilibrium import (

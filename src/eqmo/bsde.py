@@ -55,7 +55,7 @@ from .errors import (
 )
 from .equilibrium import mv_closed_form
 from .model import MarketScenario, StrategyGrid, growth_factors, rate_to_horizon
-from .moments import simulate_wealth_paths
+from .moments import _wealth_step_coeffs
 from .sampling import SEED_LIMIT, time_major_normals
 
 # state counts as constant across paths below this spread; conditioning on a
@@ -80,10 +80,13 @@ class FactorModel:
     def __post_init__(self) -> None:
         if self.kind not in FACTOR_KINDS:
             raise ValidationError(f"factor kind must be one of {FACTOR_KINDS}, got {self.kind!r}")
+        for name in ("kappa", "theta_bar", "eta", "theta0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta < 0.0:
             raise ValidationError(f"eta must be nonnegative, got {self.eta}")
-        if abs(self.rho) > 1.0:
-            raise ValidationError(f"rho must lie in [-1, 1], got {self.rho}")
+        if self.rho != 0.0:
+            raise ValidationError(f"rho must be 0 (no correlated factor), got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -162,9 +165,27 @@ def simulate_factors(model: FactorModel, times: np.ndarray, paths: int,
 
 def wealth_factor_paths(scenario: MarketScenario, strategy: StrategyGrid,
                         paths: int, seed: int) -> FactorPaths:
-    """Wealth itself as the regression state (deterministic-parameter flows)."""
-    X, dW = simulate_wealth_paths(scenario, strategy, paths, seed)
-    return FactorPaths(scenario.times, X, dW, seed)
+    """Wealth itself as the regression state (deterministic-parameter flows):
+    exact transitions X_{i+1} = g_i (X_i + a_i + b_i xi_i) from x0, the
+    per-step law of :func:`eqmo.moments.simulate_terminal_wealth`. Wealth
+    that overflows is a ValidationError."""
+    g, a, b = _wealth_step_coeffs(scenario, strategy)
+    n = scenario.grid_n
+    Z = time_major_normals(seed, paths, n)
+    X = np.empty((n + 1, paths))
+    X[0] = scenario.x0
+    row = np.empty(paths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            # g (X + a + b z) in place, rounded in that order
+            x = np.add(X[i], a[i], out=X[i + 1])
+            x += np.multiply(Z[i], b[i], out=row)
+            x *= g[i]
+    # a non-finite wealth stays non-finite at every later step
+    if not np.isfinite(X[n]).all():
+        raise ValidationError("wealth paths overflow under this strategy")
+    Z *= math.sqrt(scenario.dt)  # in place: the normals become the increments dW
+    return FactorPaths(scenario.times, X, Z, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -203,41 +203,26 @@ def _cmd_homogeneity(bundle: ScenarioBundle, config: RunConfig):
 
 def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
     s = bundle.scenario
+    n = s.grid_n
     basis_degree = bundle.numerics["basis_degree"]
+    summary = {"command": "bsde", "kind": bundle.factor.kind, "basis_degree": basis_degree,
+               "paths": config.paths, "seed": config.seed}
     if bundle.factor.kind == "none":
         gamma2 = mv_gamma2(bundle.objective)
         diag = mv_flow_residual(s, gamma2, config.paths, config.seed, basis_degree)
-        n = s.grid_n
         table = Table(
             ("t", "y_diag", "z_diag", "residual", "implied_u"),
             (s.times[:n], diag.means.y_mean[:n], diag.means.z_mean[:n],
              diag.residuals, diag.implied_u),
         )
-        summary = {
-            "command": "bsde",
-            "kind": "none",
-            "gamma2": gamma2,
-            "basis_degree": basis_degree,
-            "paths": config.paths,
-            "seed": config.seed,
-            "residual_rms": diag.residual_rms,
-            "residual_max": diag.residual_max,
-        }
+        summary.update(gamma2=gamma2, residual_rms=diag.residual_rms,
+                       residual_max=diag.residual_max)
         return 0, {"bsde_diagonal": table, "bsde_summary": summary}
     fp = simulate_factors(bundle.factor, s.times, config.paths, config.seed)
     means = solve_bsde_means(TERMINAL_STATE, fp, basis_degree)
-    n = s.grid_n
     table = Table(("t", "y_mean", "z_mean"),
                   (s.times[:n], means.y_mean[:n], means.z_mean[:n]))
-    summary = {
-        "command": "bsde",
-        "kind": "ou",
-        "basis_degree": basis_degree,
-        "paths": config.paths,
-        "seed": config.seed,
-        "y0_mean": means.y0_mean,
-        "y0_se": means.y0_se,
-    }
+    summary.update(y0_mean=means.y0_mean, y0_se=means.y0_se)
     return 0, {"bsde_grid": table, "bsde_summary": summary}
 
 

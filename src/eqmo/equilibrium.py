@@ -205,7 +205,7 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
 
 
 def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
-                   scheme: str = "explicit") -> SweepResult:
+                   scheme: str) -> SweepResult:
     """Solve the stationarity condition backward from T on the whole grid.
 
     V(T) = 0; at each earlier step the control solves the (linear or

@@ -3,9 +3,11 @@
 Wealth follows dX_s = [r X_s + theta u_s] ds + sigma u_s dW_s with
 piecewise-constant parameters and controls, so the conditional law of X_T
 given (t, x) is Gaussian with mean and variance given by finite left-endpoint
-sums. The Monte Carlo oracle uses the matching exact per-step update
+sums. This module holds that law only: the exact moments, and a Monte Carlo
+oracle that samples X_T under the matching exact per-step update
 X_{i+1} = e^{r dt} (X_i + theta u dt + sigma u sqrt(dt) xi), which reproduces
-those sums with zero discretization bias.
+those sums with zero discretization bias. The regression route's whole
+wealth paths are :func:`eqmo.bsde.wealth_factor_paths`, on the same update.
 
 The terminal sampler streams its normals one chunk of about
 `sampling.CHUNK_BYTES` at a time (`sampling.for_each_block`): each chunk is
@@ -39,7 +41,7 @@ from .model import (
     moments_to_cumulants,
     rate_to_horizon,
 )
-from .sampling import check_paths, for_each_block, time_major_normals
+from .sampling import check_paths, for_each_block
 
 
 @dataclass(frozen=True)
@@ -230,8 +232,8 @@ def simulate_terminal_wealth(scenario: MarketScenario, strategy: StrategyGrid,
                              t: float, x: float, paths: int, seed: int) -> np.ndarray:
     """Sample X_T from (t, x) under the strategy; exact discrete transitions.
 
-    Same law and same normals as :func:`simulate_wealth_paths`, whose step
-    X_{j+1} = g_j (X_j + a_j + b_j z_j) unrolls to
+    Same law and same normals as :func:`eqmo.bsde.wealth_factor_paths`, whose
+    step X_{j+1} = g_j (X_j + a_j + b_j z_j) unrolls to
     X_T = G_{i0} x + sum_j G_j a_j + sum_j G_j b_j z_j with the compounded
     weights G_j = g_j g_{j+1} ... g_{grid_n - 1}. So each path is the
     constant x_T = G_{i0} x + sum_j G_j a_j plus one weighted row sum of its
@@ -263,30 +265,6 @@ def simulate_terminal_wealth(scenario: MarketScenario, strategy: StrategyGrid,
 
     for_each_block(seed, paths, len(w), advance)
     return X
-
-
-def simulate_wealth_paths(scenario: MarketScenario, strategy: StrategyGrid,
-                          paths: int, seed: int):
-    """Full wealth path matrix (grid_n+1, paths) plus Brownian increments
-    (grid_n, paths); same per-step law as :func:`simulate_terminal_wealth`.
-    Wealth that overflows is a ValidationError."""
-    g, a, b = _wealth_step_coeffs(scenario, strategy)
-    n = scenario.grid_n
-    Z = time_major_normals(seed, paths, n)
-    X = np.empty((n + 1, paths))
-    X[0] = scenario.x0
-    row = np.empty(paths)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            # g (X + a + b z) in place, rounded in that order
-            x = np.add(X[i], a[i], out=X[i + 1])
-            x += np.multiply(Z[i], b[i], out=row)
-            x *= g[i]
-    # a non-finite wealth stays non-finite at every later step
-    if not np.isfinite(X[n]).all():
-        raise ValidationError("wealth paths overflow under this strategy")
-    Z *= math.sqrt(scenario.dt)  # in place: the normals become the increments dW
-    return X, Z
 
 
 def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,

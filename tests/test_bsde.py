@@ -64,8 +64,14 @@ class TestFactorModel:
             FactorModel(kind="gbm")
         with pytest.raises(ValidationError):
             FactorModel(kind="ou", eta=-0.1)
-        with pytest.raises(ValidationError):
-            FactorModel(kind="ou", rho=1.5)
+        # no correlated factor is simulated: a nonzero rho would be ignored
+        for rho in (1.5, 0.7, -1.0, math.nan):
+            with pytest.raises(ValidationError, match="rho must be 0"):
+                FactorModel(kind="ou", rho=rho)
+        for field in ("kappa", "theta_bar", "eta", "theta0"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+                    FactorModel(kind="ou", **{field: value})
 
     def test_none_kind_freezes_state(self):
         fp = simulate_factors(FactorModel(kind="none", theta0=0.37),

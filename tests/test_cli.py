@@ -206,6 +206,12 @@ class TestBsde:
         expected = {table, "bsde_summary.json"}
         assert set(read_json(out / "manifest.json")["files"]) == expected
         assert set(os.listdir(out)) == expected | {"manifest.json"}
+        summary = read_json(out / "bsde_summary.json")
+        shared = {"command", "kind", "basis_degree", "paths", "seed"}
+        own = {"none": {"gamma2", "residual_rms", "residual_max"},
+               "ou": {"y0_mean", "y0_se"}}[kind]
+        assert set(summary) == shared | own
+        assert (summary["command"], summary["kind"], summary["paths"]) == ("bsde", kind, 2000)
 
     def test_factor_grid_matches_exact_mean(self, tmp_path):
         out = tmp_path / "ou"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from eqmo.bsde import brownian_factor, simulate_factors
+from eqmo.bsde import brownian_factor, simulate_factors, wealth_factor_paths
 from eqmo.cli import RunConfig, main
 from eqmo.corpus import mv_discounted, random_curved_corpus, time_varying
 from eqmo.errors import TooFewPaths, ValidationError
@@ -23,7 +23,6 @@ from eqmo.moments import (
     conditional_moments,
     mc_conditional_moments,
     simulate_terminal_wealth,
-    simulate_wealth_paths,
 )
 from eqmo.sampling import (
     BLOCK,
@@ -148,24 +147,24 @@ class TestWealthSimulation:
         # the same normals through the step recursion and the weighted row
         # sum: equal up to the rounding bound of the two evaluation orders
         s, u = case()
-        X, dW = simulate_wealth_paths(s, u, 2000, 13)
+        fp = wealth_factor_paths(s, u, 2000, 13)
         xT = simulate_terminal_wealth(s, u, 0.0, s.x0, 2000, 13)
         bound = rounding_bound(s, u, 0, s.x0, 2000, 13)
-        assert (np.abs(X[-1] - xT) <= bound).all()
-        assert X.shape == (s.grid_n + 1, 2000)
-        assert dW.shape == (s.grid_n, 2000)
+        assert (np.abs(fp.state[-1] - xT) <= bound).all()
+        assert fp.state.shape == (s.grid_n + 1, 2000)
+        assert fp.dW.shape == (s.grid_n, 2000)
 
     def test_increments_recover_paths(self):
         # X_{i+1} = e^{r dt} (X_i + theta u dt + sigma u dW): replay by hand
         s, u = case(10)
-        X, dW = simulate_wealth_paths(s, u, 64, 5)
+        fp = wealth_factor_paths(s, u, 64, 5)
         dt = s.dt
         x = np.full(64, s.x0)
         for i in range(10):
             x = np.exp(s.r[i] * dt) * (
-                x + s.theta[i] * u.values[i] * dt + s.sigma[i] * u.values[i] * dW[i]
+                x + s.theta[i] * u.values[i] * dt + s.sigma[i] * u.values[i] * fp.dW[i]
             )
-        assert np.allclose(x, X[-1], rtol=0.0, atol=1e-14)
+        assert np.allclose(x, fp.state[-1], rtol=0.0, atol=1e-14)
 
 
 class TestMcConditionalMoments:
@@ -298,7 +297,7 @@ def terminal_reference(s, u, i0, x, paths, seed):
 
 
 def recursion_reference(s, u, i0, x, paths, seed):
-    """X_T from the full normal matrix, step by step as simulate_wealth_paths."""
+    """X_T from the full normal matrix, step by step as wealth_factor_paths."""
     g, a, b = step_coeffs(s, u, i0)
     X = np.full(paths, float(x))
     Z = stream(seed, paths, len(g))
@@ -487,9 +486,9 @@ class TestTimeMajorSamplers:
     @pytest.mark.parametrize("paths", (BLOCK - 1, BLOCK + 5))
     def test_wealth_path_increments_are_scaled_normals(self, paths):
         s, u = varying_case()
-        X, dW = simulate_wealth_paths(s, u, paths, 14)
-        assert np.array_equal(dW, math.sqrt(s.dt) * stream(14, paths, s.grid_n).T)
-        assert np.array_equal(X[-1], recursion_reference(s, u, 0, s.x0, paths, 14))
+        fp = wealth_factor_paths(s, u, paths, 14)
+        assert np.array_equal(fp.dW, math.sqrt(s.dt) * stream(14, paths, s.grid_n).T)
+        assert np.array_equal(fp.state[-1], recursion_reference(s, u, 0, s.x0, paths, 14))
 
     @pytest.mark.parametrize("paths", (BLOCK - 1, BLOCK + 5))
     def test_factor_increments_are_scaled_normals(self, paths):
@@ -551,7 +550,7 @@ class TestPathLimit:
             lambda: for_each_block(1, paths, 3, ignore),
             lambda: time_major_normals(1, paths, 3),
             lambda: simulate_terminal_wealth(s, u, 0.0, 1.0, paths, 1),
-            lambda: simulate_wealth_paths(s, u, paths, 1),
+            lambda: wealth_factor_paths(s, u, paths, 1),
             lambda: simulate_factors(brownian_factor(), s.times, paths, 1),
         )
         with refuse_large_allocations():
@@ -609,7 +608,7 @@ class TestTimeMajorLimit:
         u = StrategyGrid.constant(s, 2.0)
         calls = (
             lambda: time_major_normals(1, paths, cols),
-            lambda: simulate_wealth_paths(s, u, paths, 1),
+            lambda: wealth_factor_paths(s, u, paths, 1),
             lambda: simulate_factors(brownian_factor(), times, paths, 1),
         )
         with refuse_large_allocations():
