@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,6 +61,9 @@ from .sampling import SEED_LIMIT, time_major_normals
 # state counts as constant across paths below this spread; conditioning on a
 # constant is plain averaging, so those rows regress on the intercept only
 _CONST_STATE_TOL = 1e-13
+
+# default bound |Z| <= Z_BOUND of the Z truncation of "quadratic_in_z" specs
+Z_BOUND = 50.0
 
 
 FACTOR_KINDS = ("none", "ou")
@@ -85,6 +88,12 @@ class FactorModel:
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta < 0.0:
             raise ValidationError(f"eta must be nonnegative, got {self.eta}")
+        if self.kind == "none":
+            # the frozen state reads theta0 only
+            for name in ("kappa", "theta_bar", "eta"):
+                if getattr(self, name) != 0.0:
+                    raise ValidationError(f"{name} must be 0 under factor kind 'none', "
+                                          f"got {getattr(self, name)}")
         if self.rho != 0.0:
             raise ValidationError(f"rho must be 0 (no correlated factor), got {self.rho}")
 
@@ -97,7 +106,6 @@ class FactorPaths:
     times: np.ndarray
     state: np.ndarray
     dW: np.ndarray
-    seed: int
 
     @property
     def grid_n(self) -> int:
@@ -160,7 +168,7 @@ def simulate_factors(model: FactorModel, times: np.ndarray, paths: int,
         if not np.isfinite(state[n]).all():
             raise ValidationError("factor paths overflow under this model")
     Z *= math.sqrt(dt)  # in place: the normals become the increments dW
-    return FactorPaths(times, state, Z, seed)
+    return FactorPaths(times, state, Z)
 
 
 def wealth_factor_paths(scenario: MarketScenario, strategy: StrategyGrid,
@@ -185,7 +193,7 @@ def wealth_factor_paths(scenario: MarketScenario, strategy: StrategyGrid,
     if not np.isfinite(X[n]).all():
         raise ValidationError("wealth paths overflow under this strategy")
     Z *= math.sqrt(scenario.dt)  # in place: the normals become the increments dW
-    return FactorPaths(scenario.times, X, Z, seed)
+    return FactorPaths(scenario.times, X, Z)
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +236,14 @@ TERMINAL_STATE = DriverSpec(
 @dataclass(frozen=True)
 class BsdeGrid:
     """Discretized solution: Y (times x paths), Z (same shape, terminal row 0),
-    regression metadata, and the Y_0 cross-path summary."""
+    the path mean and standard error of Y at the start date, and the share
+    of Z values at the truncation bound."""
 
-    times: np.ndarray
     Y: np.ndarray
     Z: np.ndarray
-    basis_degree: int
-    paths: int
-    seed: int
     y0_mean: float
     y0_se: float
     z_saturation: float = 0.0
-
-
-class _Summary(NamedTuple):
-    """Y_0 cross-path summary of one solve, as ``BsdeGrid`` carries it."""
-
-    y0_mean: float
-    y0_se: float
-    z_saturation: float
 
 
 # visit(i, Y, Z): the block of member rows and their Z rows at date i
@@ -363,9 +360,10 @@ def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
 
 def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
                basis_degree: int, start_index: int, z_bound: float,
-               deps: Sequence[BsdeGrid], visit: _Visit) -> _Summary:
-    """The one backward regression loop over dates; returns the Y_0 summary
-    of row 0.
+               deps: Sequence[BsdeGrid], visit: _Visit) -> tuple[float, float]:
+    """The one backward regression loop over dates; returns the standard
+    error of row 0's Y at ``start_index`` and the share of Z values at the
+    truncation bound. Row 0's path mean there is the caller's to take.
 
     Row k of the block ``Y`` starts as the terminal of ``specs[k]`` (see
     ``_terminals``) and is live at dates i >= k: a single BSDE is one row,
@@ -409,15 +407,12 @@ def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
     if total > 0 and saturated > 0.01 * total:
         warnings.warn(f"{saturated / total:.1%} of Z values hit the truncation bound "
                       f"{z_bound}", ZTruncationSaturated, stacklevel=3)
-    return _Summary(
-        y0_mean=float(np.mean(Y[0])),
-        y0_se=float(np.std(y0_sample, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0,
-        z_saturation=(saturated / total if total else 0.0),
-    )
+    y0_se = float(np.std(y0_sample, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+    return y0_se, (saturated / total if total else 0.0)
 
 
 def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
-               start_index: int = 0, z_bound: float = 50.0,
+               start_index: int = 0, z_bound: float = Z_BOUND,
                deps: Sequence[BsdeGrid] = ()) -> BsdeGrid:
     """Backward regression solve of one BSDE on [t_start, T].
 
@@ -431,21 +426,18 @@ def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
         Y[i] = y_rows[0]
         Z[i] = z_rows[0]
 
-    summary = _solve_one([spec], _terminals([spec], fp, start_index), fp, basis_degree,
-                         start_index, z_bound, deps, visit)
-    return BsdeGrid(times=fp.times, Y=Y, Z=Z, basis_degree=basis_degree, paths=fp.paths,
-                    seed=fp.seed, **summary._asdict())
+    y0_se, z_saturation = _solve_one([spec], _terminals([spec], fp, start_index), fp,
+                                     basis_degree, start_index, z_bound, deps, visit)
+    return BsdeGrid(Y, Z, float(np.mean(Y[start_index])), y0_se, z_saturation)
 
 
 @dataclass(frozen=True)
 class BsdeMeans:
     """Path means of one BSDE's Y and Z at every date (terminal Z row 0) and
-    the Y_0 summary of ``solve_bsde``."""
+    the Y_0 standard error of ``solve_bsde``; its Y_0 mean is ``y_mean[0]``."""
 
-    times: np.ndarray
     y_mean: np.ndarray
     z_mean: np.ndarray
-    y0_mean: float
     y0_se: float
 
 
@@ -459,9 +451,9 @@ def solve_bsde_means(spec: DriverSpec, fp: FactorPaths,
     def visit(i: int, y_rows: np.ndarray, z_rows: np.ndarray) -> None:
         means[:, i] = np.mean(y_rows[0]), np.mean(z_rows[0])
 
-    summary = _solve_one([spec], _terminals([spec], fp, 0), fp, basis_degree, 0, 50.0, (),
-                         visit)
-    return BsdeMeans(fp.times, means[0], means[1], summary.y0_mean, summary.y0_se)
+    y0_se, _ = _solve_one([spec], _terminals([spec], fp, 0), fp, basis_degree, 0, Z_BOUND,
+                          (), visit)
+    return BsdeMeans(means[0], means[1], y0_se)
 
 
 @dataclass(frozen=True)
@@ -473,14 +465,13 @@ class DiagonalProcess:
     martingale increment, stored as 0).
     """
 
-    times: np.ndarray
     y_values: np.ndarray
     y_paths: np.ndarray
     z_values: np.ndarray
 
 
 def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
-                        basis_degree: int = 3, *, z_bound: float = 50.0,
+                        basis_degree: int = 3, *, z_bound: float = Z_BOUND,
                         deps: Sequence[BsdeGrid] = ()) -> DiagonalProcess:
     """Solve the flow of BSDEs ``family(s)`` on [s, T], s = 0..n, over the
     shared path set and extract member s at time s.
@@ -521,11 +512,11 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
 
         _solve_one(specs, Y, fp, basis_degree, 0, z_bound, deps, visit)
     y_diag = np.array([float(np.mean(row)) for row in Y])
-    return DiagonalProcess(fp.times, y_diag, Y, z_diag)
+    return DiagonalProcess(y_diag, Y, z_diag)
 
 
 def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
-                           basis_degree: int = 3, *, z_bound: float = 50.0) -> list[BsdeGrid]:
+                           basis_degree: int = 3, *, z_bound: float = Z_BOUND) -> list[BsdeGrid]:
     """Solve an ordered list of BSDEs where drivers may read the (Y, Z) grids
     of strictly earlier members: each member is ``solve_bsde`` fed the
     earlier members' grids as ``deps``, solved in order once every
@@ -553,7 +544,6 @@ class ConvergenceRow:
     error, mean Z MSE and the mean Y_0 bias."""
 
     grid_n: int
-    paths: int
     y_mse: float
     y_mse_se: float
     z_mse: float
@@ -592,12 +582,13 @@ def convergence_study(paths: int, reps: int, seed: int,
                     err = np.multiply(fp.state[i], 2.0, out=z_err[i])
                     np.square(np.subtract(z_rows[0], err, out=err), out=err)
 
-            summary = _solve_one([spec], _terminals([spec], fp, 0), fp, 3, 0, 50.0, (), visit)
+            Y = _terminals([spec], fp, 0)
+            _solve_one([spec], Y, fp, 3, 0, Z_BOUND, (), visit)
             y_mses.append(float(np.mean(y_err)))
             z_mses.append(float(np.mean(z_err)))
-            y0s.append(summary.y0_mean)
+            y0s.append(float(np.mean(Y[0])))
         rows.append(ConvergenceRow(
-            grid_n=grid_n, paths=paths, y_mse=float(np.mean(y_mses)),
+            grid_n=grid_n, y_mse=float(np.mean(y_mses)),
             y_mse_se=float(np.std(y_mses, ddof=1) / math.sqrt(reps)),
             z_mse=float(np.mean(z_mses)), y0_bias=float(np.mean(y0s)) - 1.0,
         ))
@@ -624,7 +615,6 @@ class FlowDiagnostics:
     residuals: np.ndarray
     residual_rms: float
     residual_max: float
-    gamma2: float
     implied_u: np.ndarray
 
 
@@ -646,6 +636,5 @@ def mv_flow_residual(scenario: MarketScenario, gamma2: float, paths: int,
         residuals=res,
         residual_rms=float(np.sqrt(np.mean(res ** 2))),
         residual_max=float(np.max(np.abs(res))),
-        gamma2=gamma2,
         implied_u=implied,
     )

@@ -132,7 +132,7 @@ def _cmd_solve(bundle: ScenarioBundle, config: RunConfig):
     summary = {
         "command": "solve",
         "scheme": sweep.scheme,
-        "grid_n": config.grid_n,
+        "grid_n": s.grid_n,
         "seed": config.seed,
         "J_t0": objective_value(bundle.objective, mv),
         "u_first": float(strategy.values[0]),
@@ -222,7 +222,7 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
     means = solve_bsde_means(TERMINAL_STATE, fp, basis_degree)
     table = Table(("t", "y_mean", "z_mean"),
                   (s.times[:n], means.y_mean[:n], means.z_mean[:n]))
-    summary.update(y0_mean=means.y0_mean, y0_se=means.y0_se)
+    summary.update(y0_mean=float(means.y_mean[0]), y0_se=means.y0_se)
     return 0, {"bsde_grid": table, "bsde_summary": summary}
 
 

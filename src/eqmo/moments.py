@@ -46,32 +46,37 @@ from .sampling import check_paths, for_each_block
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Conditional moments of X_T given (t, x): mean, variance, m2..mn, k2..kn."""
+    """Conditional moments of X_T given (t, x): the mean, central moments
+    m2..mn and cumulants k2..kn; the variance is m2."""
 
     m1: float
-    V: float
     central: tuple[float, ...]
     cumulant: tuple[float, ...]
-    order: int
 
     def __post_init__(self) -> None:
-        if self.V < 0.0:
-            raise NegativeVariance(f"V = {self.V} < 0")
-        if self.order != len(self.central) + 1 or self.order != len(self.cumulant) + 1:
+        if not self.central or len(self.central) != len(self.cumulant):
             raise ValidationError(
-                f"order {self.order} inconsistent with moment list lengths "
+                f"moment lists need equal nonzero lengths, got "
                 f"{len(self.central)}/{len(self.cumulant)}"
             )
-        vals = (self.m1, self.V) + self.central + self.cumulant
-        if not all(math.isfinite(v) for v in vals):
+        if self.V < 0.0:
+            raise NegativeVariance(f"V = {self.V} < 0")
+        if not all(math.isfinite(v) for v in (self.m1,) + self.central + self.cumulant):
             raise ValidationError("moments must be finite")
-        scale = max(1.0, abs(self.V))
-        if abs(self.central[0] - self.V) > 1e-12 * scale:
-            raise ValidationError(f"central[2] = {self.central[0]} != V = {self.V}")
         if self.order >= 4:
             m2, m4 = self.central[0], self.central[2]
             if m4 < m2 ** 2 - 1e-9 * max(1.0, m2 ** 2):
                 raise ValidationError(f"m4 = {m4} < m2^2 = {m2 ** 2}")
+
+    @property
+    def V(self) -> float:
+        """The variance m2."""
+        return self.central[0]
+
+    @property
+    def order(self) -> int:
+        """The highest moment order n."""
+        return len(self.central) + 1
 
     def moment(self, k: int, mode: str) -> float:
         """q_k in the requested mode; k = 1 returns the conditional mean."""
@@ -86,8 +91,6 @@ class McEstimate:
 
     moments: MomentVector
     standard_errors: tuple[float, ...]
-    paths: int
-    seed: int
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(s) and s >= 0.0 for s in self.standard_errors):
@@ -174,7 +177,7 @@ class MomentGrid:
         v = float(self.V[i])
         central = tuple(gaussian_central_moments(v, n))
         cumulant = (v,) + (0.0,) * (n - 2)
-        return MomentVector(m1, v, central, cumulant, n)
+        return MomentVector(m1, central, cumulant)
 
 
 def moment_grid(scenario: MarketScenario, strategy: StrategyGrid) -> MomentGrid:
@@ -298,5 +301,4 @@ def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
         raise ValidationError("Monte Carlo moment estimates overflow under this strategy")
     central = tuple(mu[2:n + 1])
     cumulant = tuple(moments_to_cumulants(central))
-    mv = MomentVector(m1, central[0], central, cumulant, n)
-    return McEstimate(mv, tuple(float(s) for s in se), paths, seed)
+    return McEstimate(MomentVector(m1, central, cumulant), tuple(float(s) for s in se))

@@ -13,8 +13,9 @@ import pytest
 
 from eqmo import cli, errors
 from eqmo.bsde import FactorPaths
-from eqmo.cli import DEFAULT_SEED, RunConfig, main
+from eqmo.cli import DEFAULT_SEED, RunConfig, main, run_command
 from eqmo.errors import ValidationError
+from eqmo.scenario_io import parse_scenario
 
 SCN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 MV = os.path.join(SCN, "mv_base.scn")
@@ -38,7 +39,8 @@ paths = 4000
 
 # (scenario, line, replacement, commands): values whose moments, growth
 # factors, Phi, Monte Carlo estimates or factor paths overflow the float
-# range under those commands; homogeneity and bsde do not read u_scale
+# range under those commands (homogeneity and bsde do not read u_scale),
+# and a frozen factor that sets OU parameters it would never read
 HOSTILE = {
     "theta_1e300": (MV, "theta = 0.3\n", "theta = 1e300\n", cli.COMMANDS),
     "u_scale_1e200": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e200\n",
@@ -53,6 +55,7 @@ HOSTILE = {
     "theta_1e150": (RAW_M4, "theta = 0.3\n", "theta = 1e150\n", ("bsde",)),
     "sigma_1e160": (MV, "sigma = 0.2\n", "sigma = 1e160\n", ("homogeneity", "bsde")),
     "kappa_-1e3": (OU, "kappa = 1.0\n", "kappa = -1e3\n", ("bsde",)),
+    "kind_none_with_ou_params": (OU, "kind = ou\n", "kind = none\n", cli.COMMANDS),
 }
 
 
@@ -99,6 +102,15 @@ class TestSolve:
         assert summary["grid_n"] == 100
         assert summary["u_first"] == pytest.approx(3.75, abs=1e-12)
         assert summary["max_residual"] < 1e-12
+
+    def test_summary_grid_n_is_the_solved_grid(self, tmp_path):
+        # the summary reports the scenario's grid, not the config's echo of it
+        config = RunConfig(command="solve", scenario_path=MV, out_dir=str(tmp_path / "s"),
+                           seed=DEFAULT_SEED, grid_n=7, paths=1000, format="json",
+                           scheme="explicit")
+        assert run_command(config, parse_scenario(MV))[0] == 0
+        assert read_json(tmp_path / "s" / "solve_summary.json")["grid_n"] == 100
+        assert len(read_json(tmp_path / "s" / "strategy.json")) == 101
 
     def test_grid_n_flag_changes_row_count(self, tmp_path):
         out = tmp_path / "g"
@@ -235,7 +247,7 @@ class TestBsde:
         state = np.vstack([np.zeros(64), np.repeat([1.0, 2.0], 32),
                            np.repeat([1.0, 2.0], 32)])
         paths = FactorPaths(times=np.linspace(0.0, 1.0, 3), state=state,
-                            dW=np.full((2, 64), 0.1), seed=0)
+                            dW=np.full((2, 64), 0.1))
         out = tmp_path / "singular"
         with mock.patch.object(cli, "simulate_factors", lambda *args: paths):
             assert run("bsde", OU, out, "--paths", "2000") == 1

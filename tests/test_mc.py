@@ -190,7 +190,6 @@ class TestMcConditionalMoments:
         s, u = case()
         n, paths = 6, 20_000
         est = mc_conditional_moments(s, u, 0.0, s.x0, n, paths=paths, seed=1)
-        assert est.paths == paths
         assert len(est.standard_errors) == n  # m1 + m2..m6
         assert all(se > 0.0 for se in est.standard_errors)
         V = conditional_moments(s, u, 0.0, s.x0, 2).V

@@ -200,13 +200,15 @@ class TestMomentGrid:
 class TestMomentVector:
     def test_invariants(self):
         with pytest.raises(NegativeVariance):
-            MomentVector(m1=0.0, V=-1.0, central=(-1.0,), cumulant=(-1.0,), order=2)
+            MomentVector(m1=0.0, central=(-1.0,), cumulant=(-1.0,))
         with pytest.raises(Exception):
-            MomentVector(m1=0.0, V=1.0, central=(1.0, 0.0), cumulant=(1.0,), order=3)
+            MomentVector(m1=0.0, central=(1.0, 0.0), cumulant=(1.0,))
+        with pytest.raises(ValidationError, match="equal nonzero lengths"):
+            MomentVector(m1=0.0, central=(), cumulant=())
 
     def test_moment_accessor(self):
-        mv = MomentVector(m1=2.0, V=1.0, central=(1.0, 0.5, 4.0),
-                          cumulant=(1.0, 0.5, 1.0), order=4)
+        mv = MomentVector(m1=2.0, central=(1.5, 0.5, 4.0), cumulant=(1.5, 0.5, 1.0))
+        assert (mv.V, mv.order) == (1.5, 4)  # derived from the central moments
         assert mv.moment(1, "central") == 2.0
         assert mv.moment(4, "central") == 4.0
         assert mv.moment(4, "cumulant") == 1.0
@@ -229,12 +231,11 @@ class TestObjectiveValue:
     def test_product_terms(self):
         # m2 * m4 product at V = 1: 1 * 3 = 3
         obj = ObjectiveSpec("central", (ObjectiveTerm(((2, 1), (4, 1)), 2.0),))
-        mv = MomentVector(m1=0.0, V=1.0, central=(1.0, 0.0, 3.0),
-                          cumulant=(1.0, 0.0, 0.0), order=4)
+        mv = MomentVector(m1=0.0, central=(1.0, 0.0, 3.0), cumulant=(1.0, 0.0, 0.0))
         assert objective_value(obj, mv) == 6.0
 
     def test_overflow_is_a_typed_error(self):
-        mv = MomentVector(m1=1.0, V=1e200, central=(1e200,), cumulant=(1e200,), order=2)
+        mv = MomentVector(m1=1.0, central=(1e200,), cumulant=(1e200,))
         squared = ObjectiveSpec("cumulant", (ObjectiveTerm(((2, 2),), -1.0),))
         with pytest.raises(ValidationError, match="overflows"):
             objective_value(squared, mv)  # float ** int raises OverflowError
