@@ -12,7 +12,8 @@ Probab. 2005, with the algebra rearranged): the Gram matrices of the basis B
 come from power sums of the state, c_C = Y_{i+1} B' G^-1, and the centered
 target's coefficients are (Y_{i+1} (B dW_i)' - c_C Gw) / dt G^-1 with
 Gw = B diag(dW_i) B', so the target is never formed and C_i and Z_i are each
-written once, into reusable buffers.
+written once, into reusable buffers. A driver quadratic in z clips Z to its
+``DriverSpec.z_bound``; over 1 % of Z values at the bound warns once.
 
 One backward loop over dates, ``_solve_one``, serves every route. It
 carries a block of member rows: row k starts as the terminal of its spec and
@@ -62,8 +63,9 @@ from .sampling import SEED_LIMIT, time_major_normals
 # constant is plain averaging, so those rows regress on the intercept only
 _CONST_STATE_TOL = 1e-13
 
-# default bound |Z| <= Z_BOUND of the Z truncation of "quadratic_in_z" specs
-Z_BOUND = 50.0
+# highest regression basis degree: a standardized row has |x| <= sqrt(paths - 1),
+# so every power sum up to x^(2 d) stays below paths^(d + 1) <= 1e248 at MAX_PATHS
+MAX_BASIS_DEGREE = 30
 
 
 FACTOR_KINDS = ("none", "ou")
@@ -131,8 +133,8 @@ def simulate_factors(model: FactorModel, times: np.ndarray, paths: int,
 
     OU step: theta' = theta_bar + (theta - theta_bar) e^{-kappa dt}
     + eta sqrt(-expm1(-2 kappa dt) / (2 kappa)) xi, with the kappa -> 0 limit
-    variance dt. kind "none" freezes the state at theta0 but still carries
-    Brownian increments so downstream projections stay well defined. An
+    variance dt. Under kind "none" (kappa = theta_bar = eta = 0) that step holds
+    theta0, and the increments still drive the Z projections. An
     explosive factor (kappa < 0) whose decay or paths leave the float range
     is a ValidationError.
     """
@@ -142,31 +144,28 @@ def simulate_factors(model: FactorModel, times: np.ndarray, paths: int,
     Z = time_major_normals(seed, paths, n)
     state = np.empty((n + 1, paths))
     state[0] = model.theta0
-    if model.kind == "none":
-        state[1:] = model.theta0
+    if model.kappa == 0.0:
+        decay = 1.0
+        sd = model.eta * math.sqrt(dt)
     else:
-        if model.kappa == 0.0:
-            decay = 1.0
-            sd = model.eta * math.sqrt(dt)
-        else:
-            try:
-                decay = math.exp(-model.kappa * dt)
-                sd = model.eta * math.sqrt(-math.expm1(-2.0 * model.kappa * dt)
-                                           / (2.0 * model.kappa))
-            except OverflowError:
-                raise ValidationError(
-                    f"OU decay exp({-model.kappa * dt:.6g}) per step overflows") from None
-        row = np.empty(paths)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n):
-                # (theta_bar + (s - theta_bar) decay) + sd z in place, in that order
-                s = np.subtract(state[i], model.theta_bar, out=state[i + 1])
-                s *= decay
-                s += model.theta_bar
-                s += np.multiply(Z[i], sd, out=row)
-        # a non-finite state stays non-finite at every later step
-        if not np.isfinite(state[n]).all():
-            raise ValidationError("factor paths overflow under this model")
+        try:
+            decay = math.exp(-model.kappa * dt)
+            sd = model.eta * math.sqrt(-math.expm1(-2.0 * model.kappa * dt)
+                                       / (2.0 * model.kappa))
+        except OverflowError:
+            raise ValidationError(
+                f"OU decay exp({-model.kappa * dt:.6g}) per step overflows") from None
+    row = np.empty(paths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            # (theta_bar + (s - theta_bar) decay) + sd z in place, in that order
+            s = np.subtract(state[i], model.theta_bar, out=state[i + 1])
+            s *= decay
+            s += model.theta_bar
+            s += np.multiply(Z[i], sd, out=row)
+    # a non-finite state stays non-finite at every later step
+    if not np.isfinite(state[n]).all():
+        raise ValidationError("factor paths overflow under this model")
     Z *= math.sqrt(dt)  # in place: the normals become the increments dW
     return FactorPaths(times, state, Z)
 
@@ -206,20 +205,18 @@ class DriverSpec:
 
     Both are vectorized over paths. ``deps`` is passed iff ``depends_on`` is
     nonempty, as a tuple of (Y_row, Z_row) arrays of the referenced solutions
-    at the current time index. growth_class "quadratic_in_z" enables Z
-    truncation before the driver call.
+    at the current time index. A driver quadratic in z sets ``z_bound``, and Z
+    is clipped to [-z_bound, z_bound] before each of its driver calls.
     """
 
     driver: Callable
     terminal: Callable
-    growth_class: str = "linear"
+    z_bound: float | None = None
     depends_on: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.growth_class not in ("linear", "quadratic_in_z"):
-            raise ValidationError(
-                f"growth_class must be 'linear' or 'quadratic_in_z', got {self.growth_class!r}"
-            )
+        if self.z_bound is not None and not 0.0 < self.z_bound < math.inf:
+            raise ValidationError(f"z_bound must be positive and finite, got {self.z_bound}")
         object.__setattr__(self, "depends_on", tuple(int(i) for i in self.depends_on))
         if any(i < 0 for i in self.depends_on):
             raise ValidationError("depends_on indices must be nonnegative")
@@ -340,15 +337,15 @@ def _fit_date(reg: _Regression, rows: np.ndarray, dt: float, C: np.ndarray,
 
 def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
            Z: np.ndarray, dep_rows: Sequence[tuple[np.ndarray, np.ndarray]],
-           z_bound: float, dt: float) -> tuple[np.ndarray, int]:
+           dt: float) -> tuple[np.ndarray, int]:
     """The explicit step C += f(t, state, C, Z [, deps]) dt on the live row C
     in place, with ``spec.depends_on`` indexing ``dep_rows``; returns f dt and
     the count of Z values at the truncation bound. f dt is formed before C
     changes, since a driver may return its own y argument."""
     saturated = 0
-    if spec.growth_class == "quadratic_in_z":
-        saturated = int(np.count_nonzero(np.abs(Z) >= z_bound))
-        Z = np.clip(Z, -z_bound, z_bound)
+    if spec.z_bound is not None:
+        saturated = int(np.count_nonzero(np.abs(Z) >= spec.z_bound))
+        Z = np.clip(Z, -spec.z_bound, spec.z_bound)
     if spec.depends_on:
         f = spec.driver(t, state, C, Z, tuple(dep_rows[d] for d in spec.depends_on))
     else:
@@ -359,8 +356,8 @@ def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
 
 
 def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
-               basis_degree: int, start_index: int, z_bound: float,
-               deps: Sequence[BsdeGrid], visit: _Visit) -> tuple[float, float]:
+               basis_degree: int, start_index: int, deps: Sequence[BsdeGrid],
+               visit: _Visit) -> tuple[float, float]:
     """The one backward regression loop over dates; returns the standard
     error of row 0's Y at ``start_index`` and the share of Z values at the
     truncation bound. Row 0's path mean there is the caller's to take.
@@ -373,11 +370,11 @@ def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
     member on its own row; ``spec.depends_on`` indexes ``deps``, full grids
     read at the current date. ``visit(i, Y, Z)`` sees the block at every
     date, first at i = n with the terminals (Z zero); Z is rewritten at the
-    next date. Z truncation warns at most once, over every quadratic member.
+    next date. Z truncation warns at most once, over every clipped member.
     """
     n, paths, dt = fp.grid_n, fp.paths, fp.dt
-    if basis_degree < 1:
-        raise ValidationError(f"basis degree must be >= 1, got {basis_degree}")
+    if not 1 <= basis_degree <= MAX_BASIS_DEGREE:
+        raise ValidationError(f"basis degree {basis_degree} outside [1, {MAX_BASIS_DEGREE}]")
     for k, spec in enumerate(specs):
         missing = [d for d in spec.depends_on if d >= len(deps)]
         if missing:
@@ -396,24 +393,23 @@ def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
         t, state = float(fp.times[i]), fp.state[i]
         dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
         for k, spec in enumerate(specs[:i + 1]):
-            f_dt, sat = _drive(spec, t, state, Y[k], Z[k], dep_rows, z_bound, dt)
+            f_dt, sat = _drive(spec, t, state, Y[k], Z[k], dep_rows, dt)
             saturated += sat
             if k == 0 and i == start_index:
                 y0_sample += f_dt
         visit(i, Y, Z)
 
     total = paths * sum(n - max(k, start_index) for k, spec in enumerate(specs)
-                        if spec.growth_class == "quadratic_in_z")
+                        if spec.z_bound is not None)
     if total > 0 and saturated > 0.01 * total:
-        warnings.warn(f"{saturated / total:.1%} of Z values hit the truncation bound "
-                      f"{z_bound}", ZTruncationSaturated, stacklevel=3)
+        warnings.warn(f"{saturated / total:.1%} of Z values hit the truncation bound",
+                      ZTruncationSaturated, stacklevel=3)
     y0_se = float(np.std(y0_sample, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     return y0_se, (saturated / total if total else 0.0)
 
 
 def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
-               start_index: int = 0, z_bound: float = Z_BOUND,
-               deps: Sequence[BsdeGrid] = ()) -> BsdeGrid:
+               start_index: int = 0, deps: Sequence[BsdeGrid] = ()) -> BsdeGrid:
     """Backward regression solve of one BSDE on [t_start, T].
 
     Rows with index below ``start_index`` are left at zero (flow members live
@@ -427,7 +423,7 @@ def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
         Z[i] = z_rows[0]
 
     y0_se, z_saturation = _solve_one([spec], _terminals([spec], fp, start_index), fp,
-                                     basis_degree, start_index, z_bound, deps, visit)
+                                     basis_degree, start_index, deps, visit)
     return BsdeGrid(Y, Z, float(np.mean(Y[start_index])), y0_se, z_saturation)
 
 
@@ -451,8 +447,7 @@ def solve_bsde_means(spec: DriverSpec, fp: FactorPaths,
     def visit(i: int, y_rows: np.ndarray, z_rows: np.ndarray) -> None:
         means[:, i] = np.mean(y_rows[0]), np.mean(z_rows[0])
 
-    y0_se, _ = _solve_one([spec], _terminals([spec], fp, 0), fp, basis_degree, 0, Z_BOUND,
-                          (), visit)
+    y0_se, _ = _solve_one([spec], _terminals([spec], fp, 0), fp, basis_degree, 0, (), visit)
     return BsdeMeans(means[0], means[1], y0_se)
 
 
@@ -471,7 +466,7 @@ class DiagonalProcess:
 
 
 def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
-                        basis_degree: int = 3, *, z_bound: float = Z_BOUND,
+                        basis_degree: int = 3, *,
                         deps: Sequence[BsdeGrid] = ()) -> DiagonalProcess:
     """Solve the flow of BSDEs ``family(s)`` on [s, T], s = 0..n, over the
     shared path set and extract member s at time s.
@@ -484,7 +479,7 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
     terminals are bitwise equal, the members differ only in where they
     start, so one row solved on [0, T] gives them all: its value at date s
     is member s at time s, bitwise a standalone ``solve_bsde``. Z truncation
-    warns at most once per flow, counting over all quadratic members.
+    warns at most once per flow, counting over all members with a ``z_bound``.
 
     Each date regresses on the state X_t at that date alone, so a member's
     terminal may depend on s only deterministically, never on quantities
@@ -504,19 +499,19 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
             Y[i] = y_rows[0]
             z_diag[i] = np.mean(z_rows[0])
 
-        _solve_one(specs[:1], Y[:1], fp, basis_degree, 0, z_bound, deps, visit)
+        _solve_one(specs[:1], Y[:1], fp, basis_degree, 0, deps, visit)
     else:
         def visit(i: int, y_rows: np.ndarray, z_rows: np.ndarray) -> None:
             if i < n:
                 z_diag[i] = np.mean(z_rows[i])
 
-        _solve_one(specs, Y, fp, basis_degree, 0, z_bound, deps, visit)
+        _solve_one(specs, Y, fp, basis_degree, 0, deps, visit)
     y_diag = np.array([float(np.mean(row)) for row in Y])
     return DiagonalProcess(y_diag, Y, z_diag)
 
 
 def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
-                           basis_degree: int = 3, *, z_bound: float = Z_BOUND) -> list[BsdeGrid]:
+                           basis_degree: int = 3) -> list[BsdeGrid]:
     """Solve an ordered list of BSDEs where drivers may read the (Y, Z) grids
     of strictly earlier members: each member is ``solve_bsde`` fed the
     earlier members' grids as ``deps``, solved in order once every
@@ -530,7 +525,7 @@ def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
             )
     grids: list[BsdeGrid] = []
     for spec in specs:
-        grids.append(solve_bsde(spec, fp, basis_degree, z_bound=z_bound, deps=grids))
+        grids.append(solve_bsde(spec, fp, basis_degree, deps=grids))
     return grids
 
 
@@ -583,7 +578,7 @@ def convergence_study(paths: int, reps: int, seed: int,
                     np.square(np.subtract(z_rows[0], err, out=err), out=err)
 
             Y = _terminals([spec], fp, 0)
-            _solve_one([spec], Y, fp, 3, 0, Z_BOUND, (), visit)
+            _solve_one([spec], Y, fp, 3, 0, (), visit)
             y_mses.append(float(np.mean(y_err)))
             z_mses.append(float(np.mean(z_err)))
             y0s.append(float(np.mean(Y[0])))

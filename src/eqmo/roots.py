@@ -26,6 +26,8 @@ from .model import Polynomial
 _MAX_ITER = 120
 _NEWTON_ITER = 8
 _EPS = 2.0 ** -52
+# relative root tolerance: bracket width, Newton step and duplicate spacing
+_TOL = 1e-12
 
 
 def _magnitude(poly: Polynomial, x: float) -> float:
@@ -40,13 +42,13 @@ def _magnitude(poly: Polynomial, x: float) -> float:
 
 
 def _refine(poly: Polynomial, deriv: Polynomial, a: float, b: float,
-            fa: float, fb: float, tol: float) -> float:
+            fa: float, fb: float) -> float:
     """Root in [a, b] with sign(fa) != sign(fb): Newton inside a shrinking
     bisection bracket."""
     x = 0.5 * (a + b)
     for _ in range(_MAX_ITER):
         fx = poly(x)
-        if fx == 0.0 or (b - a) <= tol * max(1.0, abs(x)):
+        if fx == 0.0 or (b - a) <= _TOL * max(1.0, abs(x)):
             return x
         if (fx < 0.0) == (fa < 0.0):
             a, fa = x, fx
@@ -62,7 +64,7 @@ def _refine(poly: Polynomial, deriv: Polynomial, a: float, b: float,
     return x
 
 
-def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12,
+def real_roots(poly: Polynomial, lo: float, hi: float, *,
                near: float | None = None) -> list[float]:
     """Sorted real roots of ``poly`` in [lo, hi]; even-multiplicity roots
     appear once. The zero polynomial returns no roots.
@@ -76,7 +78,7 @@ def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12,
     if poly.degree <= 0:
         return []
     if near is not None and poly.degree >= 2:
-        r = nearest_root(poly.coeffs, near, tol)
+        r = nearest_root(poly.coeffs, near)
         if r is not None and lo <= r <= hi:
             return [r]
     if poly.degree == 1:
@@ -85,7 +87,7 @@ def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12,
         return [x] if lo <= x <= hi else []
 
     deriv = poly.derivative()
-    cuts = [lo] + [c for c in real_roots(deriv, lo, hi, tol) if lo < c < hi] + [hi]
+    cuts = [lo] + [c for c in real_roots(deriv, lo, hi) if lo < c < hi] + [hi]
     fvals = [poly(c) for c in cuts]
     touch_tol = 1e-10
 
@@ -98,26 +100,26 @@ def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12,
         if fa == 0.0 or fb == 0.0:
             continue  # monotone piece anchored at an exact root: no interior root
         if (fa < 0.0) != (fb < 0.0):
-            cands.append(_refine(poly, deriv, a, b, fa, fb, tol))
+            cands.append(_refine(poly, deriv, a, b, fa, fb))
 
     cands.sort()
     roots: list[float] = []
     for x in cands:
-        if not roots or abs(x - roots[-1]) > tol * max(1.0, abs(x)):
+        if not roots or abs(x - roots[-1]) > _TOL * max(1.0, abs(x)):
             roots.append(x)
     return roots
 
 
-def nearest_root(coeffs: Sequence[float], x0: float, tol: float = 1e-12) -> float | None:
+def nearest_root(coeffs: Sequence[float], x0: float) -> float | None:
     """The root of ``sum(coeffs[k] x**k)`` nearest x0, certified, or None.
 
     ``coeffs`` are those of a polynomial of degree >= 2, lowest power
     first, so the last one is nonzero.
 
     Newton's method from x0 (p and p' from one Horner loop) stops once
-    |step| <= tol max(1, |x|) and returns r = x - step. The certificate
-    Taylor-expands p' at x0 by repeated synthetic division, p'(x0 + t) =
-    sum_k q_k t^k, and requires
+    |step| <= tol max(1, |x|), with tol = ``_TOL``, and returns
+    r = x - step. The certificate Taylor-expands p' at x0 by repeated
+    synthetic division, p'(x0 + t) = sum_k q_k t^k, and requires
 
         |q_0| - sum_{k>=1} |q_k| h^k > rounding allowance,
 
@@ -147,11 +149,11 @@ def nearest_root(coeffs: Sequence[float], x0: float, tol: float = 1e-12) -> floa
         x -= step
         if not math.isfinite(x):
             return None
-        if abs(step) <= tol * max(1.0, abs(x)):
+        if abs(step) <= _TOL * max(1.0, abs(x)):
             break
     else:
         return None
-    h = abs(x - x0) + abs(step) + tol * max(1.0, abs(x))
+    h = abs(x - x0) + abs(step) + _TOL * max(1.0, abs(x))
     # Taylor coefficients of p' at x0: q[k] = p'^(k)(x0) / k!
     q = [k * c for k, c in enumerate(coeffs) if k]
     m = len(q) - 1

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bsde import FACTOR_KINDS, FactorModel
+from .bsde import FACTOR_KINDS, MAX_BASIS_DEGREE, FactorModel
 from .equilibrium import SCHEMES
 from .errors import ParseError
 from .model import MODES, MarketScenario, ObjectiveSpec, ObjectiveTerm
@@ -135,7 +135,7 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         # v = 0 lies on the deviation grid, so max Phi >= 0: a negative
         # tolerance would fail every strategy
         "tolerance": (_bounded(_scalar, 0.0), 1e-8),
-        "basis_degree": (_bounded(_int, 1), 3),
+        "basis_degree": (_bounded(_int, 1, MAX_BASIS_DEGREE), 3),
         "u_scale": (_scalar, 1.0),
     },
 }

@@ -135,10 +135,10 @@ class TestFactorModel:
 
 
 class TestDriverSpec:
-    def test_growth_class_validation(self):
-        with pytest.raises(ValidationError):
-            DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: 0.0,
-                       growth_class="cubic")
+    def test_z_bound_validation(self):
+        for bound in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            with pytest.raises(ValidationError, match="z_bound"):
+                DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: 0.0, z_bound=bound)
 
     def test_negative_dependency_rejected(self):
         with pytest.raises(ValidationError):
@@ -215,8 +215,9 @@ class TestSolverOptions:
     def test_basis_degree_validation(self):
         fp = simulate_factors(brownian_factor(), grid_times(4), 64, 1)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
-        with pytest.raises(ValidationError):
-            solve_bsde(spec, fp, basis_degree=0)
+        for degree in (0, 31):
+            with pytest.raises(ValidationError):
+                solve_bsde(spec, fp, basis_degree=degree)
 
     def test_regression_singular_on_degenerate_state(self):
         # two-point state at date 1 cannot support a cubic basis; the error
@@ -238,14 +239,16 @@ class TestSolverOptions:
 
     def test_quadratic_growth_truncation_warns_when_saturated(self):
         fp = simulate_factors(brownian_factor(), grid_times(10), 4000, 17)
-        spec = DriverSpec(driver=lambda t, s, y, z: 0.1 * z ** 2,
-                          terminal=lambda f, s: f.state[-1] ** 2,
-                          growth_class="quadratic_in_z")
+
+        def spec(z_bound):
+            return DriverSpec(driver=lambda t, s, y, z: 0.1 * z ** 2,
+                              terminal=lambda f, s: f.state[-1] ** 2, z_bound=z_bound)
+
         with pytest.warns(ZTruncationSaturated):
-            grid = solve_bsde(spec, fp, z_bound=0.05)
+            grid = solve_bsde(spec(0.05), fp)
         assert grid.z_saturation > 0.01
         # a generous bound leaves the estimate untouched
-        quiet = solve_bsde(spec, fp, z_bound=50.0)
+        quiet = solve_bsde(spec(50.0), fp)
         assert quiet.z_saturation == 0.0
 
     def test_y_dependent_driver_step_is_explicit(self):
@@ -352,16 +355,15 @@ class TestBatchedFlow:
         def family(s):
             return DriverSpec(driver=lambda t, st, y, z: 0.1 * z ** 2 - 0.2 * y,
                               terminal=lambda f, idx: f.state[-1] ** 2 * (1.0 + 0.05 * idx),
-                              growth_class="quadratic_in_z")
+                              z_bound=0.05)
 
-        options = dict(z_bound=0.05)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            diag = solve_flow_diagonal(family, fp, **options)
+            diag = solve_flow_diagonal(family, fp)
         saturation = [w for w in caught if issubclass(w.category, ZTruncationSaturated)]
         assert len(saturation) == 1  # one warning per flow, over all members
         with pytest.warns(ZTruncationSaturated):
-            ref = per_member_diagonal(family, fp, **options)
+            ref = per_member_diagonal(family, fp)
         assert_matches_per_member(diag, ref)
 
     def test_saturation_warning_points_at_the_caller(self):
@@ -372,10 +374,10 @@ class TestBatchedFlow:
         def family(s):
             return DriverSpec(driver=lambda t, st, y, z: 0.1 * z ** 2,
                               terminal=lambda f, idx: f.state[-1] ** 2 * (1.0 + 0.05 * idx),
-                              growth_class="quadratic_in_z")
+                              z_bound=0.05)
 
-        for solve in (lambda: solve_bsde(family(0), fp, z_bound=0.05),
-                      lambda: solve_flow_diagonal(family, fp, z_bound=0.05)):
+        for solve in (lambda: solve_bsde(family(0), fp),
+                      lambda: solve_flow_diagonal(family, fp)):
             with pytest.warns(ZTruncationSaturated) as caught:
                 solve()
             assert [w.filename for w in caught] == [__file__]
@@ -673,21 +675,19 @@ class TestRecurrentSystems:
         fp = simulate_factors(brownian_factor(), grid_times(10), 1500, 61)
         specs = [
             DriverSpec(driver=lambda t, st, y, z: 0.1 * z ** 2 - 0.2 * y,
-                       terminal=lambda f, s: f.state[-1] ** 2,
-                       growth_class="quadratic_in_z"),
+                       terminal=lambda f, s: f.state[-1] ** 2, z_bound=0.5),
             DriverSpec(driver=lambda t, st, y, z, deps: deps[0][0] - 0.3 * deps[0][1] - 0.1 * y,
                        terminal=lambda f, s: f.state[-1],
                        depends_on=(0,)),
             DriverSpec(driver=lambda t, st, y, z, deps: 0.05 * z ** 2 + deps[1][0] * deps[0][1],
                        terminal=lambda f, s: np.cos(f.state[-1]),
-                       growth_class="quadratic_in_z", depends_on=(1, 0)),
+                       z_bound=0.5, depends_on=(1, 0)),
         ]
-        options = dict(z_bound=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ZTruncationSaturated)
-            system = solve_recurrent_system(specs, fp, **options)
+            system = solve_recurrent_system(specs, fp)
             for k, spec in enumerate(specs):
-                alone = solve_bsde(spec, fp, deps=system[:k], **options)
+                alone = solve_bsde(spec, fp, deps=system[:k])
                 got = system[k]
                 for a, b in ((got.Y, alone.Y), (got.Z, alone.Z)):
                     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))

@@ -175,7 +175,11 @@ MALFORMED = {
     "grid_n_zero": ("solve", MINIMAL + "\n[numerics]\ngrid_n = 0\n", 11,
                     "grid_n: expected a value >= 1"),
     "basis_degree_zero": ("bsde", MINIMAL + "\n[numerics]\nbasis_degree = 0\n", 11,
-                          "basis_degree: expected a value >= 1"),
+                          r"basis_degree: expected a value in \[1, 30\], got '0'"),
+    "basis_degree_above_max": ("bsde", MINIMAL + "\n[numerics]\nbasis_degree = 31\n", 11,
+                               r"basis_degree: expected a value in \[1, 30\], got '31'"),
+    "basis_degree_huge": ("bsde", MINIMAL + "\n[numerics]\nbasis_degree = 1000000000\n", 11,
+                          r"basis_degree: expected a value in \[1, 30\]"),
     "z_bound_removed": ("bsde", MINIMAL + "\n[numerics]\nz_bound = 10\n", 11,
                         "'z_bound'"),
     "paths_zero": ("mc", MINIMAL + "\n[numerics]\npaths = 0\n", 11,
@@ -219,7 +223,8 @@ class TestNonFiniteNumbers(_RejectedWithLine):
 
 @pytest.mark.parametrize("case", ["T_array", "x0_array", "kind_unknown", "non_utf8",
                                   "eta_negative", "rho_nonzero", "grid_n_zero",
-                                  "basis_degree_zero", "z_bound_removed", "paths_zero",
+                                  "basis_degree_zero", "basis_degree_above_max",
+                                  "basis_degree_huge", "z_bound_removed", "paths_zero",
                                   "paths_above_max", "seed_negative", "seed_too_large",
                                   "tolerance_negative"])
 class TestMalformedValues(_RejectedWithLine):
