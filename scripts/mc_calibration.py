@@ -7,7 +7,8 @@ the gate (exit code 2). Under the null each of the six z-scores (m1,
 m2..m6) is about standard normal, so a seed fires with probability at most
 6 P(|Z| > 4) = 6 x 6.3e-5. The count must stay within the binomial bound
 at that rate: the smallest c with P(Binomial(seeds, rate) > c) <= ALPHA.
-Prints one JSON record and exits 1 when the count exceeds the bound or a
+Prints one JSON record, which names the bit generator and numpy version
+that drew its normals, and exits 1 when the count exceeds the bound or a
 run fails.
 
 Usage: python scripts/mc_calibration.py --scenario scenarios/mv_base.scn
@@ -19,7 +20,10 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 from eqmo.cli import Z_THRESHOLD, main as eqmo_main
+from eqmo.sampling import block_generator
 
 ALPHA = 1e-3  # chance that correct code exceeds the bound
 FIRST_SEED = 1000
@@ -78,6 +82,8 @@ def main() -> int:
         "fired_seeds": fired,
         "failed_seeds": failed,
         "within_bound": len(fired) <= bound and not failed,
+        "bit_generator": type(block_generator(FIRST_SEED, 0).bit_generator).__name__,
+        "numpy": np.__version__,
     }
     print(json.dumps(record, indent=2))
     return 0 if record["within_bound"] else 1

@@ -51,6 +51,7 @@ import numpy as np
 from .errors import (
     CyclicDependency,
     RegressionSingular,
+    TooFewPaths,
     ValidationError,
     ZTruncationSaturated,
 )
@@ -375,6 +376,10 @@ def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
     n, paths, dt = fp.grid_n, fp.paths, fp.dt
     if not 1 <= basis_degree <= MAX_BASIS_DEGREE:
         raise ValidationError(f"basis degree {basis_degree} outside [1, {MAX_BASIS_DEGREE}]")
+    if paths < basis_degree + 2:
+        # with no more paths than basis functions the continuation fit
+        # interpolates Y, so the centered Z target and every Z fit are 0
+        raise TooFewPaths(f"paths = {paths} < basis degree + 2 = {basis_degree + 2}")
     for k, spec in enumerate(specs):
         missing = [d for d in spec.depends_on if d >= len(deps)]
         if missing:
@@ -404,7 +409,7 @@ def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
     if total > 0 and saturated > 0.01 * total:
         warnings.warn(f"{saturated / total:.1%} of Z values hit the truncation bound",
                       ZTruncationSaturated, stacklevel=3)
-    y0_se = float(np.std(y0_sample, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+    y0_se = float(np.std(y0_sample, ddof=1) / math.sqrt(paths))
     return y0_se, (saturated / total if total else 0.0)
 
 

@@ -2,14 +2,15 @@
 
 The stream for (seed, paths, cols) is a (paths, cols) matrix of standard
 normals in blocks of BLOCK = 4096 rows: block b holds rows b * 4096 up to
-min((b + 1) * 4096, paths) and is filled in C order from its own substream
-``SeedSequence((seed, b))``. Path p's row thus depends only on (seed, p,
-cols), never on how many threads drew it. `EQMO_WORKERS` selects the thread
-count (an integer >= 1, capped at the number of blocks); threads draw and
-consume disjoint blocks, which keeps every output bit-identical for any
-setting. Seeds must lie in [0, 2**63), path counts in [1, MAX_PATHS],
-column counts be integers >= 0 and time-major matrices hold at most
-MAX_CELLS normals.
+min((b + 1) * 4096, paths) and is filled in C order by numpy's ziggurat
+``standard_normal`` from its own substream, an SFC64 bit generator seeded
+with ``SeedSequence((seed, b))``. Path p's row thus depends only on (seed,
+p, cols), never on how many threads drew it. `EQMO_WORKERS` selects the
+thread count (an integer >= 1, capped at the number of blocks); threads
+draw and consume disjoint blocks, which keeps every output bit-identical
+for any setting. Seeds must lie in [0, 2**63), path counts in [1,
+MAX_PATHS], column counts be integers >= 0 and time-major matrices hold at
+most MAX_CELLS normals.
 
 The stream is never built whole, nor even a whole block of it.
 :func:`for_each_block` fills each block from its one generator in
@@ -95,13 +96,21 @@ def _pool_size(blocks: int) -> int:
     return min(worker_count(), blocks)
 
 
+def block_generator(seed: int, b: int) -> np.random.Generator:
+    """The generator of block b's substream: an SFC64 bit generator seeded
+    with ``SeedSequence((seed, b))``. Under numpy's ziggurat it takes about a
+    fifth less time per normal than numpy's default PCG64 (BENCH_sfc64.json)."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, b))))
+
+
 def for_each_block(seed: int, paths: int, cols: int,
                    visit: Callable[[int, int, np.ndarray], None]) -> None:
     """Call ``visit(lo, hi, Z)`` once per chunk of the (paths, cols) stream,
     Z holding rows lo:hi. Block b (rows b * BLOCK up to the next block) is
-    drawn in C order from ``SeedSequence((seed, b))`` as consecutive chunks
-    of max(1, min(BLOCK, CHUNK_BYTES // (8 * cols))) rows, the last one
-    shorter, so the chunks of a block tile it in order.
+    drawn in C order by ``Generator(SFC64(SeedSequence((seed, b))))``'s
+    ziggurat as consecutive chunks of max(1, min(BLOCK, CHUNK_BYTES //
+    (8 * cols))) rows, the last one shorter, so the chunks of a block tile it
+    in order.
 
     Z is scratch space that the thread overwrites with its next chunk, so
     ``visit`` copies whatever must outlive the call. One thread visits the
@@ -117,7 +126,7 @@ def for_each_block(seed: int, paths: int, cols: int,
     def work(stripe: range) -> None:
         scratch = np.empty((min(rows, paths), cols))
         for b in stripe:
-            draw = np.random.default_rng(np.random.SeedSequence((seed, b))).standard_normal
+            draw = block_generator(seed, b).standard_normal
             end = min((b + 1) * BLOCK, paths)
             for lo in range(b * BLOCK, end, rows):
                 hi = min(lo + rows, end)

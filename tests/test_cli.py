@@ -279,6 +279,16 @@ class TestHostileInputs:
             assert (diag["error"], diag["step"]) == ("SolverError", 99)
             assert "variance-to-go overflows" in diag["message"]
 
+    @pytest.mark.parametrize("scenario", [MV, OU])
+    @pytest.mark.parametrize("paths", ["1", "4"])
+    def test_bsde_on_too_few_paths_is_typed(self, tmp_path, capsys, scenario, paths):
+        # the cubic fit interpolates 4 paths, and one path is a constant
+        # state: either way Z reads 0, and on one path so does Y_0's error
+        out = tmp_path / "few"
+        assert run("bsde", scenario, out, "--paths", paths) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "TooFewPaths"
+        assert not out.exists()
+
 
 class TestModuleEntryPoint:
     def test_python_m_eqmo_cli_is_silent(self, tmp_path):
