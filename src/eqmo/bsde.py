@@ -74,7 +74,7 @@ FACTOR_KINDS = ("none", "ou")
 
 @dataclass(frozen=True)
 class FactorModel:
-    """Scalar risk-premium factor: none (frozen at theta0) or an OU process."""
+    """Scalar risk-premium factor: none (frozen at 0) or an OU process."""
 
     kind: str = "none"
     kappa: float = 0.0
@@ -92,8 +92,8 @@ class FactorModel:
         if self.eta < 0.0:
             raise ValidationError(f"eta must be nonnegative, got {self.eta}")
         if self.kind == "none":
-            # the frozen state reads theta0 only
-            for name in ("kappa", "theta_bar", "eta"):
+            # the frozen state is 0 and reads no field
+            for name in ("kappa", "theta_bar", "eta", "theta0"):
                 if getattr(self, name) != 0.0:
                     raise ValidationError(f"{name} must be 0 under factor kind 'none', "
                                           f"got {getattr(self, name)}")
@@ -134,10 +134,10 @@ def simulate_factors(model: FactorModel, times: np.ndarray, paths: int,
 
     OU step: theta' = theta_bar + (theta - theta_bar) e^{-kappa dt}
     + eta sqrt(-expm1(-2 kappa dt) / (2 kappa)) xi, with the kappa -> 0 limit
-    variance dt. Under kind "none" (kappa = theta_bar = eta = 0) that step holds
-    theta0, and the increments still drive the Z projections. An
-    explosive factor (kappa < 0) whose decay or paths leave the float range
-    is a ValidationError.
+    variance dt. Under kind "none" (kappa = theta_bar = eta = theta0 = 0) that
+    step holds the state at 0, and the increments still drive the Z
+    projections. An explosive factor (kappa < 0) whose decay or paths leave
+    the float range is a ValidationError.
     """
     times = np.asarray(times, dtype=float)
     n = len(times) - 1

@@ -1,10 +1,10 @@
 """Batch front end: parse a scenario file, run one command, emit artifacts.
 
 Commands: solve (backward sweep -> strategy table), verify (equilibrium
-report on the swept strategy, optionally rescaled by [numerics] u_scale),
-moments (per-time conditional moment table), homogeneity (numeric check +
-algebraic predicate + agreement flag), bsde (flow-diagonal cross-check or
-factor BSDE export), mc (analytic vs Monte Carlo moment comparison).
+report), moments (per-time conditional moment table), homogeneity (numeric
+check + algebraic predicate + agreement flag), bsde (flow-diagonal
+cross-check or factor BSDE export), mc (analytic vs Monte Carlo moments).
+verify, moments and mc read the sweep rescaled by [numerics] u_scale.
 
 Exit codes: 0 success/pass, 2 a verification-style command reports failure
 (verify fail, homogeneity violated or in disagreement, mc z-score breach),
@@ -108,10 +108,9 @@ def resolve_config(args: argparse.Namespace, bundle: ScenarioBundle) -> RunConfi
 
 
 def _swept_strategy(bundle: ScenarioBundle, config: RunConfig):
-    sweep = backward_sweep(bundle.scenario, bundle.objective, config.scheme)
+    strategy = backward_sweep(bundle.scenario, bundle.objective, config.scheme).strategy
     u_scale = bundle.numerics["u_scale"]
-    strategy = sweep.strategy if u_scale == 1.0 else sweep.strategy.scaled(u_scale)
-    return sweep, strategy, u_scale
+    return strategy if u_scale == 1.0 else strategy.scaled(u_scale)
 
 
 def _witness_obj(witness) -> dict | None:
@@ -122,28 +121,28 @@ def _witness_obj(witness) -> dict | None:
 
 
 def _cmd_solve(bundle: ScenarioBundle, config: RunConfig):
-    sweep, strategy, _ = _swept_strategy(bundle, config)
     s = bundle.scenario
+    sweep = backward_sweep(s, bundle.objective, config.scheme)
     table = Table(
         ("t", "u", "V", "D", "residual"),
-        (s.times, strategy.values, sweep.variance_to_go, sweep.D, sweep.residuals),
+        (s.times, sweep.strategy.values, sweep.variance_to_go, sweep.D, sweep.residuals),
     )
-    mv = conditional_moments(s, strategy, 0.0, s.x0, bundle.objective.max_order)
+    mv = conditional_moments(s, sweep.strategy, 0.0, s.x0, bundle.objective.max_order)
     summary = {
         "command": "solve",
         "scheme": sweep.scheme,
         "grid_n": s.grid_n,
         "seed": config.seed,
         "J_t0": objective_value(bundle.objective, mv),
-        "u_first": float(strategy.values[0]),
-        "u_terminal": float(strategy.values[-1]),
+        "u_first": float(sweep.strategy.values[0]),
+        "u_terminal": float(sweep.strategy.values[-1]),
         "max_residual": float(np.max(sweep.residuals)),
     }
     return 0, {"strategy": table, "solve_summary": summary}
 
 
 def _cmd_verify(bundle: ScenarioBundle, config: RunConfig):
-    _, strategy, u_scale = _swept_strategy(bundle, config)
+    strategy = _swept_strategy(bundle, config)
     tolerance = bundle.numerics["tolerance"]
     report = equilibrium_report(bundle.scenario, bundle.objective, strategy,
                                 tolerance=tolerance)
@@ -152,7 +151,7 @@ def _cmd_verify(bundle: ScenarioBundle, config: RunConfig):
         "max_phi": report.max_phi,
         "tolerance": report.tolerance,
         "convention": report.convention,
-        "u_scale": u_scale,
+        "u_scale": bundle.numerics["u_scale"],
         "witness": _witness_obj(report.witness),
     }
     profile = Table(("t", "phi_max"), (bundle.scenario.times, report.per_t_max))
@@ -161,7 +160,7 @@ def _cmd_verify(bundle: ScenarioBundle, config: RunConfig):
 
 def _cmd_moments(bundle: ScenarioBundle, config: RunConfig):
     s = bundle.scenario
-    _, strategy, _ = _swept_strategy(bundle, config)
+    strategy = _swept_strategy(bundle, config)
     order = max(bundle.objective.max_order, 4)
     grid = moment_grid(s, strategy)
     rows = []
@@ -228,7 +227,7 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
 
 def _cmd_mc(bundle: ScenarioBundle, config: RunConfig):
     s = bundle.scenario
-    _, strategy, _ = _swept_strategy(bundle, config)
+    strategy = _swept_strategy(bundle, config)
     order = 6
     analytic = conditional_moments(s, strategy, 0.0, s.x0, order)
     est = mc_conditional_moments(s, strategy, 0.0, s.x0, order, config.paths,

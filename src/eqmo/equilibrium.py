@@ -14,9 +14,10 @@ coefficient vanishes (the per-step stationarity equation solved backward
 here) and D <= 0.
 
 This module owns the Phi coefficients (one private formula, shared by
-:func:`phi_profile` and the sweep's residuals), the scan of Phi over times
-and deviations, the backward sweep and the mean-variance reference strategy.
-Every pass/fail decision drawn from the scan lives in :mod:`eqmo.verify`.
+:func:`phi_profile` and the sweep's residuals), Phi's maximum at each time
+(the vertex on concave rows, else the better end of the deviation range),
+the backward sweep and the mean-variance reference strategy. Every
+pass/fail decision drawn from that maximum lives in :mod:`eqmo.verify`.
 """
 from __future__ import annotations
 
@@ -255,36 +256,35 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
 
 
 def default_v_grid(strategy: StrategyGrid) -> np.ndarray:
-    """Symmetric log-spaced deviation grid of 41 values: 20 a side covering
-    [-10 |u|_max, 10 |u|_max] down to 1e-4 of that, plus 0."""
-    scale = 10.0 * float(np.max(np.abs(strategy.values)))
-    if scale == 0.0:
-        scale = 10.0
-    side = scale * np.logspace(-4.0, 0.0, 20)
-    return np.concatenate([-side[::-1], [0.0], side])
+    """The deviation range the scan reads, [-r, 0, r] with r = 10 max |u|
+    (10 when u = 0); v = 0 keeps max Phi >= 0."""
+    r = 10.0 * float(np.max(np.abs(strategy.values))) or 10.0
+    return np.array([-r, 0.0, r])
 
 
 def scan_phi_max(scenario: MarketScenario, objective: ObjectiveSpec,
                  strategy: StrategyGrid, v_grid: np.ndarray):
-    """Max of Phi over grid times x (v_grid plus the continuous quadratic
-    vertex where b < 0); returns (max_phi, witness, per_t_max). A maximum
-    past the float range is a ValidationError."""
+    """Max of Phi(t_i, v) = a_i v + b_i v^2 at each grid time over the range
+    [min v_grid, max v_grid] in O(grid_n), as (max_phi, witness, per_t_max):
+    the vertex (the supremum over all v) where b < 0, else the better end of
+    the range, the low one on a tie. A non-finite v, a maximum past the float
+    range or a nan end where b >= 0 is a ValidationError."""
     v_grid = np.asarray(v_grid, dtype=float)
     if v_grid.size == 0:
         raise EmptyVGrid("deviation grid is empty")
+    if not np.isfinite(v_grid).all():
+        raise ValidationError("deviation grid must be finite")
+    lo, hi = float(v_grid.min()), float(v_grid.max())
     a, b = phi_profile(scenario, objective, strategy)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phis = a[:, None] * v_grid[None, :] + b[:, None] * v_grid[None, :] ** 2
-        per_t_max = phis.max(axis=1)
-        per_t_arg = v_grid[np.argmax(phis, axis=1)]
-        concave = b < 0.0
-        v_star = np.where(concave, -a / np.where(concave, 2.0 * b, 1.0), 0.0)
-        phi_star = np.where(concave, -(a * a) / np.where(concave, 4.0 * b, 1.0), -np.inf)
-    better = concave & (phi_star > per_t_max)
-    per_t_max = np.where(better, phi_star, per_t_max)
-    if not np.isfinite(per_t_max).all():
+    concave = b < 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi_lo = a * lo + b * (lo * lo)
+        phi_hi = a * hi + b * (hi * hi)
+        at_hi = phi_hi > phi_lo
+        per_t_max = np.where(concave, -(a * a) / (4.0 * b), np.where(at_hi, phi_hi, phi_lo))
+        per_t_arg = np.where(concave, -a / (2.0 * b), np.where(at_hi, hi, lo))
+    if not np.isfinite(per_t_max).all() or np.isnan(phi_hi[~concave]).any():
         raise ValidationError("Phi overflows on the deviation grid under this strategy")
-    per_t_arg = np.where(better, v_star, per_t_arg)
     i = int(np.argmax(per_t_max))
     witness = (float(scenario.times[i]), float(per_t_arg[i]), float(per_t_max[i]))
     return float(per_t_max[i]), witness, per_t_max

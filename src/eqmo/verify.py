@@ -42,9 +42,9 @@ class EquilibriumReport:
     """Sign report for Phi over the whole grid.
 
     verdict is "pass" iff max_phi <= tolerance; witness is the maximizing
-    (t, v, Phi) triple when the check fails. per_t_max[i] is the max over v
-    of Phi(times[i], v), including the continuous quadratic vertex wherever
-    the second-order coefficient is negative.
+    (t, v, Phi) triple when the check fails. per_t_max[i] is the max of
+    Phi(times[i], v): its vertex, the supremum over all v, where the
+    second-order coefficient is negative, else the better end of the range.
     """
 
     verdict: str
@@ -62,7 +62,7 @@ class EquilibriumReport:
 def equilibrium_report(scenario: MarketScenario, objective: ObjectiveSpec,
                        strategy: StrategyGrid,
                        tolerance: float = 1e-8) -> EquilibriumReport:
-    """Scan Phi(t, v) over all grid times and the default deviation grid;
+    """Max Phi(t, v) over all grid times and the default deviation range;
     pass iff max Phi <= tolerance."""
     max_phi, witness, per_t_max = scan_phi_max(scenario, objective, strategy,
                                                default_v_grid(strategy))

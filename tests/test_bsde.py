@@ -72,17 +72,17 @@ class TestFactorModel:
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValidationError, match=f"^{field} must be finite"):
                     FactorModel(kind="ou", **{field: value})
-        # a frozen factor reads theta0 only: the OU parameters must stay unset
+        # a frozen factor is the zero state: it reads no field, so all stay 0
         for field in ("kappa", "theta_bar", "eta"):
             with pytest.raises(ValidationError, match=f"^{field} must be 0 under factor "
                                                       "kind 'none'"):
                 FactorModel(kind="none", **{field: 0.5})
-        FactorModel(kind="none", theta0=0.37)
+        with pytest.raises(ValidationError, match="^theta0 must be 0 under factor kind 'none'"):
+            FactorModel(kind="none", theta0=0.37)
 
     def test_none_kind_freezes_state(self):
-        fp = simulate_factors(FactorModel(kind="none", theta0=0.37),
-                              grid_times(10), 50, 1)
-        assert np.all(fp.state == 0.37)
+        fp = simulate_factors(FactorModel(kind="none"), grid_times(10), 50, 1)
+        assert np.all(fp.state == 0.0)
         assert fp.dW.shape == (10, 50)
 
     def test_ou_exact_moments(self):

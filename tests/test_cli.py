@@ -39,12 +39,12 @@ paths = 4000
 
 # (scenario, line, replacement, commands): values whose moments, growth
 # factors, Phi, Monte Carlo estimates or factor paths overflow the float
-# range under those commands (homogeneity and bsde do not read u_scale),
-# and a frozen factor that sets OU parameters it would never read
+# range under those commands (solve, homogeneity and bsde do not read
+# u_scale), and a frozen factor that sets fields it would never read
 HOSTILE = {
     "theta_1e300": (MV, "theta = 0.3\n", "theta = 1e300\n", cli.COMMANDS),
     "u_scale_1e200": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e200\n",
-                      ("solve", "verify", "moments", "mc")),
+                      ("verify", "moments", "mc")),
     "r_1e3": (MV, "r = 0\n", "r = 1e3\n", ("solve", "verify", "moments", "mc", "bsde")),
     "r_-1e3": (MV, "r = 0\n", "r = -1e3\n", ("homogeneity", "bsde")),
     "u_scale_1e100": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e100\n",
@@ -56,6 +56,9 @@ HOSTILE = {
     "sigma_1e160": (MV, "sigma = 0.2\n", "sigma = 1e160\n", ("homogeneity", "bsde")),
     "kappa_-1e3": (OU, "kappa = 1.0\n", "kappa = -1e3\n", ("bsde",)),
     "kind_none_with_ou_params": (OU, "kind = ou\n", "kind = none\n", cli.COMMANDS),
+    "kind_none_with_theta0": (MV, "scheme = explicit\n",
+                              "scheme = explicit\n\n[factor]\nkind = none\ntheta0 = 0.37\n",
+                              cli.COMMANDS),
 }
 
 
@@ -111,6 +114,21 @@ class TestSolve:
         assert run_command(config, parse_scenario(MV))[0] == 0
         assert read_json(tmp_path / "s" / "solve_summary.json")["grid_n"] == 100
         assert len(read_json(tmp_path / "s" / "strategy.json")) == 101
+
+    def test_u_scale_leaves_the_sweep_alone(self, tmp_path):
+        # u_scale rescales the strategy that verify, moments and mc read;
+        # solve writes the sweep, so every byte is that of u_scale = 1.0
+        with open(MV) as fh:
+            text = fh.read()
+        scaled = scn_file(tmp_path, text.replace("scheme = explicit\n",
+                                                 "scheme = explicit\nu_scale = 1.1\n"))
+        assert run("solve", MV, tmp_path / "base", "--grid-n", "4") == 0
+        assert run("solve", scaled, tmp_path / "scaled", "--grid-n", "4") == 0
+        names = sorted(os.listdir(tmp_path / "base"))
+        assert sorted(os.listdir(tmp_path / "scaled")) == names
+        for name in names:
+            assert (tmp_path / "scaled" / name).read_bytes() == \
+                (tmp_path / "base" / name).read_bytes(), name
 
     def test_grid_n_flag_changes_row_count(self, tmp_path):
         out = tmp_path / "g"
