@@ -41,7 +41,7 @@ def main() -> None:
         ms = (time.perf_counter() - t0) * 1e3
         u = sweep.strategy.values
         print(f"{case.name:<20} {u[0]:>10.6f} {u[-1]:>10.6f} "
-              f"{np.max(sweep.residuals):>9.1e} {report.verdict:>7} "
+              f"{np.max(sweep.residuals):>9.1e} {'pass' if report.passed else 'fail':>7} "
               f"{hom_txt:>6} {pred_txt:>5} {ms:>6.1f}")
 
 

@@ -55,10 +55,9 @@ from .errors import (
     ValidationError,
     ZTruncationSaturated,
 )
-from .equilibrium import mv_closed_form
-from .model import MarketScenario, StrategyGrid, growth_factors, rate_to_horizon
+from .model import GRID_TOL, MarketScenario, StrategyGrid, growth_factors, rate_to_horizon
 from .moments import _wealth_step_coeffs
-from .sampling import SEED_LIMIT, time_major_normals
+from .sampling import SEED_LIMIT, _check_int, time_major_normals
 
 # state counts as constant across paths below this spread; conditioning on a
 # constant is plain averaging, so those rows regress on the intercept only
@@ -137,11 +136,18 @@ def simulate_factors(model: FactorModel, times: np.ndarray, paths: int,
     variance dt. Under kind "none" (kappa = theta_bar = eta = theta0 = 0) that
     step holds the state at 0, and the increments still drive the Z
     projections. An explosive factor (kappa < 0) whose decay or paths leave
-    the float range is a ValidationError.
+    the float range is a ValidationError, and so are times other than two or
+    more finite increasing points, every step within GRID_TOL * max(1, T) of
+    the first (T the last time).
     """
     times = np.asarray(times, dtype=float)
-    n = len(times) - 1
-    dt = float(times[1] - times[0])
+    if times.ndim != 1 or times.size < 2 or not np.isfinite(times).all():
+        raise ValidationError("times must be at least two finite grid points")
+    steps = np.diff(times)
+    dt = float(steps[0])
+    if (steps <= 0.0).any() or np.abs(steps - dt).max() > GRID_TOL * max(1.0, times[-1]):
+        raise ValidationError("times must increase in uniform steps")
+    n = len(steps)
     Z = time_major_normals(seed, paths, n)
     state = np.empty((n + 1, paths))
     state[0] = model.theta0
@@ -218,7 +224,8 @@ class DriverSpec:
     def __post_init__(self) -> None:
         if self.z_bound is not None and not 0.0 < self.z_bound < math.inf:
             raise ValidationError(f"z_bound must be positive and finite, got {self.z_bound}")
-        object.__setattr__(self, "depends_on", tuple(int(i) for i in self.depends_on))
+        object.__setattr__(self, "depends_on",
+                           tuple(_check_int("depends_on index", i) for i in self.depends_on))
         if any(i < 0 for i in self.depends_on):
             raise ValidationError("depends_on indices must be nonnegative")
 
@@ -374,7 +381,7 @@ def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
     next date. Z truncation warns at most once, over every clipped member.
     """
     n, paths, dt = fp.grid_n, fp.paths, fp.dt
-    if not 1 <= basis_degree <= MAX_BASIS_DEGREE:
+    if not 1 <= _check_int("basis degree", basis_degree) <= MAX_BASIS_DEGREE:
         raise ValidationError(f"basis degree {basis_degree} outside [1, {MAX_BASIS_DEGREE}]")
     if paths < basis_degree + 2:
         # with no more paths than basis functions the continuation fit
@@ -619,12 +626,11 @@ class FlowDiagnostics:
 
 
 def mv_flow_residual(scenario: MarketScenario, gamma2: float, paths: int,
-                     seed: int, basis_degree: int = 3,
-                     strategy: StrategyGrid | None = None) -> FlowDiagnostics:
-    """Solve E_t[X_T] under the MV strategy (or a supplied one) and report
-    the first-order-condition residual along the flow diagonal."""
-    if strategy is None:
-        strategy = mv_closed_form(scenario, gamma2)
+                     seed: int, basis_degree: int = 3, *,
+                     strategy: StrategyGrid) -> FlowDiagnostics:
+    """Solve E_t[X_T] on wealth paths under the caller's ``strategy``, which
+    this route never builds itself, and report the mean-variance residual
+    theta - 2 gamma2 sigma Z along the flow diagonal."""
     fp = wealth_factor_paths(scenario, strategy, paths, seed)
     means = solve_bsde_means(TERMINAL_STATE, fp, basis_degree)
     n = scenario.grid_n

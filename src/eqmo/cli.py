@@ -23,7 +23,8 @@ import numpy as np
 
 from .artifacts import FORMATS, Table, emit_outputs, render_json
 from .bsde import TERMINAL_STATE, mv_flow_residual, simulate_factors, solve_bsde_means
-from .equilibrium import SCHEMES, backward_sweep, mv_gamma2
+from .equilibrium import PERTURBATION_CONVENTION, SCHEMES, backward_sweep, mv_closed_form, \
+    mv_gamma2
 from .errors import AmbiguousRoot, EqmoError, ParseError, ValidationError
 from .moments import conditional_moments, mc_conditional_moments, moment_grid, \
     objective_value
@@ -130,7 +131,7 @@ def _cmd_solve(bundle: ScenarioBundle, config: RunConfig):
     mv = conditional_moments(s, sweep.strategy, 0.0, s.x0, bundle.objective.max_order)
     summary = {
         "command": "solve",
-        "scheme": sweep.scheme,
+        "scheme": config.scheme,
         "grid_n": s.grid_n,
         "seed": config.seed,
         "J_t0": objective_value(bundle.objective, mv),
@@ -147,10 +148,10 @@ def _cmd_verify(bundle: ScenarioBundle, config: RunConfig):
     report = equilibrium_report(bundle.scenario, bundle.objective, strategy,
                                 tolerance=tolerance)
     payload = {
-        "verdict": report.verdict,
+        "verdict": "pass" if report.passed else "fail",
         "max_phi": report.max_phi,
         "tolerance": report.tolerance,
-        "convention": report.convention,
+        "convention": PERTURBATION_CONVENTION,
         "u_scale": bundle.numerics["u_scale"],
         "witness": _witness_obj(report.witness),
     }
@@ -208,7 +209,8 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
                "paths": config.paths, "seed": config.seed}
     if bundle.factor.kind == "none":
         gamma2 = mv_gamma2(bundle.objective)
-        diag = mv_flow_residual(s, gamma2, config.paths, config.seed, basis_degree)
+        diag = mv_flow_residual(s, gamma2, config.paths, config.seed, basis_degree,
+                                strategy=mv_closed_form(s, gamma2))
         table = Table(
             ("t", "y_diag", "z_diag", "residual", "implied_u"),
             (s.times[:n], diag.means.y_mean[:n], diag.means.z_mean[:n],
@@ -264,7 +266,11 @@ _DISPATCH = {
 
 
 def run_command(config: RunConfig, bundle: ScenarioBundle) -> tuple[int, dict[str, str]]:
-    """Execute one command and emit its artifacts; returns (exit code, manifest)."""
+    """Execute one command and emit its artifacts; returns (exit code, manifest).
+    A config whose grid_n is not the bundle's is a ValidationError."""
+    if config.grid_n != bundle.scenario.grid_n:
+        raise ValidationError(f"config grid_n {config.grid_n} differs from the "
+                              f"scenario's {bundle.scenario.grid_n}")
     status, results = _DISPATCH[config.command](bundle, config)
     manifest = emit_outputs(results, config.format, config.out_dir)
     return status, manifest

@@ -30,7 +30,7 @@ def _objective(mode: str, weights: dict[int, float]) -> ObjectiveSpec:
 def mv_base(grid_n: int = 100) -> Case:
     return Case(
         "mv_base",
-        MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, grid_n),
+        MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, grid_n),
         _objective("central", {1: 1.0, 2: -1.0}),
     )
 
@@ -38,7 +38,7 @@ def mv_base(grid_n: int = 100) -> Case:
 def mv_discounted(grid_n: int = 100) -> Case:
     return Case(
         "mv_discounted",
-        MarketScenario.constant(0.05, 0.3, 0.2, 1.0, 1.0, grid_n),
+        MarketScenario(0.05, 0.3, 0.2, 1.0, 1.0, grid_n),
         _objective("central", {1: 1.0, 2: -1.0}),
     )
 
@@ -47,7 +47,7 @@ def kurtosis_cumulant(grid_n: int = 100) -> Case:
     """Mean minus variance minus excess kurtosis (fourth cumulant)."""
     return Case(
         "kurtosis_cumulant",
-        MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, grid_n),
+        MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, grid_n),
         _objective("cumulant", {1: 1.0, 2: -1.0, 4: -0.8}),
     )
 
@@ -56,7 +56,7 @@ def raw_m4(grid_n: int = 100) -> Case:
     """Mean minus variance minus raw fourth central moment."""
     return Case(
         "raw_m4",
-        MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, grid_n),
+        MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, grid_n),
         _objective("central", {1: 1.0, 2: -1.0, 4: -0.5}),
     )
 
@@ -65,7 +65,7 @@ def mvsk_central(grid_n: int = 100) -> Case:
     """Mean - variance + skewness - kurtosis with small higher weights."""
     return Case(
         "mvsk_central",
-        MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, grid_n),
+        MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, grid_n),
         _objective("central", {1: 1.0, 2: -1.0, 3: 0.05, 4: -0.1}),
     )
 
@@ -73,7 +73,7 @@ def mvsk_central(grid_n: int = 100) -> Case:
 def skew_cumulant(grid_n: int = 100) -> Case:
     return Case(
         "skew_cumulant",
-        MarketScenario.constant(0.02, 0.25, 0.3, 1.0, 1.0, grid_n),
+        MarketScenario(0.02, 0.25, 0.3, 1.0, 1.0, grid_n),
         _objective("cumulant", {1: 1.0, 2: -1.0, 3: 0.1}),
     )
 
@@ -81,7 +81,7 @@ def skew_cumulant(grid_n: int = 100) -> Case:
 def theta_zero(grid_n: int = 50) -> Case:
     return Case(
         "theta_zero",
-        MarketScenario.constant(0.03, 0.0, 0.2, 1.0, 1.0, grid_n),
+        MarketScenario(0.03, 0.0, 0.2, 1.0, 1.0, grid_n),
         _objective("central", {1: 1.0, 2: -1.0}),
     )
 
@@ -140,7 +140,7 @@ def random_affine_corpus(seed: int = 20240811, count: int = 10) -> list[Case]:
             for k in (3, 5):  # odd central moments vanish on the Gaussian family
                 if rng.uniform() < 0.5:
                     weights[k] = float(rng.uniform(-1.0, 1.0))
-        scenario = MarketScenario.constant(r, theta, sigma, T, x0, grid_n)
+        scenario = MarketScenario(r, theta, sigma, T, x0, grid_n)
         cases.append(Case(f"random_affine_{i}", scenario, _objective(mode, weights)))
     return cases
 

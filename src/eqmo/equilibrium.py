@@ -62,7 +62,6 @@ class SweepResult:
     variance_to_go: np.ndarray
     D: np.ndarray
     residuals: np.ndarray
-    scheme: str
 
 
 def _phi_coefficients(w1: float, D: np.ndarray, g: np.ndarray,
@@ -248,7 +247,7 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     V_arr = np.array(V)
     D = Dpoly(V_arr)
     a, _ = _phi_coefficients(w1, D, scenario.growth, scenario, u_arr)
-    return SweepResult(StrategyGrid(scenario.times, u_arr), V_arr, D, np.abs(a), scheme)
+    return SweepResult(StrategyGrid(scenario.times, u_arr), V_arr, D, np.abs(a))
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ from .errors import (
     UnsupportedOrder,
     ValidationError,
 )
+from .sampling import _check_int
 
 MAX_ORDER = 8
 SIGMA_MIN = 1e-8  # volatility floor of validate_scenario
-GRID_TOL = 1e-9   # relative tolerance of MarketScenario.grid_index
+GRID_TOL = 1e-9   # relative tolerance of a time or a step on a uniform grid
 
 # (k-1)!! for even k: the Gaussian central moment of order k is (k-1)!! V^{k/2}
 _DOUBLE_FACTORIAL = {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
@@ -132,6 +133,7 @@ class MarketScenario:
     def __post_init__(self) -> None:
         if self.T <= 0.0 or not math.isfinite(self.T):
             raise ValidationError(f"T must be positive and finite, got {self.T}")
+        _check_int("grid_n", self.grid_n)
         if self.grid_n < 1:
             raise ValidationError(f"grid_n must be >= 1, got {self.grid_n}")
         if not math.isfinite(self.x0):
@@ -147,13 +149,6 @@ class MarketScenario:
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, _readonly(arr))
-
-    @classmethod
-    def constant(cls, r: float, theta: float, sigma: float, T: float,
-                 x0: float, grid_n: int) -> "MarketScenario":
-        n = grid_n + 1
-        return cls(np.full(n, float(r)), np.full(n, float(theta)),
-                   np.full(n, float(sigma)), T, x0, grid_n)
 
     @property
     def dt(self) -> float:
@@ -171,8 +166,10 @@ class MarketScenario:
         return _readonly(growth_factors(rate_to_horizon(self)))
 
     def grid_index(self, t: float) -> int:
-        """Index of the grid point equal to ``t`` (within ``GRID_TOL * max(1,T)``)."""
-        idx = int(round(t / self.dt))
+        """Index of the grid point equal to ``t`` (within ``GRID_TOL * max(1,T)``);
+        any other t, a non-finite one included, is an OffGridTime."""
+        steps = t / self.dt
+        idx = int(round(steps)) if math.isfinite(steps) else -1
         if idx < 0 or idx > self.grid_n or abs(idx * self.dt - t) > GRID_TOL * max(1.0, self.T):
             raise OffGridTime(f"t={t} is not a grid point of step {self.dt}")
         return idx
@@ -239,7 +236,7 @@ class ObjectiveTerm:
     def __post_init__(self) -> None:
         merged: dict[int, int] = {}
         for k, e in self.factors:
-            k, e = int(k), int(e)
+            k, e = _check_int("moment index", k), _check_int("exponent", e)
             if k < 1 or k > MAX_ORDER:
                 raise UnsupportedOrder(f"moment index {k} outside [1, {MAX_ORDER}]")
             if e < 1:
@@ -277,13 +274,13 @@ class ObjectiveSpec:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         terms = tuple(t for t in self.terms if t.coeff != 0.0)
         object.__setattr__(self, "terms", terms)
-        order = self.max_order
+        order = _check_int("max_order", self.max_order)
         if order == 0:
             order = max([t.max_index() for t in terms] + [2])
         _check_order(order, "max_order")
         if any(t.max_index() > order for t in terms):
             raise UnsupportedOrder("term index exceeds max_order")
-        object.__setattr__(self, "max_order", int(order))
+        object.__setattr__(self, "max_order", order)
 
     @classmethod
     def from_weights(cls, mode: str, weights: dict[int, float],
@@ -409,9 +406,7 @@ def validate_scenario(scenario: MarketScenario, objective: ObjectiveSpec) -> Non
                 f"term {term.factors} multiplies the conditional mean by risk "
                 "factors; the stationarity condition would become state-dependent"
             )
-    if objective.pure_weight(2) == 0.0 and not any(
-        k == 2 for t in objective.risk_terms() for k, _ in t.factors
-    ):
+    if not any(k == 2 for t in objective.risk_terms() for k, _ in t.factors):
         raise EmptyRiskTerm("objective has no k = 2 term with nonzero coefficient")
 
 

@@ -63,32 +63,34 @@ def worker_count() -> int:
     return workers
 
 
-def _check_int(name: str, value) -> None:
+def _check_int(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer is a ValidationError."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_seed(seed) -> int:
     """The seed as an int in [0, 2**63); anything else is a ValidationError."""
-    _check_int("seed", seed)
+    seed = _check_int("seed", seed)
     if not 0 <= seed < SEED_LIMIT:
         raise ValidationError(f"seed must lie in [0, 2**63), got {seed}")
-    return int(seed)
+    return seed
 
 
 def check_paths(paths) -> int:
     """The path count as an int in [1, MAX_PATHS]; anything else is a ValidationError."""
-    _check_int("paths", paths)
+    paths = _check_int("paths", paths)
     if not 1 <= paths <= MAX_PATHS:
         raise ValidationError(f"paths must lie in [1, {MAX_PATHS}], got {paths}")
-    return int(paths)
+    return paths
 
 
 def _check_cols(cols) -> int:
-    _check_int("cols", cols)
+    cols = _check_int("cols", cols)
     if cols < 0:
         raise ValidationError(f"cols must be >= 0, got {cols}")
-    return int(cols)
+    return cols
 
 
 def _pool_size(blocks: int) -> int:

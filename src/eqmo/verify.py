@@ -20,14 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsNotOnGrid, OutOfRange, ValidationError
-from .equilibrium import (
-    PERTURBATION_CONVENTION,
-    default_v_grid,
-    mv_closed_form,
-    mv_gamma2,
-    scan_phi_max,
-)
+from .equilibrium import default_v_grid, mv_closed_form, mv_gamma2, scan_phi_max
 from .model import (
+    GRID_TOL,
     MarketScenario,
     ObjectiveSpec,
     StrategyGrid,
@@ -41,40 +36,36 @@ from .moments import MomentGrid, _increments, _moments_from, objective_value
 class EquilibriumReport:
     """Sign report for Phi over the whole grid.
 
-    verdict is "pass" iff max_phi <= tolerance; witness is the maximizing
-    (t, v, Phi) triple when the check fails. per_t_max[i] is the max of
-    Phi(times[i], v): its vertex, the supremum over all v, where the
-    second-order coefficient is negative, else the better end of the range.
+    The check passes iff max_phi <= tolerance; witness is the maximizing
+    (t, v, Phi) triple when it fails, None when it passes. per_t_max[i] is
+    the max of Phi(times[i], v): its vertex, the supremum over all v, where
+    the second-order coefficient is negative, else the better end of the
+    range.
     """
 
-    verdict: str
     max_phi: float
     witness: tuple[float, float, float] | None
     per_t_max: np.ndarray
-    convention: str
     tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return self.max_phi <= self.tolerance
 
 
 def equilibrium_report(scenario: MarketScenario, objective: ObjectiveSpec,
                        strategy: StrategyGrid,
                        tolerance: float = 1e-8) -> EquilibriumReport:
     """Max Phi(t, v) over all grid times and the default deviation range;
-    pass iff max Phi <= tolerance."""
+    pass iff max Phi <= tolerance. v = 0 lies in the range, so max Phi >= 0:
+    a negative tolerance would fail every strategy, and it, a nan or an
+    infinite one is a ValidationError."""
+    if not 0.0 <= tolerance < math.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
     max_phi, witness, per_t_max = scan_phi_max(scenario, objective, strategy,
                                                default_v_grid(strategy))
-    verdict = "pass" if max_phi <= tolerance else "fail"
-    return EquilibriumReport(
-        verdict=verdict,
-        max_phi=max_phi,
-        witness=None if verdict == "pass" else witness,
-        per_t_max=per_t_max,
-        convention=PERTURBATION_CONVENTION,
-        tolerance=tolerance,
-    )
+    passed = max_phi <= tolerance
+    return EquilibriumReport(max_phi, None if passed else witness, per_t_max, tolerance)
 
 
 def homogeneity_check_numeric(scenario: MarketScenario, objective: ObjectiveSpec,
@@ -130,8 +121,9 @@ def finite_eps_check(scenario: MarketScenario, objective: ObjectiveSpec,
     n = objective.max_order
     widths: list[int] = []
     for eps in eps_list:
-        k = int(round(eps / dt))
-        if k < 1 or abs(k * dt - eps) > 1e-9 * max(1.0, scenario.T):
+        steps = eps / dt
+        k = int(round(steps)) if math.isfinite(steps) else 0
+        if k < 1 or abs(k * dt - eps) > GRID_TOL * max(1.0, scenario.T):
             raise EpsNotOnGrid(f"eps = {eps} is not a positive multiple of dt = {dt}")
         if i0 + k > scenario.grid_n:
             raise OutOfRange(f"t + eps = {t + eps} beyond horizon T = {scenario.T}")

@@ -1,4 +1,5 @@
 """Regression Monte Carlo BSDE solver: manufactured solutions, flows, systems."""
+import ast
 import math
 import os
 import tracemalloc
@@ -134,6 +135,57 @@ class TestFactorModel:
         assert np.array_equal(fp1.dW, fp2.dW)
 
 
+class TestFactorTimes:
+    # dt is read from the first step, so every other step must equal it
+    @pytest.mark.parametrize("times", [
+        [0.0, 0.1, 0.5, 1.0],
+        [0.0],
+        [],
+        [1.0, 0.5, 0.0],
+        [0.0, 0.0, 0.0],
+        [0.0, np.nan, 1.0],
+        [0.0, 0.5, np.inf],
+        [[0.0, 0.5, 1.0]],
+    ], ids=["non_uniform", "single", "empty", "decreasing", "constant", "nan", "inf", "2d"])
+    def test_times_that_are_not_a_grid_are_refused(self, times):
+        with pytest.raises(ValidationError, match="times must"):
+            simulate_factors(brownian_factor(), np.array(times), 8, 1)
+
+    def test_convergence_study_on_a_one_point_grid_is_refused(self):
+        with pytest.raises(ValidationError, match="times must"):
+            bsde.convergence_study(100, 2, 1, grids=(0,))
+
+    @pytest.mark.parametrize("T_end", [1e-3, 0.5, 1.0, 2.0, 3.7, 250.0])
+    @pytest.mark.parametrize("n", [1, 7, 100, 20_000])
+    def test_scenario_grids_pass(self, T_end, n):
+        times = np.linspace(0.0, T_end, n + 1)
+        fp = simulate_factors(brownian_factor(), times, 2, 1)
+        assert fp.state.shape == (n + 1, 2)
+        assert fp.dt == times[1] - times[0]
+
+
+class TestRouteIndependence:
+    def test_bsde_imports_nothing_from_the_other_routes(self):
+        # route 3 must check the strategy it is handed, never build one
+        # from the sweep's or the verifier's module
+        with open(bsde.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        sources = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                package = "eqmo." if node.level else ""
+                base = (package + (node.module or "")).rstrip(".")
+                sources.add(base)
+                sources.update(f"{base}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import):
+                sources.update(alias.name for alias in node.names)
+        assert "eqmo.model" in sources  # the walk sees relative imports
+        banned = [s for s in sources
+                  for route in ("eqmo.equilibrium", "eqmo.verify")
+                  if s == route or s.startswith(route + ".")]
+        assert banned == []
+
+
 class TestDriverSpec:
     def test_z_bound_validation(self):
         for bound in (math.nan, math.inf, -math.inf, 0.0, -1.0):
@@ -144,6 +196,19 @@ class TestDriverSpec:
         with pytest.raises(ValidationError):
             DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: 0.0,
                        depends_on=(-1,))
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, np.float64(1.0)])
+    def test_dependency_index_must_be_an_integer(self, index):
+        # an index is never truncated: 1.5 is not grid 1
+        with pytest.raises(ValidationError, match="depends_on index must be an integer"):
+            DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: 0.0,
+                       depends_on=(index,))
+
+    def test_numpy_integer_dependency_accepted(self):
+        spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: 0.0,
+                          depends_on=(np.int64(1),))
+        assert spec.depends_on == (1,)
+        assert type(spec.depends_on[0]) is int
 
 
 class TestManufacturedSolutions:
@@ -215,7 +280,7 @@ class TestSolverOptions:
     def test_basis_degree_validation(self):
         fp = simulate_factors(brownian_factor(), grid_times(4), 64, 1)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
-        for degree in (0, 31):
+        for degree in (0, 31, 2.5, 3.0, True):
             with pytest.raises(ValidationError):
                 solve_bsde(spec, fp, basis_degree=degree)
 
@@ -461,7 +526,7 @@ class TestBatchedFlow:
         scenario = mv_base(grid_n=n).scenario
         tracemalloc.start()
         try:
-            mv_flow_residual(scenario, 1.0, paths, 73)
+            mv_flow_residual(scenario, 1.0, paths, 73, strategy=mv_closed_form(scenario, 1.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -750,7 +815,8 @@ class TestConvergenceStudy:
 class TestWealthFlow:
     def test_mv_flow_residual_small_at_equilibrium(self):
         case = mv_base(grid_n=20)
-        diag = mv_flow_residual(case.scenario, 1.0, paths=30_000, seed=29)
+        diag = mv_flow_residual(case.scenario, 1.0, paths=30_000, seed=29,
+                                strategy=mv_closed_form(case.scenario, 1.0))
         assert diag.residual_rms < 5e-3
         assert np.max(np.abs(diag.implied_u - 3.75)) < 0.1
 

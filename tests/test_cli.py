@@ -107,13 +107,19 @@ class TestSolve:
         assert summary["max_residual"] < 1e-12
 
     def test_summary_grid_n_is_the_solved_grid(self, tmp_path):
-        # the summary reports the scenario's grid, not the config's echo of it
-        config = RunConfig(command="solve", scenario_path=MV, out_dir=str(tmp_path / "s"),
-                           seed=DEFAULT_SEED, grid_n=7, paths=1000, format="json",
-                           scheme="explicit")
-        assert run_command(config, parse_scenario(MV))[0] == 0
-        assert read_json(tmp_path / "s" / "solve_summary.json")["grid_n"] == 100
-        assert len(read_json(tmp_path / "s" / "strategy.json")) == 101
+        # a config grid that is not the scenario's is refused before any
+        # artifact is written; on a matching config the summary reports it
+        def config(grid_n, out):
+            return RunConfig(command="solve", scenario_path=MV, out_dir=str(tmp_path / out),
+                             seed=DEFAULT_SEED, grid_n=grid_n, paths=1000, format="json",
+                             scheme="explicit")
+
+        with pytest.raises(ValidationError, match="grid_n 7 differs from the scenario's 100"):
+            run_command(config(7, "mismatch"), parse_scenario(MV))
+        assert not (tmp_path / "mismatch").exists()
+        assert run_command(config(7, "s"), parse_scenario(MV, grid_n=7))[0] == 0
+        assert read_json(tmp_path / "s" / "solve_summary.json")["grid_n"] == 7
+        assert len(read_json(tmp_path / "s" / "strategy.json")) == 8
 
     def test_u_scale_leaves_the_sweep_alone(self, tmp_path):
         # u_scale rescales the strategy that verify, moments and mc read;
@@ -153,6 +159,7 @@ class TestExitCodes:
         assert report["verdict"] == "pass"
         assert report["max_phi"] == 0.0
         assert report["witness"] is None
+        assert report["convention"] == "additive-spike"
 
     def test_verify_scaled_strategy_is_two(self, tmp_path):
         scaled = scn_file(tmp_path, MINIMAL + "u_scale = 1.1\n")

@@ -315,8 +315,8 @@ class TestRandomizedCorpusProperties:
            st.floats(min_value=0.25, max_value=2.0))
     @settings(max_examples=25, deadline=None)
     def test_mv_property_random_constants(self, theta, sigma, r, gamma2):
-        s = MarketScenario.constant(r=r, theta=theta, sigma=sigma, T=1.0,
-                                    x0=1.0, grid_n=16)
+        s = MarketScenario(r=r, theta=theta, sigma=sigma, T=1.0,
+                           x0=1.0, grid_n=16)
         obj = ObjectiveSpec.from_weights("central", {1: 1.0, 2: -gamma2})
         sweep = backward_sweep(s, obj, "explicit")
         closed = mv_closed_form(s, gamma2)
@@ -578,7 +578,7 @@ class TestGrowthFactors:
         from eqmo.bsde import mv_flow_residual
 
         s = self.case.scenario
-        diag = mv_flow_residual(s, 0.8, paths=2000, seed=3)
+        diag = mv_flow_residual(s, 0.8, paths=2000, seed=3, strategy=mv_closed_form(s, 0.8))
         n = s.grid_n
         ref = diag.means.z_mean[:n] * self.libm(-self.R[:n]) / s.sigma[:n]
         assert diag.implied_u.tobytes() == ref.tobytes()

@@ -116,6 +116,12 @@ class TestNumericCheck:
         assert verdict.witness is None
         assert mv_gamma2(case.objective) == 1.0
 
+    @pytest.mark.parametrize("tolerance", [np.nan, -1e-8, np.inf])
+    def test_bad_tolerance_is_refused(self, tolerance):
+        case = mv_base()
+        with pytest.raises(ValidationError, match="tolerance"):
+            homogeneity_check_numeric(case.scenario, case.objective, tolerance=tolerance)
+
     def test_cumulant_kurtosis_identical_to_mv(self):
         case = kurtosis_cumulant()
         verdict = homogeneity_check_numeric(case.scenario, case.objective)

@@ -17,7 +17,7 @@ from numpy.polynomial import Polynomial
 from eqmo.bsde import brownian_factor, simulate_factors, wealth_factor_paths
 from eqmo.cli import RunConfig, main
 from eqmo.corpus import mv_discounted, random_curved_corpus, time_varying
-from eqmo.errors import TooFewPaths, ValidationError
+from eqmo.errors import OffGridTime, TooFewPaths, ValidationError
 from eqmo.model import MarketScenario, StrategyGrid
 from eqmo.moments import (
     conditional_moments,
@@ -37,8 +37,8 @@ from eqmo.sampling import for_each_block, time_major_normals
 
 
 def case(grid_n=40):
-    s = MarketScenario.constant(r=0.03, theta=0.3, sigma=0.25, T=1.0, x0=1.0,
-                                grid_n=grid_n)
+    s = MarketScenario(r=0.03, theta=0.3, sigma=0.25, T=1.0, x0=1.0,
+                       grid_n=grid_n)
     return s, StrategyGrid.constant(s, 2.0)
 
 
@@ -171,8 +171,20 @@ class TestWealthSimulation:
             )
         assert np.allclose(x, fp.state[-1], rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_time_is_off_grid(self, t):
+        s, u = case()
+        with pytest.raises(OffGridTime):
+            simulate_terminal_wealth(s, u, t, 1.0, 500, 11)
+
 
 class TestMcConditionalMoments:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_time_is_off_grid(self, t):
+        s, u = case()
+        with pytest.raises(OffGridTime):
+            mc_conditional_moments(s, u, t, s.x0, 4, paths=1000, seed=1)
+
     def test_agrees_with_analytic_within_4_se(self):
         s, u = case()
         analytic = conditional_moments(s, u, 0.0, s.x0, 6)
@@ -425,8 +437,8 @@ class TestStreamedTerminalWealth:
 
     def test_compounded_weight_overflow_is_one_typed_error(self):
         # every per-step factor e^10 is finite, their product e^1000 is not
-        s = MarketScenario.constant(r=1e3, theta=0.3, sigma=0.25, T=1.0, x0=1.0,
-                                    grid_n=100)
+        s = MarketScenario(r=1e3, theta=0.3, sigma=0.25, T=1.0, x0=1.0,
+                           grid_n=100)
         u = StrategyGrid.constant(s, 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -607,8 +619,8 @@ class TestTimeMajorLimit:
                                              (10 ** 7, 100), (MAX_PATHS, 2)])
     def test_typed_error_before_any_allocation(self, paths, cols):
         times = np.linspace(0.0, 1.0, cols + 1)
-        s = MarketScenario.constant(r=0.03, theta=0.3, sigma=0.25, T=1.0, x0=1.0,
-                                    grid_n=cols)
+        s = MarketScenario(r=0.03, theta=0.3, sigma=0.25, T=1.0, x0=1.0,
+                           grid_n=cols)
         u = StrategyGrid.constant(s, 2.0)
         calls = (
             lambda: time_major_normals(1, paths, cols),

@@ -139,10 +139,12 @@ class TestPolynomialScalarPath:
 
 class TestMarketScenario:
     def test_constant_broadcast(self):
-        s = MarketScenario.constant(r=0.0, theta=0.3, sigma=0.2, T=1.0, x0=1.0,
-                                    grid_n=4)
+        s = MarketScenario(r=0.0, theta=0.3, sigma=0.2, T=1.0, x0=1.0,
+                           grid_n=4)
         assert s.r.shape == (5,)
         assert np.all(s.theta == 0.3)
+        for name, value in (("r", 0.0), ("theta", 0.3), ("sigma", 0.2)):
+            assert getattr(s, name).tobytes() == np.full(5, value).tobytes()
         assert s.dt == 0.25
         assert np.array_equal(s.times, np.linspace(0.0, 1.0, 5))
 
@@ -157,9 +159,16 @@ class TestMarketScenario:
 
     def test_invalid_horizon_and_grid(self):
         with pytest.raises(ValidationError):
-            MarketScenario.constant(0.0, 0.3, 0.2, T=0.0, x0=1.0, grid_n=4)
+            MarketScenario(0.0, 0.3, 0.2, T=0.0, x0=1.0, grid_n=4)
         with pytest.raises(ValidationError):
-            MarketScenario.constant(0.0, 0.3, 0.2, T=1.0, x0=1.0, grid_n=0)
+            MarketScenario(0.0, 0.3, 0.2, T=1.0, x0=1.0, grid_n=0)
+        # a bool or non-integral count is refused, never truncated
+        for grid_n in (2.5, 4.0, True, np.float64(4.0)):
+            with pytest.raises(ValidationError, match="grid_n must be an integer"):
+                MarketScenario(0.0, 0.3, 0.2, T=1.0, x0=1.0, grid_n=grid_n)
+
+    def test_numpy_integer_grid_n_accepted(self):
+        assert MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, np.int64(4)).r.shape == (5,)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
@@ -167,12 +176,12 @@ class TestMarketScenario:
                            T=1.0, x0=1.0, grid_n=2)
 
     def test_arrays_read_only(self):
-        s = MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, 4)
+        s = MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, 4)
         with pytest.raises(ValueError):
             s.theta[0] = 9.9
 
     def test_times_built_once_read_only(self):
-        s = MarketScenario.constant(0.0, 0.3, 0.2, 3.7, 1.0, 7)
+        s = MarketScenario(0.0, 0.3, 0.2, 3.7, 1.0, 7)
         times = s.times
         assert s.times is times
         assert not times.flags.writeable
@@ -181,7 +190,7 @@ class TestMarketScenario:
         assert times.tobytes() == np.linspace(0.0, 3.7, 8).tobytes()
 
     def test_grid_index(self):
-        s = MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, 100)
+        s = MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, 100)
         assert s.grid_index(0.0) == 0
         assert s.grid_index(0.37) == 37
         assert s.grid_index(1.0) == 100
@@ -189,12 +198,16 @@ class TestMarketScenario:
             s.grid_index(0.375)
         with pytest.raises(OffGridTime):
             s.grid_index(1.01)
+        # so is a time whose t / dt cannot be rounded to an int
+        for t in (math.nan, math.inf, -math.inf, 1e308):
+            with pytest.raises(OffGridTime):
+                s.grid_index(t)
 
 
 class TestRateIntegration:
     def test_constant_rate_closed_form(self):
-        s = MarketScenario.constant(r=0.05, theta=0.3, sigma=0.2, T=1.0, x0=1.0,
-                                    grid_n=100)
+        s = MarketScenario(r=0.05, theta=0.3, sigma=0.2, T=1.0, x0=1.0,
+                           grid_n=100)
         R = rate_to_horizon(s)
         # left-constant integral of a constant rate is exact
         assert abs(R[0] - 0.05) < 1e-15
@@ -240,6 +253,15 @@ class TestObjectiveSpec:
             ObjectiveTerm(((2, 0),), 1.0)
         with pytest.raises(ValidationError):
             ObjectiveTerm(((2, 1),), math.inf)
+        # an index or exponent is never truncated: (2.5, 1) is not q_2
+        for factor in ((2.5, 1), (2.0, 1), (True, 1), (2, 1.5), (2, True)):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                ObjectiveTerm((factor,), -1.0)
+
+    def test_numpy_integer_factors_accepted(self):
+        t = ObjectiveTerm(((np.int64(2), np.int32(1)),), -1.0)
+        assert t.factors == ((2, 1),)
+        assert type(t.factors[0][0]) is int
 
     def test_zero_terms_dropped_and_order_derived(self):
         obj = ObjectiveSpec("central", (
@@ -253,6 +275,12 @@ class TestObjectiveSpec:
     def test_explicit_order_must_cover_terms(self):
         with pytest.raises(UnsupportedOrder):
             ObjectiveSpec("central", (ObjectiveTerm(((6, 1),), 1.0),), max_order=4)
+
+    @pytest.mark.parametrize("order", [4.5, 4.0, True])
+    def test_explicit_order_must_be_an_integer(self, order):
+        # 4.5 is not order 4
+        with pytest.raises(ValidationError, match="max_order must be an integer"):
+            ObjectiveSpec("central", (ObjectiveTerm(((2, 1),), -1.0),), max_order=order)
 
     @pytest.mark.parametrize("order", [1, 9])
     def test_explicit_order_bound_names_max_order(self, order):
@@ -323,14 +351,14 @@ class TestGaussianRiskPolynomial:
 
 class TestStrategyGrid:
     def test_constant_and_scaled(self):
-        s = MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, 4)
+        s = MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, 4)
         u = StrategyGrid.constant(s, 2.0)
         assert np.all(u.values == 2.0)
         assert np.all(u.scaled(1.1).values == 2.2)
 
     def test_check_grid(self):
-        s4 = MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, 4)
-        s5 = MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, 5)
+        s4 = MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, 4)
+        s5 = MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, 5)
         u = StrategyGrid.constant(s4, 1.0)
         u.check_grid(s4)
         with pytest.raises(GridMismatch):
@@ -338,7 +366,7 @@ class TestStrategyGrid:
 
     def test_check_grid_time_tolerance(self):
         # t_0 = 0, so an offset there is the difference itself, exactly
-        s = MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, 4)
+        s = MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, 4)
         for t0 in (1e-12, -1e-12):
             StrategyGrid(np.r_[t0, s.times[1:]], np.ones(5)).check_grid(s)
         for t0 in (np.nextafter(1e-12, 1.0), np.nextafter(-1e-12, -1.0),
@@ -356,13 +384,13 @@ class TestStrategyGrid:
 
 class TestValidateScenario:
     def setup_method(self):
-        self.s = MarketScenario.constant(0.0, 0.3, 0.2, 1.0, 1.0, 10)
+        self.s = MarketScenario(0.0, 0.3, 0.2, 1.0, 1.0, 10)
 
     def test_accepts_mv(self):
         assert validate_scenario(self.s, MV) is None
 
     def test_sigma_floor(self):
-        tiny = MarketScenario.constant(0.0, 0.3, 1e-12, 1.0, 1.0, 10)
+        tiny = MarketScenario(0.0, 0.3, 1e-12, 1.0, 1.0, 10)
         with pytest.raises(SigmaTooSmall):
             validate_scenario(tiny, MV)
 

@@ -34,8 +34,8 @@ from eqmo.moments import (
 
 
 def base_case(grid_n=100):
-    s = MarketScenario.constant(r=0.0, theta=0.3, sigma=0.2, T=1.0, x0=1.0,
-                                grid_n=grid_n)
+    s = MarketScenario(r=0.0, theta=0.3, sigma=0.2, T=1.0, x0=1.0,
+                       grid_n=grid_n)
     return s, StrategyGrid.constant(s, 3.75)
 
 
@@ -138,8 +138,8 @@ class TestConditionalMoments:
         assert mv.central == (0.0, 0.0, 0.0)
 
     def test_discounting_of_initial_wealth(self):
-        s = MarketScenario.constant(r=0.05, theta=0.0, sigma=0.2, T=1.0, x0=2.0,
-                                    grid_n=50)
+        s = MarketScenario(r=0.05, theta=0.0, sigma=0.2, T=1.0, x0=2.0,
+                           grid_n=50)
         u = StrategyGrid.constant(s, 0.0)
         mv = conditional_moments(s, u, 0.0, 2.0, 2)
         assert abs(mv.m1 - 2.0 * np.exp(0.05)) < 1e-12
@@ -147,8 +147,9 @@ class TestConditionalMoments:
 
     def test_off_grid_time_rejected(self):
         s, u = base_case()
-        with pytest.raises(OffGridTime):
-            conditional_moments(s, u, 0.005, 1.0, 4)
+        for t in (0.005, math.nan, math.inf, -math.inf):
+            with pytest.raises(OffGridTime):
+                conditional_moments(s, u, t, 1.0, 4)
 
     @given(st.integers(min_value=0, max_value=30), st.floats(0.5, 2.0))
     @settings(max_examples=40, deadline=None)

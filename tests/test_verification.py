@@ -15,7 +15,7 @@ from eqmo.corpus import (
     theta_zero,
 )
 from eqmo.equilibrium import backward_sweep, mv_closed_form, phi_profile
-from eqmo.errors import EpsNotOnGrid, EqmoError, OutOfRange, ValidationError
+from eqmo.errors import EpsNotOnGrid, EqmoError, OffGridTime, OutOfRange, ValidationError
 from eqmo.model import StrategyGrid
 from eqmo.moments import conditional_moments, objective_value
 from eqmo.verify import equilibrium_report, finite_eps_check
@@ -27,10 +27,8 @@ class TestEquilibriumReport:
         u = mv_closed_form(case.scenario, 1.0)
         report = equilibrium_report(case.scenario, case.objective, u)
         assert report.passed
-        assert report.verdict == "pass"
         assert report.max_phi == 0.0
         assert report.witness is None
-        assert report.convention == "additive-spike"
         assert report.per_t_max.shape == (case.scenario.grid_n + 1,)
 
     def test_scaled_strategy_fails_with_witness(self):
@@ -38,7 +36,6 @@ class TestEquilibriumReport:
         u = mv_closed_form(case.scenario, 1.0).scaled(1.1)
         report = equilibrium_report(case.scenario, case.objective, u)
         assert not report.passed
-        assert report.verdict == "fail"
         t, v, phi = report.witness
         assert phi == report.max_phi > 0.0
         # scaling by 1+e makes a = -2 b u* e at every t; the vertex gain is
@@ -69,6 +66,14 @@ class TestEquilibriumReport:
                                    tolerance=1e-3)
         assert not tight.passed
         assert loose.passed
+
+    @pytest.mark.parametrize("tolerance", [np.nan, -1e-8, np.inf])
+    def test_bad_tolerance_is_refused(self, tolerance):
+        # max Phi >= 0, so a negative tolerance would fail every strategy
+        case = mv_base()
+        u = mv_closed_form(case.scenario, 1.0)
+        with pytest.raises(ValidationError, match="tolerance"):
+            equilibrium_report(case.scenario, case.objective, u, tolerance=tolerance)
 
     def test_raw_m4_swept_strategy_passes_at_1e8(self):
         case = raw_m4(grid_n=100)
@@ -118,6 +123,17 @@ class TestFiniteEpsCheck:
                              [case.scenario.dt * 1.5])
         with pytest.raises(EpsNotOnGrid):
             finite_eps_check(case.scenario, case.objective, u, 0.5, 0.1, [0.0])
+        for eps in (np.nan, np.inf, -np.inf):
+            with pytest.raises(EpsNotOnGrid):
+                finite_eps_check(case.scenario, case.objective, u, 0.5, 0.1, [eps])
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_off_grid(self, t):
+        case = mv_base()
+        u = mv_closed_form(case.scenario, 1.0)
+        with pytest.raises(OffGridTime):
+            finite_eps_check(case.scenario, case.objective, u, t, 0.1,
+                             [case.scenario.dt])
 
     def test_window_must_fit_horizon(self):
         case = mv_base()
