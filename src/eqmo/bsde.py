@@ -55,7 +55,7 @@ from .errors import (
     ValidationError,
     ZTruncationSaturated,
 )
-from .model import GRID_TOL, MarketScenario, StrategyGrid, growth_factors, rate_to_horizon
+from .model import MarketScenario, StrategyGrid, _check_grid, growth_factors, rate_to_horizon
 from .moments import _wealth_step_coeffs
 from .sampling import SEED_LIMIT, _check_int, time_major_normals
 
@@ -127,27 +127,22 @@ def brownian_factor() -> FactorModel:
     return FactorModel(kind="ou", kappa=0.0, theta_bar=0.0, eta=1.0, rho=0.0, theta0=0.0)
 
 
-def simulate_factors(model: FactorModel, times: np.ndarray, paths: int,
+def simulate_factors(model: FactorModel, T: float, grid_n: int, paths: int,
                      seed: int) -> FactorPaths:
-    """Exact transition sampling of the factor on the given uniform grid.
+    """Exact transition sampling of the factor on the uniform grid of
+    ``grid_n`` steps on [0, T], built as ``MarketScenario.times`` is.
 
     OU step: theta' = theta_bar + (theta - theta_bar) e^{-kappa dt}
     + eta sqrt(-expm1(-2 kappa dt) / (2 kappa)) xi, with the kappa -> 0 limit
     variance dt. Under kind "none" (kappa = theta_bar = eta = theta0 = 0) that
     step holds the state at 0, and the increments still drive the Z
     projections. An explosive factor (kappa < 0) whose decay or paths leave
-    the float range is a ValidationError, and so are times other than two or
-    more finite increasing points, every step within GRID_TOL * max(1, T) of
-    the first (T the last time).
+    the float range is a ValidationError, and so is a (T, grid_n) that
+    ``MarketScenario`` would refuse.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or not np.isfinite(times).all():
-        raise ValidationError("times must be at least two finite grid points")
-    steps = np.diff(times)
-    dt = float(steps[0])
-    if (steps <= 0.0).any() or np.abs(steps - dt).max() > GRID_TOL * max(1.0, times[-1]):
-        raise ValidationError("times must increase in uniform steps")
-    n = len(steps)
+    n = _check_grid(T, grid_n)
+    times = np.linspace(0.0, T, n + 1)
+    dt = float(times[1] - times[0])
     Z = time_major_normals(seed, paths, n)
     state = np.empty((n + 1, paths))
     state[0] = model.theta0
@@ -571,19 +566,18 @@ def convergence_study(paths: int, reps: int, seed: int,
     )
     rows = []
     for grid_n in grids:
-        times = np.linspace(0.0, 1.0, grid_n + 1)
         # squared errors (Y - (W^2 + 1 - t))^2 and (Z - 2 W)^2, written row by
         # row into two buffers that every replication of this grid reuses
         y_err = np.empty((grid_n + 1, paths))
         z_err = np.empty((grid_n, paths))
         y_mses, z_mses, y0s = [], [], []
         for rep in range(reps):
-            fp = simulate_factors(brownian_factor(), times, paths,
+            fp = simulate_factors(brownian_factor(), 1.0, grid_n, paths,
                                   (seed + 7919 * grid_n + rep) % SEED_LIMIT)
 
             def visit(i: int, y_rows: np.ndarray, z_rows: np.ndarray) -> None:
                 err = np.square(fp.state[i], out=y_err[i])
-                err += 1.0 - times[i]
+                err += 1.0 - fp.times[i]
                 np.square(np.subtract(y_rows[0], err, out=err), out=err)
                 if i < grid_n:
                     err = np.multiply(fp.state[i], 2.0, out=z_err[i])

@@ -219,7 +219,7 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
         summary.update(gamma2=gamma2, residual_rms=diag.residual_rms,
                        residual_max=diag.residual_max)
         return 0, {"bsde_diagonal": table, "bsde_summary": summary}
-    fp = simulate_factors(bundle.factor, s.times, config.paths, config.seed)
+    fp = simulate_factors(bundle.factor, s.T, s.grid_n, config.paths, config.seed)
     means = solve_bsde_means(TERMINAL_STATE, fp, basis_degree)
     table = Table(("t", "y_mean", "z_mean"),
                   (s.times[:n], means.y_mean[:n], means.z_mean[:n]))

@@ -114,7 +114,7 @@ def mv_closed_form(scenario: MarketScenario, gamma2: float) -> StrategyGrid:
     if not (np.isfinite(risk).all() and np.isfinite(values).all()):
         raise ValidationError("mean-variance strategy theta e^{-R} / (2 gamma2 sigma^2) "
                               "leaves the float range")
-    return StrategyGrid(scenario.times, values)
+    return StrategyGrid(values)
 
 
 def _compose_linear(outer: tuple[float, ...], a0: float, a1: float) -> list[float]:
@@ -247,7 +247,7 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     V_arr = np.array(V)
     D = Dpoly(V_arr)
     a, _ = _phi_coefficients(w1, D, scenario.growth, scenario, u_arr)
-    return SweepResult(StrategyGrid(scenario.times, u_arr), V_arr, D, np.abs(a))
+    return SweepResult(StrategyGrid(u_arr), V_arr, D, np.abs(a))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,18 @@ GRID_TOL = 1e-9   # relative tolerance of a time or a step on a uniform grid
 
 # (k-1)!! for even k: the Gaussian central moment of order k is (k-1)!! V^{k/2}
 _DOUBLE_FACTORIAL = {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
+
+
+def _check_grid(T: float, grid_n) -> int:
+    """grid_n as an int, for the uniform grid of grid_n steps on [0, T]: T
+    positive and finite and grid_n an integer >= 1; anything else is a
+    ValidationError."""
+    if T <= 0.0 or not math.isfinite(T):
+        raise ValidationError(f"T must be positive and finite, got {T}")
+    grid_n = _check_int("grid_n", grid_n)
+    if grid_n < 1:
+        raise ValidationError(f"grid_n must be >= 1, got {grid_n}")
+    return grid_n
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -131,11 +143,7 @@ class MarketScenario:
     grid_n: int
 
     def __post_init__(self) -> None:
-        if self.T <= 0.0 or not math.isfinite(self.T):
-            raise ValidationError(f"T must be positive and finite, got {self.T}")
-        _check_int("grid_n", self.grid_n)
-        if self.grid_n < 1:
-            raise ValidationError(f"grid_n must be >= 1, got {self.grid_n}")
+        _check_grid(self.T, self.grid_n)
         if not math.isfinite(self.x0):
             raise ValidationError("x0 must be finite")
         for name in ("r", "theta", "sigma"):
@@ -263,31 +271,26 @@ class ObjectiveSpec:
 
     ``mode`` selects whether q_k means the k-th central moment ("central") or
     the k-th cumulant ("cumulant"). Zero-coefficient terms are dropped.
+    ``max_order`` is derived: the highest index among the remaining terms,
+    and at least 2.
     """
 
     mode: str
     terms: tuple[ObjectiveTerm, ...]
-    max_order: int = 0  # 0 -> derived from the terms
+    max_order: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         terms = tuple(t for t in self.terms if t.coeff != 0.0)
         object.__setattr__(self, "terms", terms)
-        order = _check_int("max_order", self.max_order)
-        if order == 0:
-            order = max([t.max_index() for t in terms] + [2])
-        _check_order(order, "max_order")
-        if any(t.max_index() > order for t in terms):
-            raise UnsupportedOrder("term index exceeds max_order")
-        object.__setattr__(self, "max_order", order)
+        object.__setattr__(self, "max_order", max([t.max_index() for t in terms] + [2]))
 
     @classmethod
-    def from_weights(cls, mode: str, weights: dict[int, float],
-                     max_order: int = 0) -> "ObjectiveSpec":
+    def from_weights(cls, mode: str, weights: dict[int, float]) -> "ObjectiveSpec":
         """Objective sum_k weights[k] * q_k (k = 1 denotes m1)."""
         terms = tuple(ObjectiveTerm(((k, 1),), w) for k, w in sorted(weights.items()))
-        return cls(mode, terms, max_order)
+        return cls(mode, terms)
 
     def mean_weight(self) -> float:
         """Total coefficient of the pure m1 term."""
@@ -340,41 +343,33 @@ def gaussian_risk_polynomial(objective: ObjectiveSpec) -> Polynomial:
 
 @dataclass(frozen=True)
 class StrategyGrid:
-    """Piecewise-constant open-loop control: values[i] applies on [t_i, t_{i+1})."""
+    """Piecewise-constant open-loop control on a scenario's grid: values[i]
+    applies on [t_i, t_{i+1}). The grid is the scenario's, so only the values
+    are kept: one finite row of at least two."""
 
-    times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape:
-            raise GridMismatch(f"times shape {t.shape} != values shape {v.shape}")
-        if t.size < 2:
-            raise GridMismatch("strategy grid needs at least two points")
+        if v.ndim != 1 or v.size < 2:
+            raise GridMismatch(f"strategy values need one row of at least two points, "
+                               f"got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValidationError("strategy values must be finite")
-        object.__setattr__(self, "times", _readonly(t))
         object.__setattr__(self, "values", _readonly(v))
 
     @classmethod
     def constant(cls, scenario: MarketScenario, value: float) -> "StrategyGrid":
-        return cls(scenario.times, np.full(scenario.grid_n + 1, float(value)))
-
-    @classmethod
-    def from_values(cls, scenario: MarketScenario, values) -> "StrategyGrid":
-        return cls(scenario.times, np.asarray(values, dtype=float))
+        return cls(np.full(scenario.grid_n + 1, float(value)))
 
     def check_grid(self, scenario: MarketScenario) -> None:
-        if self.values.shape != (scenario.grid_n + 1,):
+        if self.values.size != scenario.grid_n + 1:
             raise GridMismatch(
                 f"strategy length {self.values.size} != grid length {scenario.grid_n + 1}"
             )
-        if not (np.abs(self.times - scenario.times) <= 1e-12).all():
-            raise GridMismatch("strategy times differ from scenario grid")
 
     def scaled(self, factor: float) -> "StrategyGrid":
-        return StrategyGrid(self.times, self.values * float(factor))
+        return StrategyGrid(self.values * float(factor))
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +409,10 @@ def validate_scenario(scenario: MarketScenario, objective: ObjectiveSpec) -> Non
 # central moments -> cumulants (orders 2..8)
 
 
-def _check_order(n: int, name: str = "order") -> None:
-    """A moment order outside [2, MAX_ORDER] is UnsupportedOrder, reported
-    under ``name``."""
+def _check_order(n: int) -> None:
+    """A moment order outside [2, MAX_ORDER] is UnsupportedOrder."""
     if n < 2 or n > MAX_ORDER:
-        raise UnsupportedOrder(f"{name} {n} outside [2, {MAX_ORDER}]")
+        raise UnsupportedOrder(f"order {n} outside [2, {MAX_ORDER}]")
 
 
 def moments_to_cumulants(central) -> list[float]:

@@ -116,7 +116,6 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
     "objective": {
         "mode": (_choice(MODES), "central"),
         "term": (_term, _REQUIRED),
-        "max_order": (_int, _FIELD_DEFAULT),
     },
     "factor": {
         "kind": (_choice(FACTOR_KINDS), _FIELD_DEFAULT),
@@ -233,7 +232,7 @@ def serialize_scenario(bundle: ScenarioBundle) -> str:
     obj = bundle.objective
     values = {
         "market": {key: getattr(bundle.scenario, key) for key in _SCHEMA["market"]},
-        "objective": {"mode": obj.mode, "term": obj.terms, "max_order": obj.max_order},
+        "objective": {"mode": obj.mode, "term": obj.terms},
         "factor": {key: getattr(bundle.factor, key) for key in _SCHEMA["factor"]},
         "numerics": bundle.numerics,
     }

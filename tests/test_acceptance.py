@@ -181,8 +181,7 @@ def test_criterion_7_bsde_manufactured_solutions():
     sq = DriverSpec(driver=lambda t, s, y, z: 0.0,
                     terminal=lambda fp, s: fp.state[-1] ** 2)
 
-    fp = simulate_factors(brownian_factor(), np.linspace(0.0, 1.0, 51),
-                          100_000, SEED)
+    fp = simulate_factors(brownian_factor(), 1.0, 50, 100_000, SEED)
     y0_err = abs(solve_bsde(sq, fp).y0_mean - 1.0)
     y0_ok = y0_err <= 0.02
 
@@ -195,7 +194,7 @@ def test_criterion_7_bsde_manufactured_solutions():
 
     frozen = FactorModel(kind="ou", kappa=1.0, theta_bar=0.0, eta=0.0,
                          theta0=0.0)
-    fp_lin = simulate_factors(frozen, np.linspace(0.0, 1.0, 101), 1000, SEED)
+    fp_lin = simulate_factors(frozen, 1.0, 100, 1000, SEED)
     lin = DriverSpec(driver=lambda t, s, y, z: 0.05 * y,
                      terminal=lambda f, s: np.ones(f.paths))
     lin_err = abs(solve_bsde(lin, fp_lin).y0_mean - math.exp(0.05))

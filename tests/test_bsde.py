@@ -33,6 +33,7 @@ from eqmo.errors import (
     ValidationError,
     ZTruncationSaturated,
 )
+from eqmo.model import MarketScenario
 
 T = 1.0
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -82,7 +83,7 @@ class TestFactorModel:
             FactorModel(kind="none", theta0=0.37)
 
     def test_none_kind_freezes_state(self):
-        fp = simulate_factors(FactorModel(kind="none"), grid_times(10), 50, 1)
+        fp = simulate_factors(FactorModel(kind="none"), T, 10, 50, 1)
         assert np.all(fp.state == 0.0)
         assert fp.dW.shape == (10, 50)
 
@@ -90,7 +91,7 @@ class TestFactorModel:
         # theta_T | theta_0 is Gaussian with known mean and variance
         model = FactorModel(kind="ou", kappa=2.0, theta_bar=0.3, eta=0.4,
                             theta0=0.1)
-        fp = simulate_factors(model, grid_times(64), 60_000, 3)
+        fp = simulate_factors(model, T, 64, 60_000, 3)
         mean = 0.3 + (0.1 - 0.3) * math.exp(-2.0)
         var = 0.4 ** 2 * (1.0 - math.exp(-4.0)) / 4.0
         xT = fp.state[-1]
@@ -100,14 +101,14 @@ class TestFactorModel:
     def test_kappa_zero_limit_is_brownian(self):
         model = FactorModel(kind="ou", kappa=0.0, theta_bar=0.0, eta=1.0,
                             theta0=0.0)
-        fp = simulate_factors(model, grid_times(32), 40_000, 5)
+        fp = simulate_factors(model, T, 32, 40_000, 5)
         v = np.var(fp.state[-1])
         assert abs(v - T) < 4.0 * T * math.sqrt(2.0 / 40_000)
 
     def test_eta_zero_decays_deterministically(self):
         model = FactorModel(kind="ou", kappa=1.0, theta_bar=0.5, eta=0.0,
                             theta0=0.1)
-        fp = simulate_factors(model, grid_times(16), 8, 2)
+        fp = simulate_factors(model, T, 16, 8, 2)
         expected = 0.5 + (0.1 - 0.5) * np.exp(-fp.times)
         assert np.allclose(fp.state[:, 0], expected, atol=1e-12)
 
@@ -121,46 +122,42 @@ class TestFactorModel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=match):
-                simulate_factors(model, grid_times(50), 64, 1)
+                simulate_factors(model, T, 50, 64, 1)
 
     def test_brownian_factor_helper(self):
         m = brownian_factor()
         assert (m.kind, m.kappa, m.eta, m.theta0) == ("ou", 0.0, 1.0, 0.0)
 
     def test_determinism_across_worker_counts(self):
-        fp1 = simulate_factors(brownian_factor(), grid_times(8), 8192, 9)
+        fp1 = simulate_factors(brownian_factor(), T, 8, 8192, 9)
         with mock.patch.dict(os.environ, {"EQMO_WORKERS": "5"}):
-            fp2 = simulate_factors(brownian_factor(), grid_times(8), 8192, 9)
+            fp2 = simulate_factors(brownian_factor(), T, 8, 8192, 9)
         assert np.array_equal(fp1.state, fp2.state)
         assert np.array_equal(fp1.dW, fp2.dW)
 
 
-class TestFactorTimes:
-    # dt is read from the first step, so every other step must equal it
-    @pytest.mark.parametrize("times", [
-        [0.0, 0.1, 0.5, 1.0],
-        [0.0],
-        [],
-        [1.0, 0.5, 0.0],
-        [0.0, 0.0, 0.0],
-        [0.0, np.nan, 1.0],
-        [0.0, 0.5, np.inf],
-        [[0.0, 0.5, 1.0]],
-    ], ids=["non_uniform", "single", "empty", "decreasing", "constant", "nan", "inf", "2d"])
-    def test_times_that_are_not_a_grid_are_refused(self, times):
-        with pytest.raises(ValidationError, match="times must"):
-            simulate_factors(brownian_factor(), np.array(times), 8, 1)
+class TestFactorGrid:
+    # the grid is (T, grid_n), refused as MarketScenario refuses it
+    @pytest.mark.parametrize("T_end, n", [
+        (0.0, 4), (-1.0, 4), (np.nan, 4), (np.inf, 4),
+        (1.0, 0), (1.0, -3), (1.0, 2.5), (1.0, True),
+    ], ids=["T_zero", "T_negative", "T_nan", "T_inf",
+            "grid_n_zero", "grid_n_negative", "grid_n_fraction", "grid_n_bool"])
+    def test_grids_that_a_scenario_refuses_are_refused(self, T_end, n):
+        with pytest.raises(ValidationError, match="^(T|grid_n) must"):
+            simulate_factors(brownian_factor(), T_end, n, 8, 1)
 
-    def test_convergence_study_on_a_one_point_grid_is_refused(self):
-        with pytest.raises(ValidationError, match="times must"):
+    def test_convergence_study_on_a_zero_step_grid_is_refused(self):
+        with pytest.raises(ValidationError, match="grid_n must be >= 1"):
             bsde.convergence_study(100, 2, 1, grids=(0,))
 
     @pytest.mark.parametrize("T_end", [1e-3, 0.5, 1.0, 2.0, 3.7, 250.0])
     @pytest.mark.parametrize("n", [1, 7, 100, 20_000])
     def test_scenario_grids_pass(self, T_end, n):
-        times = np.linspace(0.0, T_end, n + 1)
-        fp = simulate_factors(brownian_factor(), times, 2, 1)
+        times = MarketScenario(0.0, 0.3, 0.2, T_end, 1.0, n).times
+        fp = simulate_factors(brownian_factor(), T_end, n, 2, 1)
         assert fp.state.shape == (n + 1, 2)
+        assert np.array_equal(fp.times, times)
         assert fp.dt == times[1] - times[0]
 
 
@@ -214,7 +211,7 @@ class TestDriverSpec:
 class TestManufacturedSolutions:
     def test_wt_squared(self):
         # f = 0, xi = W_T^2 -> Y_t = W_t^2 + (T - t), Z_t = 2 W_t
-        fp = simulate_factors(brownian_factor(), grid_times(25), 20_000, 7)
+        fp = simulate_factors(brownian_factor(), T, 25, 20_000, 7)
         spec = DriverSpec(driver=ZERO_DRIVER,
                           terminal=lambda f, s: f.state[-1] ** 2)
         grid = solve_bsde(spec, fp)
@@ -226,7 +223,7 @@ class TestManufacturedSolutions:
 
     def test_linear_driver_exponential_growth(self):
         # f = 0.05 y, xi = 1, frozen state: Y_0 = e^{0.05 T} up to O(dt)
-        fp = simulate_factors(frozen_state_model(), grid_times(50), 500, 3)
+        fp = simulate_factors(frozen_state_model(), T, 50, 500, 3)
         spec = DriverSpec(driver=lambda t, s, y, z: 0.05 * y,
                           terminal=lambda f, s: np.ones(f.paths))
         grid = solve_bsde(spec, fp)
@@ -237,7 +234,7 @@ class TestManufacturedSolutions:
     def test_frozen_state_matches_backward_euler_exactly(self):
         # nonlinear in y: f = -0.3 y + sin(t); explicit recursion is the oracle
         n = 40
-        fp = simulate_factors(frozen_state_model(), grid_times(n), 256, 11)
+        fp = simulate_factors(frozen_state_model(), T, n, 256, 11)
         spec = DriverSpec(driver=lambda t, s, y, z: -0.3 * y + math.sin(t),
                           terminal=lambda f, s: np.full(f.paths, 2.0))
         grid = solve_bsde(spec, fp)
@@ -254,13 +251,13 @@ class TestManufacturedSolutions:
             seen.append(t)
             return 0.0
 
-        fp = simulate_factors(frozen_state_model(), grid_times(4), 64, 1)
+        fp = simulate_factors(frozen_state_model(), T, 4, 64, 1)
         solve_bsde(DriverSpec(driver=driver, terminal=lambda f, s: np.zeros(f.paths)), fp)
         assert seen == [0.75, 0.5, 0.25, 0.0]
 
     def test_z_of_brownian_terminal(self):
         # xi = W_T: Y_t = W_t, Z_t = 1
-        fp = simulate_factors(brownian_factor(), grid_times(20), 30_000, 13)
+        fp = simulate_factors(brownian_factor(), T, 20, 30_000, 13)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
         grid = solve_bsde(spec, fp)
         assert abs(grid.y0_mean) < 0.02
@@ -269,7 +266,7 @@ class TestManufacturedSolutions:
 
 class TestSolverOptions:
     def test_start_index_bounds(self):
-        fp = simulate_factors(brownian_factor(), grid_times(8), 512, 1)
+        fp = simulate_factors(brownian_factor(), T, 8, 512, 1)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
         with pytest.raises(ValidationError):
             solve_bsde(spec, fp, start_index=9)
@@ -278,7 +275,7 @@ class TestSolverOptions:
         assert np.all(grid.Y[:8] == 0.0)
 
     def test_basis_degree_validation(self):
-        fp = simulate_factors(brownian_factor(), grid_times(4), 64, 1)
+        fp = simulate_factors(brownian_factor(), T, 4, 64, 1)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
         for degree in (0, 31, 2.5, 3.0, True):
             with pytest.raises(ValidationError):
@@ -303,7 +300,7 @@ class TestSolverOptions:
             assert "step 1" in str(exc)
 
     def test_quadratic_growth_truncation_warns_when_saturated(self):
-        fp = simulate_factors(brownian_factor(), grid_times(10), 4000, 17)
+        fp = simulate_factors(brownian_factor(), T, 10, 4000, 17)
 
         def spec(z_bound):
             return DriverSpec(driver=lambda t, s, y, z: 0.1 * z ** 2,
@@ -320,7 +317,7 @@ class TestSolverOptions:
         # f = -0.3 y on a frozen state: the driver reads the continuation,
         # so each step multiplies by (1 - 0.3 dt)
         n = 10
-        fp = simulate_factors(frozen_state_model(), grid_times(n), 256, 17)
+        fp = simulate_factors(frozen_state_model(), T, n, 256, 17)
         spec = DriverSpec(driver=lambda t, s, y, z: -0.3 * y,
                           terminal=lambda f, s: np.ones(f.paths))
         grid = solve_bsde(spec, fp)
@@ -331,7 +328,7 @@ class TestSolverOptions:
         # the step adds f dt into the live row in place: a driver that returns
         # the row itself must see the same step, and the same Y_0 sample, as
         # one that returns a copy
-        fp = simulate_factors(brownian_factor(), grid_times(8), 500, 23)
+        fp = simulate_factors(brownian_factor(), T, 8, 500, 23)
 
         def terminal(f, s):
             return np.sin(f.state[-1])
@@ -345,7 +342,7 @@ class TestSolverOptions:
         assert alias.y0_se == copy.y0_se
 
     def test_terminal_must_be_finite(self):
-        fp = simulate_factors(brownian_factor(), grid_times(4), 64, 1)
+        fp = simulate_factors(brownian_factor(), T, 4, 64, 1)
         spec = DriverSpec(driver=ZERO_DRIVER,
                           terminal=lambda f, s: np.full(f.paths, np.nan))
         with pytest.raises(ValidationError):
@@ -354,7 +351,7 @@ class TestSolverOptions:
 
 class TestFlows:
     def test_flow_member_zero_matches_standalone(self):
-        fp = simulate_factors(brownian_factor(), grid_times(12), 4000, 19)
+        fp = simulate_factors(brownian_factor(), T, 12, 4000, 19)
         spec = DriverSpec(driver=ZERO_DRIVER,
                           terminal=lambda f, s: f.state[-1] ** 2)
         standalone = solve_bsde(spec, fp)
@@ -364,7 +361,7 @@ class TestFlows:
 
     def test_diagonal_of_flow_tracks_remaining_time(self):
         # member s with terminal W_T^2 has diagonal mean W_s^2-avg + (T - s)
-        fp = simulate_factors(brownian_factor(), grid_times(20), 30_000, 23)
+        fp = simulate_factors(brownian_factor(), T, 20, 30_000, 23)
         spec = DriverSpec(driver=ZERO_DRIVER,
                           terminal=lambda f, s: f.state[-1] ** 2)
         diag = solve_flow_diagonal(lambda s: spec, fp)
@@ -373,7 +370,7 @@ class TestFlows:
 
     def test_flow_index_reaches_terminal(self):
         # family uses s to pick its terminal payoff scale
-        fp = simulate_factors(frozen_state_model(), grid_times(4), 64, 1)
+        fp = simulate_factors(frozen_state_model(), T, 4, 64, 1)
 
         def family(s):
             return DriverSpec(driver=ZERO_DRIVER,
@@ -405,7 +402,7 @@ def assert_matches_per_member(diag, ref):
 
 class TestBatchedFlow:
     def test_s_dependent_terminal_linear_driver(self):
-        fp = simulate_factors(brownian_factor(), grid_times(12), 3000, 37)
+        fp = simulate_factors(brownian_factor(), T, 12, 3000, 37)
 
         def family(s):
             return DriverSpec(driver=lambda t, st, y, z: -0.3 * y + 0.1 * z,
@@ -415,7 +412,7 @@ class TestBatchedFlow:
                                   per_member_diagonal(family, fp))
 
     def test_quadratic_truncation_and_picard(self):
-        fp = simulate_factors(brownian_factor(), grid_times(10), 2000, 41)
+        fp = simulate_factors(brownian_factor(), T, 10, 2000, 41)
 
         def family(s):
             return DriverSpec(driver=lambda t, st, y, z: 0.1 * z ** 2 - 0.2 * y,
@@ -434,7 +431,7 @@ class TestBatchedFlow:
     def test_saturation_warning_points_at_the_caller(self):
         # the single solve and the flow warn from the one date loop, whose
         # stacklevel names the caller of the public solver
-        fp = simulate_factors(brownian_factor(), grid_times(6), 1000, 41)
+        fp = simulate_factors(brownian_factor(), T, 6, 1000, 41)
 
         def family(s):
             return DriverSpec(driver=lambda t, st, y, z: 0.1 * z ** 2,
@@ -448,7 +445,7 @@ class TestBatchedFlow:
             assert [w.filename for w in caught] == [__file__]
 
     def test_driver_reads_dependencies(self):
-        fp = simulate_factors(brownian_factor(), grid_times(8), 2000, 43)
+        fp = simulate_factors(brownian_factor(), T, 8, 2000, 43)
         base = solve_bsde(DriverSpec(driver=ZERO_DRIVER,
                                      terminal=lambda f, s: f.state[-1]), fp)
 
@@ -463,7 +460,7 @@ class TestBatchedFlow:
             solve_flow_diagonal(family, fp)
 
     def test_identical_members_take_one_solve(self):
-        fp = simulate_factors(brownian_factor(), grid_times(6), 500, 47)
+        fp = simulate_factors(brownian_factor(), T, 6, 500, 47)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1] ** 2)
         with mock.patch.object(bsde, "_solve_one", wraps=bsde._solve_one) as solver:
             solve_flow_diagonal(lambda s: spec, fp)
@@ -473,7 +470,7 @@ class TestBatchedFlow:
 
     def test_shared_spec_with_index_terminal_is_not_single_solve(self):
         n = 6
-        fp = simulate_factors(frozen_state_model(), grid_times(n), 64, 1)
+        fp = simulate_factors(frozen_state_model(), T, n, 64, 1)
         spec = DriverSpec(driver=ZERO_DRIVER,
                           terminal=lambda f, idx: np.full(f.paths, float(idx)))
         with mock.patch.object(bsde, "_solve_one", wraps=bsde._solve_one) as solver:
@@ -487,7 +484,7 @@ class TestBatchedFlow:
         # the batched fit writes C into the live rows of Y and Z into one
         # buffer: no (members x paths) temporary beyond those two
         n, paths, degree = 20, 20_000, 3
-        fp = simulate_factors(brownian_factor(), grid_times(n), paths, 71)
+        fp = simulate_factors(brownian_factor(), T, n, paths, 71)
 
         def family(s):
             return DriverSpec(driver=lambda t, st, y, z: -0.3 * y + 0.1 * z,
@@ -507,7 +504,7 @@ class TestBatchedFlow:
         # the means route keeps one Y row and one Z buffer, never a grid:
         # its traced peak is a few rows beside the date's basis at any n
         paths, degree = 20_000, 3
-        fp = simulate_factors(brownian_factor(), grid_times(n), paths, 73)
+        fp = simulate_factors(brownian_factor(), T, n, paths, 73)
         spec = DriverSpec(driver=lambda t, st, y, z: -0.3 * y + 0.1 * z,
                           terminal=lambda f, s: f.state[-1] ** 2)
         tracemalloc.start()
@@ -533,7 +530,7 @@ class TestBatchedFlow:
         assert peak < (2 * n + 1 + 16) * 8 * paths
 
     def test_non_finite_member_terminal_rejected(self):
-        fp = simulate_factors(brownian_factor(), grid_times(6), 64, 1)
+        fp = simulate_factors(brownian_factor(), T, 6, 64, 1)
 
         def family(s):
             value = np.nan if s == 3 else 1.0
@@ -549,7 +546,8 @@ def scenario_paths(name, seed, workers, paths=9000):
     drawn on ``workers`` threads, and its basis degree."""
     bundle = parse_scenario(os.path.join(SCENARIOS, f"{name}.scn"))
     with mock.patch.dict(os.environ, {"EQMO_WORKERS": workers}):
-        fp = simulate_factors(bundle.factor, bundle.scenario.times, paths, seed)
+        fp = simulate_factors(bundle.factor, bundle.scenario.T, bundle.scenario.grid_n,
+                              paths, seed)
     return fp, bundle.numerics["basis_degree"]
 
 
@@ -598,7 +596,7 @@ class TestReducerRoute:
             times = grid_times(grid_n)
             y_mses, z_mses, y0s = [], [], []
             for rep in range(reps):
-                fp = simulate_factors(brownian_factor(), times, paths,
+                fp = simulate_factors(brownian_factor(), T, grid_n, paths,
                                       seed + 7919 * grid_n + rep)
                 grid = solve_bsde(spec, fp)
                 err = np.square(fp.state)
@@ -636,7 +634,7 @@ class TestReducerRoute:
 class TestRegressionBasis:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_basis_equals_vander_bitwise(self, degree):
-        fp = simulate_factors(brownian_factor(), grid_times(4), 1000, 53)
+        fp = simulate_factors(brownian_factor(), T, 4, 1000, 53)
         state = fp.state[2]
         x = (state - np.mean(state)) / np.std(state)
         B = bsde._Regression(state, fp.dW[2], degree).B
@@ -653,7 +651,7 @@ class TestRegressionBasis:
     def test_coefficient_fit_matches_formed_target(self, degree):
         # C and the Z fit from power-sum Grams and coefficients are the fits
         # of the rows and of the formed centered target on B B'
-        fp = simulate_factors(brownian_factor(), grid_times(4), 3000, 61)
+        fp = simulate_factors(brownian_factor(), T, 4, 3000, 61)
         reg = bsde._Regression(fp.state[2], fp.dW[2], degree)
         rows = np.vstack([fp.state[3] ** 2, np.cos(fp.state[3]), fp.state[3]])
         C, Z = np.empty_like(rows), np.empty_like(rows)
@@ -681,7 +679,7 @@ class TestRecurrentSystems:
         spec0 = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: np.ones(f.paths),
                            depends_on=(1,))
         spec1 = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: np.ones(f.paths))
-        fp = simulate_factors(frozen_state_model(), grid_times(4), 64, 1)
+        fp = simulate_factors(frozen_state_model(), T, 4, 64, 1)
         with pytest.raises(CyclicDependency):
             solve_recurrent_system([spec0, spec1], fp)
 
@@ -697,7 +695,7 @@ class TestRecurrentSystems:
         ok = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
         bad = DriverSpec(driver=lambda t, st, y, z, deps: deps[0][0],
                          terminal=lambda f, s: f.state[-1], depends_on=(2,))
-        fp = simulate_factors(brownian_factor(), grid_times(4), 64, 1)
+        fp = simulate_factors(brownian_factor(), T, 4, 64, 1)
         with mock.patch.object(bsde, "_Regression", Counted):
             with pytest.raises(CyclicDependency, match="spec 2"):
                 solve_recurrent_system([ok, ok, bad], fp)
@@ -706,7 +704,7 @@ class TestRecurrentSystems:
     def test_self_reference_rejected(self):
         spec0 = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: np.ones(f.paths),
                            depends_on=(0,))
-        fp = simulate_factors(frozen_state_model(), grid_times(4), 64, 1)
+        fp = simulate_factors(frozen_state_model(), T, 4, 64, 1)
         with pytest.raises(CyclicDependency):
             solve_recurrent_system([spec0], fp)
 
@@ -715,7 +713,7 @@ class TestRecurrentSystems:
         s1 = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: np.ones(f.paths))
         s2 = DriverSpec(driver=lambda t, st, y, z, deps: deps[0][0],
                         terminal=lambda f, s: np.zeros(f.paths), depends_on=(0,))
-        fp = simulate_factors(frozen_state_model(), grid_times(32), 256, 5)
+        fp = simulate_factors(frozen_state_model(), T, 32, 256, 5)
         g1, g2 = solve_recurrent_system([s1, s2], fp)
         assert g1.y0_mean == pytest.approx(1.0, abs=1e-14)
         assert g2.y0_mean == pytest.approx(T, abs=1e-12)
@@ -724,21 +722,21 @@ class TestRecurrentSystems:
         # driver sees dep Y at the same index: integrating s -> T gives T - t
         s1 = DriverSpec(driver=lambda t, st, y, z: 1.0,
                         terminal=lambda f, s: np.zeros(f.paths))
-        fp = simulate_factors(frozen_state_model(), grid_times(16), 64, 5)
+        fp = simulate_factors(frozen_state_model(), T, 16, 64, 5)
         g1 = solve_recurrent_system([s1], fp)[0]
         assert np.allclose(g1.Y[:, 0], T - fp.times, atol=1e-12)
 
     def test_missing_dependency_feed(self):
         dep = DriverSpec(driver=lambda t, st, y, z, deps: deps[0][0],
                          terminal=lambda f, s: np.zeros(f.paths), depends_on=(0,))
-        fp = simulate_factors(frozen_state_model(), grid_times(4), 64, 1)
+        fp = simulate_factors(frozen_state_model(), T, 4, 64, 1)
         with pytest.raises(ValidationError):
             solve_bsde(dep, fp)
 
     def test_members_equal_standalone_solves_bitwise(self):
         # each member of one shared date loop is its own solve_bsde, fed the
         # earlier members' grids as deps
-        fp = simulate_factors(brownian_factor(), grid_times(10), 1500, 61)
+        fp = simulate_factors(brownian_factor(), T, 10, 1500, 61)
         specs = [
             DriverSpec(driver=lambda t, st, y, z: 0.1 * z ** 2 - 0.2 * y,
                        terminal=lambda f, s: f.state[-1] ** 2, z_bound=0.5),
@@ -771,7 +769,7 @@ class TestRecurrentSystems:
                 live.add(self)
                 peak.append(len(live))
 
-        fp = simulate_factors(brownian_factor(), grid_times(8), 500, 67)
+        fp = simulate_factors(brownian_factor(), T, 8, 500, 67)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1] ** 2)
         with mock.patch.object(bsde, "_Regression", Counted):
             solve_bsde(spec, fp)
@@ -779,7 +777,7 @@ class TestRecurrentSystems:
         assert len(peak) == 24 and max(peak) == 1
 
     def test_missing_dependency_message_names_spec_and_supply(self):
-        fp = simulate_factors(frozen_state_model(), grid_times(4), 64, 1)
+        fp = simulate_factors(frozen_state_model(), T, 4, 64, 1)
         base = solve_bsde(DriverSpec(driver=ZERO_DRIVER,
                                      terminal=lambda f, s: np.ones(f.paths)), fp)
         dep = DriverSpec(driver=lambda t, st, y, z, deps: deps[1][0],
@@ -839,7 +837,7 @@ class TestWealthFlow:
 
 class TestBsdeGridContract:
     def test_shapes_and_standard_error(self):
-        fp = simulate_factors(brownian_factor(), grid_times(6), 1024, 31)
+        fp = simulate_factors(brownian_factor(), T, 6, 1024, 31)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
         grid = solve_bsde(spec, fp)
         assert isinstance(grid, BsdeGrid)
@@ -849,7 +847,7 @@ class TestBsdeGridContract:
         assert grid.y0_se > 0.0
 
     def test_solver_determinism(self):
-        fp = simulate_factors(brownian_factor(), grid_times(6), 2048, 31)
+        fp = simulate_factors(brownian_factor(), T, 6, 2048, 31)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
         a = solve_bsde(spec, fp)
         b = solve_bsde(spec, fp)

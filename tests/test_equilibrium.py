@@ -567,7 +567,7 @@ class TestGrowthFactors:
         n = 10
         s = MarketScenario(r=np.where(np.arange(n + 1) < n // 2, 2000.0, 0.0),
                            theta=0.3, sigma=0.2, T=1.0, x0=1.0, grid_n=n)
-        u = StrategyGrid(s.times, np.full(n + 1, 0.5))
+        u = StrategyGrid(np.full(n + 1, 0.5))
         assert rate_to_horizon(s)[n // 2:].max() == 0.0
         for call in (lambda: conditional_moments(s, u, 0.8, 1.0, 2),
                      lambda: finite_eps_check(s, MV, u, 0.8, 0.5, [s.dt])):

@@ -284,7 +284,7 @@ STREAM_PATHS = (1, BLOCK - 1, BLOCK, BLOCK + 5, 3 * BLOCK + 17)
 
 def varying_case(grid_n=12):
     s = time_varying(grid_n).scenario
-    return s, StrategyGrid.from_values(s, 1.5 + 0.5 * np.sin(3.0 * s.times))
+    return s, StrategyGrid(1.5 + 0.5 * np.sin(3.0 * s.times))
 
 
 def step_coeffs(s, u, i0):
@@ -365,11 +365,11 @@ def rounding_case(name):
         return varying_case(60)
     if name == "mv_discounted":
         s = mv_discounted(80).scenario
-        return s, StrategyGrid.from_values(s, 2.0 + np.cos(5.0 * s.times))
+        return s, StrategyGrid(2.0 + np.cos(5.0 * s.times))
     # curved corpus markets under a seeded rough strategy, as the oracle tests
     s = random_curved_corpus(count=3)[int(name[-1])].scenario
     rng = np.random.default_rng(5)
-    return s, StrategyGrid.from_values(s, rng.uniform(-2.0, 6.0, s.grid_n + 1))
+    return s, StrategyGrid(rng.uniform(-2.0, 6.0, s.grid_n + 1))
 
 
 def assert_streamed_matches_reference(paths_list, seed):
@@ -508,13 +508,12 @@ class TestTimeMajorSamplers:
 
     @pytest.mark.parametrize("paths", (BLOCK - 1, BLOCK + 5))
     def test_factor_increments_are_scaled_normals(self, paths):
-        times = np.linspace(0.0, 1.0, 9)
-        fp = simulate_factors(brownian_factor(), times, paths, 15)
+        fp = simulate_factors(brownian_factor(), 1.0, 8, paths, 15)
         Z = stream(15, paths, 8)
-        assert np.array_equal(fp.dW, math.sqrt(times[1]) * Z.T)
+        assert np.array_equal(fp.dW, math.sqrt(fp.dt) * Z.T)
         state = np.zeros(paths)
         for i in range(8):
-            state = 0.0 + (state - 0.0) * 1.0 + math.sqrt(times[1]) * Z[:, i]
+            state = 0.0 + (state - 0.0) * 1.0 + math.sqrt(fp.dt) * Z[:, i]
             assert np.array_equal(fp.state[i + 1], state)
 
 
@@ -567,7 +566,7 @@ class TestPathLimit:
             lambda: time_major_normals(1, paths, 3),
             lambda: simulate_terminal_wealth(s, u, 0.0, 1.0, paths, 1),
             lambda: wealth_factor_paths(s, u, paths, 1),
-            lambda: simulate_factors(brownian_factor(), s.times, paths, 1),
+            lambda: simulate_factors(brownian_factor(), s.T, s.grid_n, paths, 1),
         )
         with refuse_large_allocations():
             for call in calls:
@@ -618,14 +617,13 @@ class TestTimeMajorLimit:
     @pytest.mark.parametrize("paths, cols", [(MAX_CELLS // 25 + 1, 25),
                                              (10 ** 7, 100), (MAX_PATHS, 2)])
     def test_typed_error_before_any_allocation(self, paths, cols):
-        times = np.linspace(0.0, 1.0, cols + 1)
         s = MarketScenario(r=0.03, theta=0.3, sigma=0.25, T=1.0, x0=1.0,
                            grid_n=cols)
         u = StrategyGrid.constant(s, 2.0)
         calls = (
             lambda: time_major_normals(1, paths, cols),
             lambda: wealth_factor_paths(s, u, paths, 1),
-            lambda: simulate_factors(brownian_factor(), times, paths, 1),
+            lambda: simulate_factors(brownian_factor(), 1.0, cols, paths, 1),
         )
         with refuse_large_allocations():
             for call in calls:

@@ -77,7 +77,7 @@ class TestMomentsToGo:
         rng = np.random.default_rng(3)
         s = MarketScenario(r=rng.uniform(0, 0.1, 21), theta=rng.uniform(0.1, 0.4, 21),
                            sigma=rng.uniform(0.2, 0.5, 21), T=1.0, x0=1.0, grid_n=20)
-        u = StrategyGrid.from_values(s, rng.uniform(-1, 2, 21))
+        u = StrategyGrid(rng.uniform(-1, 2, 21))
         M, V = moments_to_go(s, u)
         R = rate_to_horizon(s)
         M2 = np.zeros(21)
@@ -101,7 +101,7 @@ class TestMomentsToGo:
                            theta=rng.uniform(-0.2, 0.4, n + 1),
                            sigma=rng.uniform(0.1, 0.5, n + 1), T=2.0, x0=1.0,
                            grid_n=n)
-        u = StrategyGrid.from_values(s, u_values)
+        u = StrategyGrid(u_values)
         M, V = moments_to_go(s, u)
         R = rate_to_horizon(s)
         M2 = np.zeros(n + 1)

@@ -23,7 +23,7 @@ sigma = 0.2
 [objective]
 term = 1:1 -> 1.0
 term = 2:1 -> -1.0
-max_order = 2
+mode = central
 """
 
 
@@ -135,7 +135,7 @@ class TestParseErrors:
             parse_scenario(write(tmp_path, text))
 
     def test_bad_mode(self, tmp_path):
-        text = MINIMAL.replace("max_order = 2", "mode = raw\nmax_order = 2")
+        text = MINIMAL.replace("mode = central", "mode = raw")
         with pytest.raises(ParseError, match="mode"):
             parse_scenario(write(tmp_path, text))
 
@@ -146,7 +146,7 @@ class TestParseErrors:
         assert exc.value.line == 2
 
     def test_no_terms(self, tmp_path):
-        text = "[market]\ntheta = 0.3\nsigma = 0.2\n[objective]\nmax_order = 2\n"
+        text = "[market]\ntheta = 0.3\nsigma = 0.2\n[objective]\nmode = central\n"
         with pytest.raises(ParseError, match="term"):
             parse_scenario(write(tmp_path, text))
 
@@ -182,6 +182,8 @@ MALFORMED = {
                           r"basis_degree: expected a value in \[1, 30\]"),
     "z_bound_removed": ("bsde", MINIMAL + "\n[numerics]\nz_bound = 10\n", 11,
                         "'z_bound'"),
+    "max_order_removed": ("moments", MINIMAL + "max_order = 4\n", 9,
+                          "unknown key 'max_order' in section \\[objective\\]"),
     "paths_zero": ("mc", MINIMAL + "\n[numerics]\npaths = 0\n", 11,
                    r"paths: expected a value in \[1, 100000000\], got '0'"),
     "paths_above_max": ("bsde", MINIMAL + "\n[numerics]\npaths = 100000001\n", 11,
@@ -224,7 +226,8 @@ class TestNonFiniteNumbers(_RejectedWithLine):
 @pytest.mark.parametrize("case", ["T_array", "x0_array", "kind_unknown", "non_utf8",
                                   "eta_negative", "rho_nonzero", "grid_n_zero",
                                   "basis_degree_zero", "basis_degree_above_max",
-                                  "basis_degree_huge", "z_bound_removed", "paths_zero",
+                                  "basis_degree_huge", "z_bound_removed",
+                                  "max_order_removed", "paths_zero",
                                   "paths_above_max", "seed_negative", "seed_too_large",
                                   "tolerance_negative"])
 class TestMalformedValues(_RejectedWithLine):
@@ -235,8 +238,7 @@ class TestRicherScenarios:
     def test_product_term(self, tmp_path):
         text = MINIMAL.replace("term = 2:1 -> -1.0",
                                "term = 2:1 -> -1.0\nterm = 1:1,2:2 -> 0.25")
-        b = parse_scenario(write(tmp_path, text.replace("max_order = 2",
-                                                        "max_order = 4")))
+        b = parse_scenario(write(tmp_path, text))
         prod = [t for t in b.objective.terms if len(t.factors) == 2]
         assert prod and prod[0].factors == ((1, 1), (2, 2))
         assert prod[0].coeff == 0.25
@@ -247,7 +249,7 @@ class TestRicherScenarios:
             "[market]\n"
             f"theta = {vals}\n"
             "sigma = 0.2\n"
-            "[objective]\nterm = 1:1 -> 1.0\nterm = 2:1 -> -1.0\nmax_order = 2\n"
+            "[objective]\nterm = 1:1 -> 1.0\nterm = 2:1 -> -1.0\nmode = central\n"
             "[numerics]\ngrid_n = 4\n"
         )
         b = parse_scenario(write(tmp_path, text))
@@ -259,7 +261,7 @@ class TestRicherScenarios:
             "[market]\n"
             "theta = 0.1, 0.2, 0.3\n"
             "sigma = 0.2\n"
-            "[objective]\nterm = 1:1 -> 1.0\nterm = 2:1 -> -1.0\nmax_order = 2\n"
+            "[objective]\nterm = 1:1 -> 1.0\nterm = 2:1 -> -1.0\nmode = central\n"
             "[numerics]\ngrid_n = 4\n"
         )
         with pytest.raises(GridMismatch):
@@ -277,7 +279,7 @@ class TestRicherScenarios:
             "[market]\n"
             f"theta = {vals}\n"
             "sigma = 0.2\n"
-            "[objective]\nterm = 1:1 -> 1.0\nterm = 2:1 -> -1.0\nmax_order = 2\n"
+            "[objective]\nterm = 1:1 -> 1.0\nterm = 2:1 -> -1.0\nmode = central\n"
             "[numerics]\ngrid_n = 10\n"
         )
         path = write(tmp_path, text)
@@ -311,7 +313,7 @@ class TestRicherScenarios:
             1.5, 0.3, 0.2, 0.0, 0.25)
 
     def test_cumulant_mode(self, tmp_path):
-        text = MINIMAL.replace("max_order = 2", "mode = cumulant\nmax_order = 2")
+        text = MINIMAL.replace("mode = central", "mode = cumulant")
         assert parse_scenario(write(tmp_path, text)).objective.mode == "cumulant"
 
 
@@ -343,7 +345,7 @@ class TestSerialization:
             "[market]\n"
             f"theta = {vals}\n"
             "sigma = 0.2\n"
-            "[objective]\nterm = 1:1 -> 1.0\nterm = 2:1 -> -1.0\nmax_order = 2\n"
+            "[objective]\nterm = 1:1 -> 1.0\nterm = 2:1 -> -1.0\nmode = central\n"
             "[numerics]\ngrid_n = 8\n"
         )
         b1 = parse_scenario(write(tmp_path, text))

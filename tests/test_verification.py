@@ -236,7 +236,7 @@ def literal_slopes(scenario, objective, strategy, t, v, ks):
     for k in ks:
         values = strategy.values.copy()
         values[i0:i0 + k] += v
-        pert = StrategyGrid(strategy.times, values)
+        pert = StrategyGrid(values)
         J = objective_value(objective, conditional_moments(scenario, pert, t, scenario.x0, n))
         slopes.append((J - base) / (k * scenario.dt))
     return slopes
@@ -266,8 +266,7 @@ class TestOracleMatchesLiteralPerturbation:
         # a seeded rough strategy, since some cases have no swept equilibrium
         rng = np.random.default_rng(5)
         for case in random_curved_corpus(count=12):
-            u = StrategyGrid.from_values(case.scenario,
-                                         rng.uniform(-2.0, 6.0, case.scenario.grid_n + 1))
+            u = StrategyGrid(rng.uniform(-2.0, 6.0, case.scenario.grid_n + 1))
             self.assert_bitwise(case, u)
 
     def test_kurtosis_cumulant(self):
