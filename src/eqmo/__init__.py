@@ -39,6 +39,7 @@ from .errors import (
     ZTruncationSaturated,
 )
 from .model import (
+    MAX_GRID_N,
     MAX_ORDER,
     MarketScenario,
     ObjectiveSpec,

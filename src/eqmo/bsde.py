@@ -66,6 +66,8 @@ _CONST_STATE_TOL = 1e-13
 # highest regression basis degree: a standardized row has |x| <= sqrt(paths - 1),
 # so every power sum up to x^(2 d) stays below paths^(d + 1) <= 1e248 at MAX_PATHS
 MAX_BASIS_DEGREE = 30
+# the cubic basis of every solve unless its caller or [numerics] picks another
+DEFAULT_BASIS_DEGREE = 3
 
 
 FACTOR_KINDS = ("none", "ou")
@@ -415,8 +417,9 @@ def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
     return y0_se, (saturated / total if total else 0.0)
 
 
-def solve_bsde(spec: DriverSpec, fp: FactorPaths, basis_degree: int = 3,
-               start_index: int = 0, deps: Sequence[BsdeGrid] = ()) -> BsdeGrid:
+def solve_bsde(spec: DriverSpec, fp: FactorPaths,
+               basis_degree: int = DEFAULT_BASIS_DEGREE, start_index: int = 0,
+               deps: Sequence[BsdeGrid] = ()) -> BsdeGrid:
     """Backward regression solve of one BSDE on [t_start, T].
 
     Rows with index below ``start_index`` are left at zero (flow members live
@@ -445,7 +448,7 @@ class BsdeMeans:
 
 
 def solve_bsde_means(spec: DriverSpec, fp: FactorPaths,
-                     basis_degree: int = 3) -> BsdeMeans:
+                     basis_degree: int = DEFAULT_BASIS_DEGREE) -> BsdeMeans:
     """``solve_bsde(spec, fp, basis_degree)`` reduced to its per-date path
     means, bitwise, without forming the Y and Z grids: beside the state and
     dW it holds O(paths) memory, whatever the number of dates."""
@@ -473,7 +476,7 @@ class DiagonalProcess:
 
 
 def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
-                        basis_degree: int = 3, *,
+                        basis_degree: int = DEFAULT_BASIS_DEGREE, *,
                         deps: Sequence[BsdeGrid] = ()) -> DiagonalProcess:
     """Solve the flow of BSDEs ``family(s)`` on [s, T], s = 0..n, over the
     shared path set and extract member s at time s.
@@ -518,7 +521,7 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
 
 
 def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
-                           basis_degree: int = 3) -> list[BsdeGrid]:
+                           basis_degree: int = DEFAULT_BASIS_DEGREE) -> list[BsdeGrid]:
     """Solve an ordered list of BSDEs where drivers may read the (Y, Z) grids
     of strictly earlier members: each member is ``solve_bsde`` fed the
     earlier members' grids as ``deps``, solved in order once every
@@ -620,7 +623,7 @@ class FlowDiagnostics:
 
 
 def mv_flow_residual(scenario: MarketScenario, gamma2: float, paths: int,
-                     seed: int, basis_degree: int = 3, *,
+                     seed: int, basis_degree: int = DEFAULT_BASIS_DEGREE, *,
                      strategy: StrategyGrid) -> FlowDiagnostics:
     """Solve E_t[X_T] on wealth paths under the caller's ``strategy``, which
     this route never builds itself, and report the mean-variance residual

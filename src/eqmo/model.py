@@ -27,6 +27,12 @@ from .sampling import _check_int
 MAX_ORDER = 8
 SIGMA_MIN = 1e-8  # volatility floor of validate_scenario
 GRID_TOL = 1e-9   # relative tolerance of a time or a step on a uniform grid
+MAX_GRID_N = 10 ** 6
+"""Largest grid_n of a uniform grid. Peak RSS grows by about 1 KB per grid
+point (at grid_n 400000: 440 MB for ``moments`` on mvsk, 267 MB for
+``solve`` on raw_m4, 145 MB for ``verify`` on mvsk), so the bound keeps
+every command near 1 GB, as :data:`eqmo.sampling.MAX_CELLS` does for the
+regression route."""
 
 # (k-1)!! for even k: the Gaussian central moment of order k is (k-1)!! V^{k/2}
 _DOUBLE_FACTORIAL = {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
@@ -34,13 +40,16 @@ _DOUBLE_FACTORIAL = {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
 
 def _check_grid(T: float, grid_n) -> int:
     """grid_n as an int, for the uniform grid of grid_n steps on [0, T]: T
-    positive and finite and grid_n an integer >= 1; anything else is a
-    ValidationError."""
+    positive and finite and grid_n an integer in [1, MAX_GRID_N]; anything
+    else is a ValidationError, raised before anything is allocated."""
     if T <= 0.0 or not math.isfinite(T):
         raise ValidationError(f"T must be positive and finite, got {T}")
     grid_n = _check_int("grid_n", grid_n)
     if grid_n < 1:
         raise ValidationError(f"grid_n must be >= 1, got {grid_n}")
+    if grid_n > MAX_GRID_N:
+        raise ValidationError(f"grid_n must be <= {MAX_GRID_N} (model.MAX_GRID_N), "
+                              f"got {grid_n}")
     return grid_n
 
 
@@ -211,13 +220,14 @@ def rate_to_horizon(scenario: MarketScenario) -> np.ndarray:
 
 
 def growth_factors(R: np.ndarray) -> np.ndarray:
-    """e^R elementwise through libm's ``math.exp``: the one growth-factor path.
+    """e^R elementwise through libm's ``math.exp``: the one growth-factor array.
 
-    Every e^{R_i} (and e^{-R_i}, from ``growth_factors(-R)``) in eqmo comes
-    from here, so the moment engine, the sweep, Phi and the closed forms
-    share their growth factors bit for bit. ``np.exp`` differs from
-    ``math.exp`` in the last bit on a few percent of inputs. A factor past
-    the float range is a ValidationError.
+    Every array of e^{R_i} (and of e^{-R_i}, from ``growth_factors(-R)``) in
+    eqmo comes from here; ``MomentGrid.at`` takes its single e^{R_i} from
+    ``math.exp`` directly. So the moment engine, the sweep, Phi and the
+    closed forms share their growth factors bit for bit. ``np.exp`` differs
+    from ``math.exp`` in the last bit on a few percent of inputs. A factor
+    past the float range is a ValidationError.
     """
     try:
         return np.fromiter(map(math.exp, R.tolist()), float, len(R))

@@ -20,11 +20,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bsde import FACTOR_KINDS, MAX_BASIS_DEGREE, FactorModel
+from .bsde import DEFAULT_BASIS_DEGREE, FACTOR_KINDS, MAX_BASIS_DEGREE, FactorModel
 from .equilibrium import SCHEMES
 from .errors import ParseError
-from .model import MODES, MarketScenario, ObjectiveSpec, ObjectiveTerm
+from .model import MAX_GRID_N, MODES, MarketScenario, ObjectiveSpec, ObjectiveTerm
 from .sampling import MAX_PATHS, SEED_LIMIT
+from .verify import DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -127,14 +128,14 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         "theta0": (_scalar, _FIELD_DEFAULT),
     },
     "numerics": {
-        "grid_n": (_bounded(_int, 1), 100),
+        "grid_n": (_bounded(_int, 1, MAX_GRID_N), 100),
         "paths": (_bounded(_int, 1, MAX_PATHS), 100_000),
         "seed": (_bounded(_int, 0, SEED_LIMIT - 1), None),
         "scheme": (_choice(SCHEMES), "implicit"),
         # v = 0 lies on the deviation grid, so max Phi >= 0: a negative
         # tolerance would fail every strategy
-        "tolerance": (_bounded(_scalar, 0.0), 1e-8),
-        "basis_degree": (_bounded(_int, 1, MAX_BASIS_DEGREE), 3),
+        "tolerance": (_bounded(_scalar, 0.0), DEFAULT_TOLERANCE),
+        "basis_degree": (_bounded(_int, 1, MAX_BASIS_DEGREE), DEFAULT_BASIS_DEGREE),
         "u_scale": (_scalar, 1.0),
     },
 }

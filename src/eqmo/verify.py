@@ -31,6 +31,8 @@ from .model import (
 )
 from .moments import MomentGrid, _increments, _moments_from, objective_value
 
+DEFAULT_TOLERANCE = 1e-8  # largest max Phi a passing strategy may show
+
 
 @dataclass(frozen=True)
 class EquilibriumReport:
@@ -55,7 +57,7 @@ class EquilibriumReport:
 
 def equilibrium_report(scenario: MarketScenario, objective: ObjectiveSpec,
                        strategy: StrategyGrid,
-                       tolerance: float = 1e-8) -> EquilibriumReport:
+                       tolerance: float = DEFAULT_TOLERANCE) -> EquilibriumReport:
     """Max Phi(t, v) over all grid times and the default deviation range;
     pass iff max Phi <= tolerance. v = 0 lies in the range, so max Phi >= 0:
     a negative tolerance would fail every strategy, and it, a nan or an
@@ -69,7 +71,7 @@ def equilibrium_report(scenario: MarketScenario, objective: ObjectiveSpec,
 
 
 def homogeneity_check_numeric(scenario: MarketScenario, objective: ObjectiveSpec,
-                              tolerance: float = 1e-8) -> EquilibriumReport:
+                              tolerance: float = DEFAULT_TOLERANCE) -> EquilibriumReport:
     """Install the objective's own mean-variance strategy and report whether
     the full objective keeps Phi <= tolerance everywhere."""
     strategy = mv_closed_form(scenario, mv_gamma2(objective))

@@ -220,6 +220,25 @@ class TestMoments:
         # variance-to-go vanishes at the terminal time
         assert float(rows[-1][3]) == 0.0
 
+    # the objective's order is its highest index; the table shows at least
+    # m4 and k4
+    def test_sixth_order_term_writes_columns_to_six(self, tmp_path):
+        scn = scn_file(tmp_path, MINIMAL.replace("term = 2:1 -> -1.0\n",
+                                                 "term = 2:1 -> -1.0\nterm = 6:1 -> -0.1\n"))
+        out = tmp_path / "m"
+        assert run("moments", scn, out) == 0
+        header, _ = read_csv(out / "moments.csv")
+        assert header == ["t", "u", "m1", "V", "m2", "m3", "m4", "m5", "m6",
+                          "k2", "k3", "k4", "k5", "k6", "J"]
+        assert read_json(out / "moments_summary.json")["order"] == 6
+
+    def test_mv_base_columns_stop_at_four(self, tmp_path):
+        out = tmp_path / "m"
+        assert run("moments", MV, out) == 0
+        header, _ = read_csv(out / "moments.csv")
+        assert header == ["t", "u", "m1", "V", "m2", "m3", "m4", "k2", "k3", "k4", "J"]
+        assert read_json(out / "moments_summary.json")["order"] == 4
+
 
 class TestBsde:
     def test_flow_diagonal_artifacts(self, tmp_path):

@@ -18,7 +18,7 @@ from eqmo.bsde import brownian_factor, simulate_factors, wealth_factor_paths
 from eqmo.cli import RunConfig, main
 from eqmo.corpus import mv_discounted, random_curved_corpus, time_varying
 from eqmo.errors import OffGridTime, TooFewPaths, ValidationError
-from eqmo.model import MarketScenario, StrategyGrid
+from eqmo.model import MAX_GRID_N, MarketScenario, StrategyGrid, _check_grid
 from eqmo.moments import (
     conditional_moments,
     mc_conditional_moments,
@@ -607,6 +607,37 @@ class TestPathLimit:
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"] == "ValidationError"
         assert "paths" in diag["message"]
+        assert not any(tmp_path.iterdir())
+
+
+class TestGridLimit:
+    """A grid is bounded by MAX_GRID_N steps, checked before anything is
+    allocated; a scenario and a factor simulation share the one check."""
+
+    @pytest.mark.parametrize("grid_n", [MAX_GRID_N + 1, 10 ** 9, 10 ** 18])
+    def test_typed_error_before_any_allocation(self, grid_n):
+        calls = (
+            lambda: MarketScenario(r=0.03, theta=0.3, sigma=0.25, T=1.0, x0=1.0,
+                                   grid_n=grid_n),
+            lambda: simulate_factors(brownian_factor(), 1.0, grid_n, 8, 1),
+        )
+        with refuse_large_allocations():
+            for call in calls:
+                with pytest.raises(ValidationError, match="grid_n must be <= 1000000"):
+                    call()
+
+    def test_bound_itself_is_accepted(self):
+        assert _check_grid(1.0, MAX_GRID_N) == MAX_GRID_N
+
+    def test_cli_exits_1_with_diagnostic(self, tmp_path, capsys):
+        scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "mv_base.scn")
+        with refuse_large_allocations():
+            rc = main(["--command", "solve", "--scenario", scn, "--out", str(tmp_path),
+                       "--grid-n", str(10 ** 9)])
+        assert rc == 1
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "ValidationError"
+        assert "grid_n" in diag["message"]
         assert not any(tmp_path.iterdir())
 
 

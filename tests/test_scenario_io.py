@@ -173,7 +173,9 @@ MALFORMED = {
     "rho_nonzero": ("bsde", MINIMAL + "\n[factor]\nkind = ou\nrho = -0.4\n", 12,
                     r"rho: expected a value in \[0.0, 0.0\]"),
     "grid_n_zero": ("solve", MINIMAL + "\n[numerics]\ngrid_n = 0\n", 11,
-                    "grid_n: expected a value >= 1"),
+                    r"grid_n: expected a value in \[1, 1000000\], got '0'"),
+    "grid_n_above_max": ("solve", MINIMAL + "\n[numerics]\ngrid_n = 1000001\n", 11,
+                         r"grid_n: expected a value in \[1, 1000000\], got '1000001'"),
     "basis_degree_zero": ("bsde", MINIMAL + "\n[numerics]\nbasis_degree = 0\n", 11,
                           r"basis_degree: expected a value in \[1, 30\], got '0'"),
     "basis_degree_above_max": ("bsde", MINIMAL + "\n[numerics]\nbasis_degree = 31\n", 11,
@@ -227,7 +229,7 @@ class TestNonFiniteNumbers(_RejectedWithLine):
                                   "eta_negative", "rho_nonzero", "grid_n_zero",
                                   "basis_degree_zero", "basis_degree_above_max",
                                   "basis_degree_huge", "z_bound_removed",
-                                  "max_order_removed", "paths_zero",
+                                  "max_order_removed", "grid_n_above_max", "paths_zero",
                                   "paths_above_max", "seed_negative", "seed_too_large",
                                   "tolerance_negative"])
 class TestMalformedValues(_RejectedWithLine):
