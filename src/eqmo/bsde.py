@@ -32,7 +32,7 @@ is kept. ``solve_bsde`` fills full (n + 1) x paths grids, so with the state
 and dW it holds 4 float64 per path-date, as an s-dependent flow does with
 its n + 1 rows and n-row Z buffer. ``solve_bsde_means`` keeps per-date path
 means (2 per path-date: the state and dW), which is all the ``bsde`` command
-holds on either factor kind: ``mv_flow_residual`` needs only the path means
+holds with or without a factor: ``mv_flow_residual`` needs only the path means
 of an identical-member flow's diagonal, so it never forms the flow. The
 identical-member flow keeps Y (3); ``convergence_study`` keeps its two
 squared-error buffers. A recurrent system is its members' ``solve_bsde``
@@ -70,14 +70,10 @@ MAX_BASIS_DEGREE = 30
 DEFAULT_BASIS_DEGREE = 3
 
 
-FACTOR_KINDS = ("none", "ou")
-
-
 @dataclass(frozen=True)
 class FactorModel:
-    """Scalar risk-premium factor: none (frozen at 0) or an OU process."""
+    """Scalar OU risk-premium factor."""
 
-    kind: str = "none"
     kappa: float = 0.0
     theta_bar: float = 0.0
     eta: float = 0.0
@@ -85,19 +81,11 @@ class FactorModel:
     theta0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in FACTOR_KINDS:
-            raise ValidationError(f"factor kind must be one of {FACTOR_KINDS}, got {self.kind!r}")
         for name in ("kappa", "theta_bar", "eta", "theta0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta < 0.0:
             raise ValidationError(f"eta must be nonnegative, got {self.eta}")
-        if self.kind == "none":
-            # the frozen state is 0 and reads no field
-            for name in ("kappa", "theta_bar", "eta", "theta0"):
-                if getattr(self, name) != 0.0:
-                    raise ValidationError(f"{name} must be 0 under factor kind 'none', "
-                                          f"got {getattr(self, name)}")
         if self.rho != 0.0:
             raise ValidationError(f"rho must be 0 (no correlated factor), got {self.rho}")
 
@@ -126,7 +114,7 @@ class FactorPaths:
 
 def brownian_factor() -> FactorModel:
     """Pure Brownian state: OU with kappa = 0, eta = 1, started at 0."""
-    return FactorModel(kind="ou", kappa=0.0, theta_bar=0.0, eta=1.0, rho=0.0, theta0=0.0)
+    return FactorModel(kappa=0.0, theta_bar=0.0, eta=1.0, rho=0.0, theta0=0.0)
 
 
 def simulate_factors(model: FactorModel, T: float, grid_n: int, paths: int,
@@ -136,9 +124,7 @@ def simulate_factors(model: FactorModel, T: float, grid_n: int, paths: int,
 
     OU step: theta' = theta_bar + (theta - theta_bar) e^{-kappa dt}
     + eta sqrt(-expm1(-2 kappa dt) / (2 kappa)) xi, with the kappa -> 0 limit
-    variance dt. Under kind "none" (kappa = theta_bar = eta = theta0 = 0) that
-    step holds the state at 0, and the increments still drive the Z
-    projections. An explosive factor (kappa < 0) whose decay or paths leave
+    variance dt. An explosive factor (kappa < 0) whose decay or paths leave
     the float range is a ValidationError, and so is a (T, grid_n) that
     ``MarketScenario`` would refuse.
     """
@@ -228,7 +214,7 @@ class DriverSpec:
 
 
 # zero driver, terminal X_T: Y_t = E_t[X_T], the one BSDE the ``bsde`` command
-# solves on either factor kind
+# solves with or without a factor
 TERMINAL_STATE = DriverSpec(
     driver=lambda t, state, y, z: 0.0,
     terminal=lambda fp, s: fp.state[-1],
@@ -627,17 +613,23 @@ def mv_flow_residual(scenario: MarketScenario, gamma2: float, paths: int,
                      strategy: StrategyGrid) -> FlowDiagnostics:
     """Solve E_t[X_T] on wealth paths under the caller's ``strategy``, which
     this route never builds itself, and report the mean-variance residual
-    theta - 2 gamma2 sigma Z along the flow diagonal."""
+    theta - 2 gamma2 sigma Z along the flow diagonal. A residual whose rms
+    leaves the float range is a ValidationError."""
     fp = wealth_factor_paths(scenario, strategy, paths, seed)
     means = solve_bsde_means(TERMINAL_STATE, fp, basis_degree)
     n = scenario.grid_n
     res = scenario.theta[:n] - 2.0 * gamma2 * scenario.sigma[:n] * means.z_mean[:n]
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(res ** 2)))
+    if not math.isfinite(rms):
+        raise ValidationError("flow residual theta - 2 gamma2 sigma Z overflows: "
+                              f"its rms is {rms}")
     R = rate_to_horizon(scenario)
     implied = means.z_mean[:n] * growth_factors(-R[:n]) / scenario.sigma[:n]
     return FlowDiagnostics(
         means=means,
         residuals=res,
-        residual_rms=float(np.sqrt(np.mean(res ** 2))),
+        residual_rms=rms,
         residual_max=float(np.max(np.abs(res))),
         implied_u=implied,
     )

@@ -205,9 +205,9 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
     s = bundle.scenario
     n = s.grid_n
     basis_degree = bundle.numerics["basis_degree"]
-    summary = {"command": "bsde", "kind": bundle.factor.kind, "basis_degree": basis_degree,
-               "paths": config.paths, "seed": config.seed}
-    if bundle.factor.kind == "none":
+    summary = {"command": "bsde", "kind": "none" if bundle.factor is None else "ou",
+               "basis_degree": basis_degree, "paths": config.paths, "seed": config.seed}
+    if bundle.factor is None:
         gamma2 = mv_gamma2(bundle.objective)
         diag = mv_flow_residual(s, gamma2, config.paths, config.seed, basis_degree,
                                 strategy=mv_closed_form(s, gamma2))

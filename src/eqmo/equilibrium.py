@@ -255,10 +255,11 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
 
 
 def default_v_grid(strategy: StrategyGrid) -> np.ndarray:
-    """The deviation range the scan reads, [-r, 0, r] with r = 10 max |u|
-    (10 when u = 0); v = 0 keeps max Phi >= 0."""
+    """The deviation range the scan reads, [-r, r] with r = 10 max |u|
+    (10 when u = 0). 0 lies inside it, so max Phi >= Phi(0) = 0: a concave
+    row's vertex and a convex row's larger end are both >= Phi(0)."""
     r = 10.0 * float(np.max(np.abs(strategy.values))) or 10.0
-    return np.array([-r, 0.0, r])
+    return np.array([-r, r])
 
 
 def scan_phi_max(scenario: MarketScenario, objective: ObjectiveSpec,

@@ -173,7 +173,7 @@ class MomentGrid:
         """Moments of orders 1..n given wealth x at grid index i."""
         if not 0 <= i < len(self.V):
             raise OutOfRange(f"grid index {i} outside [0, {len(self.V) - 1}]")
-        m1 = x * math.exp(self.R[i]) + self.M[i]
+        m1 = float(x * math.exp(self.R[i]) + self.M[i])
         v = float(self.V[i])
         central = tuple(gaussian_central_moments(v, n))
         cumulant = (v,) + (0.0,) * (n - 2)

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bsde import DEFAULT_BASIS_DEGREE, FACTOR_KINDS, MAX_BASIS_DEGREE, FactorModel
+from .bsde import DEFAULT_BASIS_DEGREE, MAX_BASIS_DEGREE, FactorModel
 from .equilibrium import SCHEMES
 from .errors import ParseError
 from .model import MAX_GRID_N, MODES, MarketScenario, ObjectiveSpec, ObjectiveTerm
@@ -30,11 +30,12 @@ from .verify import DEFAULT_TOLERANCE
 
 @dataclass(frozen=True)
 class ScenarioBundle:
-    """Parsed scenario file: market, objective, optional factor, numerics."""
+    """Parsed scenario file: market, objective, optional factor, numerics.
+    ``factor`` is None exactly when the file has no [factor] section."""
 
     scenario: MarketScenario
     objective: ObjectiveSpec
-    factor: FactorModel
+    factor: FactorModel | None
     numerics: Mapping[str, object]
 
 
@@ -99,10 +100,8 @@ def _term(text: str) -> ObjectiveTerm:
     return ObjectiveTerm(tuple(factors), _scalar(right.strip()))
 
 
-# Default slots that are not values: the file must set the key, or the
-# constructor's own field default applies when the file does not.
+# the default slot of a key that the file must set
 _REQUIRED = object()
-_FIELD_DEFAULT = object()
 
 # section -> key -> (parser, default), in serialization order; ``term`` is
 # the one key that may repeat and collects a list
@@ -119,21 +118,20 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         "term": (_term, _REQUIRED),
     },
     "factor": {
-        "kind": (_choice(FACTOR_KINDS), _FIELD_DEFAULT),
-        "kappa": (_scalar, _FIELD_DEFAULT),
-        "theta_bar": (_scalar, _FIELD_DEFAULT),
-        "eta": (_bounded(_scalar, 0.0), _FIELD_DEFAULT),
+        "kappa": (_scalar, 0.0),
+        "theta_bar": (_scalar, 0.0),
+        "eta": (_bounded(_scalar, 0.0), 0.0),
         # no correlated factor is implemented, so rho may only restate 0
-        "rho": (_bounded(_scalar, 0.0, 0.0), _FIELD_DEFAULT),
-        "theta0": (_scalar, _FIELD_DEFAULT),
+        "rho": (_bounded(_scalar, 0.0, 0.0), 0.0),
+        "theta0": (_scalar, 0.0),
     },
     "numerics": {
         "grid_n": (_bounded(_int, 1, MAX_GRID_N), 100),
         "paths": (_bounded(_int, 1, MAX_PATHS), 100_000),
         "seed": (_bounded(_int, 0, SEED_LIMIT - 1), None),
         "scheme": (_choice(SCHEMES), "implicit"),
-        # v = 0 lies on the deviation grid, so max Phi >= 0: a negative
-        # tolerance would fail every strategy
+        # v = 0 lies inside the deviation range, so max Phi >= Phi(0) = 0:
+        # a negative tolerance would fail every strategy
         "tolerance": (_bounded(_scalar, 0.0), DEFAULT_TOLERANCE),
         "basis_degree": (_bounded(_int, 1, MAX_BASIS_DEGREE), DEFAULT_BASIS_DEGREE),
         "u_scale": (_scalar, 1.0),
@@ -179,10 +177,8 @@ def _read_sections(text: str) -> dict[str, dict[str, object]]:
 
 
 def _over_defaults(section: str, parsed: Mapping[str, object]) -> dict[str, object]:
-    """The section's schema defaults with the parsed values laid over them;
-    keys left to a constructor's field default are absent unless set."""
-    values = {key: default for key, (_, default) in _SCHEMA[section].items()
-              if default is not _FIELD_DEFAULT}
+    """The section's schema defaults with the parsed values laid over them."""
+    values = {key: default for key, (_, default) in _SCHEMA[section].items()}
     values.update(parsed)
     for key, value in values.items():
         if value is _REQUIRED:
@@ -212,7 +208,7 @@ def parse_scenario(path: str, grid_n: int | None = None) -> ScenarioBundle:
     return ScenarioBundle(
         scenario=MarketScenario(**values["market"], grid_n=numerics["grid_n"]),
         objective=ObjectiveSpec(terms=terms, **objective),
-        factor=FactorModel(**values["factor"]),
+        factor=FactorModel(**values["factor"]) if "factor" in parsed else None,
         numerics=numerics,
     )
 
@@ -229,16 +225,20 @@ def _format_value(x: object) -> str:
 
 def serialize_scenario(bundle: ScenarioBundle) -> str:
     """Render a bundle back to scenario text (round-trips through
-    parse_scenario up to float formatting)."""
+    parse_scenario up to float formatting); [factor] is written only when
+    the bundle has a factor."""
     obj = bundle.objective
     values = {
         "market": {key: getattr(bundle.scenario, key) for key in _SCHEMA["market"]},
         "objective": {"mode": obj.mode, "term": obj.terms},
-        "factor": {key: getattr(bundle.factor, key) for key in _SCHEMA["factor"]},
         "numerics": bundle.numerics,
     }
+    if bundle.factor is not None:
+        values["factor"] = {key: getattr(bundle.factor, key) for key in _SCHEMA["factor"]}
     blocks = []
     for section, keys in _SCHEMA.items():
+        if section not in values:
+            continue
         lines = [f"[{section}]"]
         for key in keys:
             value = values[section][key]

@@ -59,9 +59,10 @@ def equilibrium_report(scenario: MarketScenario, objective: ObjectiveSpec,
                        strategy: StrategyGrid,
                        tolerance: float = DEFAULT_TOLERANCE) -> EquilibriumReport:
     """Max Phi(t, v) over all grid times and the default deviation range;
-    pass iff max Phi <= tolerance. v = 0 lies in the range, so max Phi >= 0:
-    a negative tolerance would fail every strategy, and it, a nan or an
-    infinite one is a ValidationError."""
+    pass iff max Phi <= tolerance. v = 0 lies inside the range, so a concave
+    row's vertex and a convex row's larger end are both >= Phi(0) = 0 and
+    max Phi >= 0: a negative tolerance would fail every strategy, and it, a
+    nan or an infinite one is a ValidationError."""
     if not 0.0 <= tolerance < math.inf:
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
     max_phi, witness, per_t_max = scan_phi_max(scenario, objective, strategy,

@@ -192,8 +192,7 @@ def test_criterion_7_bsde_manufactured_solutions():
         for (m1, s1), (m2, s2) in zip(stats, stats[1:])
     )
 
-    frozen = FactorModel(kind="ou", kappa=1.0, theta_bar=0.0, eta=0.0,
-                         theta0=0.0)
+    frozen = FactorModel(kappa=1.0, theta_bar=0.0, eta=0.0, theta0=0.0)
     fp_lin = simulate_factors(frozen, 1.0, 100, 1000, SEED)
     lin = DriverSpec(driver=lambda t, s, y, z: 0.05 * y,
                      terminal=lambda f, s: np.ones(f.paths))

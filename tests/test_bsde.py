@@ -53,8 +53,7 @@ def two_point_paths():
 
 
 def frozen_state_model(theta0=0.1):
-    return FactorModel(kind="ou", kappa=1.0, theta_bar=theta0, eta=0.0,
-                       theta0=theta0)
+    return FactorModel(kappa=1.0, theta_bar=theta0, eta=0.0, theta0=theta0)
 
 
 ZERO_DRIVER = lambda t, state, y, z: 0.0
@@ -63,34 +62,25 @@ ZERO_DRIVER = lambda t, state, y, z: 0.0
 class TestFactorModel:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            FactorModel(kind="gbm")
-        with pytest.raises(ValidationError):
-            FactorModel(kind="ou", eta=-0.1)
+            FactorModel(eta=-0.1)
         # no correlated factor is simulated: a nonzero rho would be ignored
         for rho in (1.5, 0.7, -1.0, math.nan):
             with pytest.raises(ValidationError, match="rho must be 0"):
-                FactorModel(kind="ou", rho=rho)
+                FactorModel(rho=rho)
         for field in ("kappa", "theta_bar", "eta", "theta0"):
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValidationError, match=f"^{field} must be finite"):
-                    FactorModel(kind="ou", **{field: value})
-        # a frozen factor is the zero state: it reads no field, so all stay 0
-        for field in ("kappa", "theta_bar", "eta"):
-            with pytest.raises(ValidationError, match=f"^{field} must be 0 under factor "
-                                                      "kind 'none'"):
-                FactorModel(kind="none", **{field: 0.5})
-        with pytest.raises(ValidationError, match="^theta0 must be 0 under factor kind 'none'"):
-            FactorModel(kind="none", theta0=0.37)
+                    FactorModel(**{field: value})
 
-    def test_none_kind_freezes_state(self):
-        fp = simulate_factors(FactorModel(kind="none"), T, 10, 50, 1)
+    def test_default_model_holds_state_at_zero(self):
+        # every field defaults to 0: no drift, no noise, started at 0
+        fp = simulate_factors(FactorModel(), T, 10, 50, 1)
         assert np.all(fp.state == 0.0)
         assert fp.dW.shape == (10, 50)
 
     def test_ou_exact_moments(self):
         # theta_T | theta_0 is Gaussian with known mean and variance
-        model = FactorModel(kind="ou", kappa=2.0, theta_bar=0.3, eta=0.4,
-                            theta0=0.1)
+        model = FactorModel(kappa=2.0, theta_bar=0.3, eta=0.4, theta0=0.1)
         fp = simulate_factors(model, T, 64, 60_000, 3)
         mean = 0.3 + (0.1 - 0.3) * math.exp(-2.0)
         var = 0.4 ** 2 * (1.0 - math.exp(-4.0)) / 4.0
@@ -99,15 +89,13 @@ class TestFactorModel:
         assert abs(np.var(xT) - var) < 4.0 * var * math.sqrt(2.0 / 60_000)
 
     def test_kappa_zero_limit_is_brownian(self):
-        model = FactorModel(kind="ou", kappa=0.0, theta_bar=0.0, eta=1.0,
-                            theta0=0.0)
+        model = FactorModel(kappa=0.0, theta_bar=0.0, eta=1.0, theta0=0.0)
         fp = simulate_factors(model, T, 32, 40_000, 5)
         v = np.var(fp.state[-1])
         assert abs(v - T) < 4.0 * T * math.sqrt(2.0 / 40_000)
 
     def test_eta_zero_decays_deterministically(self):
-        model = FactorModel(kind="ou", kappa=1.0, theta_bar=0.5, eta=0.0,
-                            theta0=0.1)
+        model = FactorModel(kappa=1.0, theta_bar=0.5, eta=0.0, theta0=0.1)
         fp = simulate_factors(model, T, 16, 8, 2)
         expected = 0.5 + (0.1 - 0.5) * np.exp(-fp.times)
         assert np.allclose(fp.state[:, 0], expected, atol=1e-12)
@@ -117,8 +105,7 @@ class TestFactorModel:
     def test_explosive_factor_is_one_typed_error(self, kappa, match):
         # kappa = -1e3 grows e^20 a step, past the float range by step 36;
         # at -1e5 the per-step decay factor itself overflows
-        model = FactorModel(kind="ou", kappa=kappa, theta_bar=0.3, eta=0.2,
-                            theta0=0.25)
+        model = FactorModel(kappa=kappa, theta_bar=0.3, eta=0.2, theta0=0.25)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=match):
@@ -126,7 +113,7 @@ class TestFactorModel:
 
     def test_brownian_factor_helper(self):
         m = brownian_factor()
-        assert (m.kind, m.kappa, m.eta, m.theta0) == ("ou", 0.0, 1.0, 0.0)
+        assert (m.kappa, m.eta, m.theta0) == (0.0, 1.0, 0.0)
 
     def test_determinism_across_worker_counts(self):
         fp1 = simulate_factors(brownian_factor(), T, 8, 8192, 9)
@@ -542,12 +529,12 @@ class TestBatchedFlow:
 
 
 def scenario_paths(name, seed, workers, paths=9000):
-    """The scenario's factor paths (``kind = none`` freezes the state),
-    drawn on ``workers`` threads, and its basis degree."""
+    """The scenario's factor paths (the zero state of ``FactorModel()`` when
+    it has no factor), drawn on ``workers`` threads, and its basis degree."""
     bundle = parse_scenario(os.path.join(SCENARIOS, f"{name}.scn"))
     with mock.patch.dict(os.environ, {"EQMO_WORKERS": workers}):
-        fp = simulate_factors(bundle.factor, bundle.scenario.T, bundle.scenario.grid_n,
-                              paths, seed)
+        fp = simulate_factors(bundle.factor or FactorModel(), bundle.scenario.T,
+                              bundle.scenario.grid_n, paths, seed)
     return fp, bundle.numerics["basis_degree"]
 
 

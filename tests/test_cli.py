@@ -38,9 +38,9 @@ paths = 4000
 
 
 # (scenario, line, replacement, commands): values whose moments, growth
-# factors, Phi, Monte Carlo estimates or factor paths overflow the float
-# range under those commands (solve, homogeneity and bsde do not read
-# u_scale), and a frozen factor that sets fields it would never read
+# factors, Phi, Monte Carlo estimates, factor paths or flow residual overflow
+# the float range under those commands (solve, homogeneity and bsde do not
+# read u_scale), and a [factor] section that still sets the removed ``kind``
 HOSTILE = {
     "theta_1e300": (MV, "theta = 0.3\n", "theta = 1e300\n", cli.COMMANDS),
     "u_scale_1e200": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e200\n",
@@ -55,10 +55,10 @@ HOSTILE = {
     "theta_1e150": (RAW_M4, "theta = 0.3\n", "theta = 1e150\n", ("bsde",)),
     "sigma_1e160": (MV, "sigma = 0.2\n", "sigma = 1e160\n", ("homogeneity", "bsde")),
     "kappa_-1e3": (OU, "kappa = 1.0\n", "kappa = -1e3\n", ("bsde",)),
-    "kind_none_with_ou_params": (OU, "kind = ou\n", "kind = none\n", cli.COMMANDS),
-    "kind_none_with_theta0": (MV, "scheme = explicit\n",
-                              "scheme = explicit\n\n[factor]\nkind = none\ntheta0 = 0.37\n",
-                              cli.COMMANDS),
+    "x0_1e200": (MV, "x0 = 1\n", "x0 = 1e200\n", ("bsde",)),
+    "sets_kind_ou": (OU, "[factor]\n", "[factor]\nkind = ou\n", cli.COMMANDS),
+    "sets_kind_none": (MV, "scheme = explicit\n",
+                       "scheme = explicit\n\n[factor]\nkind = none\n", cli.COMMANDS),
 }
 
 
@@ -309,10 +309,10 @@ class TestHostileInputs:
             text = fh.read()
         assert line in text
         out = tmp_path / "out"
+        text = text.replace(line, replacement)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would escape untyped
-            code = run(command, scn_file(tmp_path, text.replace(line, replacement)),
-                       out, "--paths", "2000")
+            code = run(command, scn_file(tmp_path, text), out, "--paths", "2000")
         assert code == 1
         diag = json.loads(capsys.readouterr().err)  # exactly one JSON object
         assert diag["error"] != "IoError"
@@ -322,6 +322,13 @@ class TestHostileInputs:
             # the sweep: u = 1.25e301 at step 99 squares past the float range
             assert (diag["error"], diag["step"]) == ("SolverError", 99)
             assert "variance-to-go overflows" in diag["message"]
+        if name.startswith("sets_kind"):
+            kind_line = text.splitlines().index(replacement.splitlines()[-1]) + 1
+            assert (diag["error"], diag["line"]) == ("ParseError", kind_line)
+            assert "unknown key 'kind' in section [factor]" in diag["message"]
+        if name == "x0_1e200":
+            assert diag["error"] == "ValidationError"
+            assert "flow residual" in diag["message"]
 
     @pytest.mark.parametrize("scenario", [MV, OU])
     @pytest.mark.parametrize("paths", ["1", "4"])

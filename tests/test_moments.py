@@ -220,7 +220,10 @@ class TestObjectiveValue:
         s, u = base_case()
         mv = conditional_moments(s, u, 0.0, 1.0, 2)
         mv_obj = ObjectiveSpec.from_weights("central", {1: 1.0, 2: -1.0})
-        assert abs(objective_value(mv_obj, mv) - 1.5625) < 1e-12
+        value = objective_value(mv_obj, mv)
+        # a Python float, not a numpy scalar: m1 is one too
+        assert type(mv.m1) is float and type(value) is float
+        assert abs(value - 1.5625) < 1e-12
 
     def test_raw_m4_oracle(self):
         s, u = base_case()

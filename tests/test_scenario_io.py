@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from eqmo.bsde import FactorModel
 from eqmo.cli import main
 from eqmo.errors import GridMismatch, ParseError
 from eqmo.scenario_io import (
@@ -25,6 +26,8 @@ term = 1:1 -> 1.0
 term = 2:1 -> -1.0
 mode = central
 """
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def write(tmp_path, text, name="case.scn"):
@@ -65,9 +68,13 @@ class TestMinimalParse:
         assert obj.pure_weight(1) == 1.0
         assert obj.pure_weight(2) == -1.0
 
-    def test_factor_defaults_to_none_kind(self, tmp_path):
+    def test_no_factor_section_is_no_factor(self, tmp_path):
         b = parse_scenario(write(tmp_path, MINIMAL))
-        assert b.factor.kind == "none"
+        assert b.factor is None
+
+    def test_empty_factor_section_is_the_default_model(self, tmp_path):
+        b = parse_scenario(write(tmp_path, MINIMAL + "\n[factor]\n"))
+        assert b.factor == FactorModel()
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         text = "# leading comment\n\n" + MINIMAL.replace(
@@ -159,18 +166,18 @@ MALFORMED = {
     "u_scale_inf": ("verify", MINIMAL + "\n[numerics]\nu_scale = inf\n", 11, "finite"),
     "theta_array_nan": ("solve", MINIMAL.replace("theta = 0.3", f"theta = {NAN_THETA}"),
                         2, "finite"),
-    "kappa_nan": ("bsde", MINIMAL + "\n[factor]\nkind = ou\nkappa = nan\n", 12, "finite"),
+    "kappa_nan": ("bsde", MINIMAL + "\n[factor]\nkappa = nan\n", 11, "finite"),
     "T_array": ("solve", MINIMAL.replace("sigma = 0.2", "sigma = 0.2\nT = 1, 2"), 4,
                 "T: expected a number"),
     "x0_array": ("solve", MINIMAL.replace("sigma = 0.2", "sigma = 0.2\nx0 = 1, 2"), 4,
                  "x0: expected a number"),
-    "kind_unknown": ("bsde", MINIMAL + "\n[factor]\nkind = gbm\n", 11,
-                     "kind: expected one of none, ou"),
+    "kind_removed": ("bsde", MINIMAL + "\n[factor]\nkind = ou\n", 11,
+                     "unknown key 'kind' in section \\[factor\\]"),
     "non_utf8": ("solve", MINIMAL.replace("sigma = 0.2", "sigma = 0.2  # café")
                  .encode("latin-1"), 3, "not UTF-8"),
-    "eta_negative": ("bsde", MINIMAL + "\n[factor]\nkind = ou\neta = -1\n", 12,
+    "eta_negative": ("bsde", MINIMAL + "\n[factor]\neta = -1\n", 11,
                      "eta: expected a value >= 0"),
-    "rho_nonzero": ("bsde", MINIMAL + "\n[factor]\nkind = ou\nrho = -0.4\n", 12,
+    "rho_nonzero": ("bsde", MINIMAL + "\n[factor]\nrho = -0.4\n", 11,
                     r"rho: expected a value in \[0.0, 0.0\]"),
     "grid_n_zero": ("solve", MINIMAL + "\n[numerics]\ngrid_n = 0\n", 11,
                     r"grid_n: expected a value in \[1, 1000000\], got '0'"),
@@ -225,7 +232,7 @@ class TestNonFiniteNumbers(_RejectedWithLine):
     pass
 
 
-@pytest.mark.parametrize("case", ["T_array", "x0_array", "kind_unknown", "non_utf8",
+@pytest.mark.parametrize("case", ["T_array", "x0_array", "kind_removed", "non_utf8",
                                   "eta_negative", "rho_nonzero", "grid_n_zero",
                                   "basis_degree_zero", "basis_degree_above_max",
                                   "basis_degree_huge", "z_bound_removed",
@@ -306,11 +313,10 @@ class TestRicherScenarios:
 
     def test_factor_section(self, tmp_path):
         text = MINIMAL + (
-            "\n[factor]\nkind = ou\nkappa = 1.5\ntheta_bar = 0.3\n"
+            "\n[factor]\nkappa = 1.5\ntheta_bar = 0.3\n"
             "eta = 0.2\nrho = 0.0\ntheta0 = 0.25\n"
         )
         f = parse_scenario(write(tmp_path, text)).factor
-        assert f.kind == "ou"
         assert (f.kappa, f.theta_bar, f.eta, f.rho, f.theta0) == (
             1.5, 0.3, 0.2, 0.0, 0.25)
 
@@ -330,7 +336,7 @@ class TestSerialization:
     def test_round_trip_preserves_values(self, tmp_path):
         text = MINIMAL + (
             "\n[numerics]\ngrid_n = 8\npaths = 2500\nseed = 3\n"
-            "\n[factor]\nkind = ou\nkappa = 0.5\neta = 0.1\n"
+            "\n[factor]\nkappa = 0.5\neta = 0.1\n"
         )
         b1 = parse_scenario(write(tmp_path, text))
         b2 = parse_scenario(write(tmp_path, serialize_scenario(b1), "rt.scn"))
@@ -339,6 +345,18 @@ class TestSerialization:
         assert b1.objective == b2.objective
         assert b1.factor == b2.factor
         assert b1.numerics == b2.numerics
+
+    def test_ou_factor_round_trips(self, tmp_path):
+        b1 = parse_scenario(os.path.join(SCENARIOS, "ou_factor.scn"))
+        assert b1.factor == FactorModel(kappa=1.0, theta_bar=0.3, eta=0.2, theta0=0.25)
+        text = serialize_scenario(b1)
+        assert "[factor]\nkappa = 1\ntheta_bar = 0.29999999999999999\n" in text
+        assert parse_scenario(write(tmp_path, text)).factor == b1.factor
+
+    def test_no_factor_round_trips_to_none(self, tmp_path):
+        text = serialize_scenario(parse_scenario(os.path.join(SCENARIOS, "mv_base.scn")))
+        assert "[factor]" not in text
+        assert parse_scenario(write(tmp_path, text)).factor is None
 
     def test_arrays_survive_round_trip(self, tmp_path):
         grid = np.linspace(0.1, 0.4, 9)
