@@ -59,14 +59,10 @@ from .model import MarketScenario, StrategyGrid, _check_grid, growth_factors, ra
 from .moments import _wealth_step_coeffs
 from .sampling import SEED_LIMIT, _check_int, time_major_normals
 
-# state counts as constant across paths below this spread; conditioning on a
-# constant is plain averaging, so those rows regress on the intercept only
-_CONST_STATE_TOL = 1e-13
-
 # highest regression basis degree: a standardized row has |x| <= sqrt(paths - 1),
 # so every power sum up to x^(2 d) stays below paths^(d + 1) <= 1e248 at MAX_PATHS
 MAX_BASIS_DEGREE = 30
-# the cubic basis of every solve unless its caller or [numerics] picks another
+# the cubic basis of every solve unless its caller picks another
 DEFAULT_BASIS_DEGREE = 3
 
 
@@ -248,9 +244,9 @@ class _Regression:
     matrix-vector or matrix-matrix product over contiguous rows. The Gram
     matrix G = B B' and the weighted Gram Gw = B diag(dW) B' are Hankel
     matrices of the power sums sum x^m and sum dW x^m, m <= 2 degree. G is
-    inverted through its SVD; rank deficiency raises unless the state is
-    constant, where the basis drops to the intercept. ``step`` is the date
-    index, reported on failure.
+    inverted through its SVD; rank deficiency raises unless every path holds
+    the same state, where conditioning is plain averaging and the basis drops
+    to the intercept. ``step`` is the date index, reported on failure.
 
     On the intercept-only basis every product with B is a path sum, taken
     by ``np.sum``: BLAS splits a one-column product across its threads, so
@@ -269,9 +265,12 @@ class _Regression:
         if not math.isfinite(std):
             raise ValidationError(f"regression state at step {step} overflows: its "
                                   "squared deviations leave the float range")
-        if std <= _CONST_STATE_TOL * (1.0 + abs(mean)):
+        if np.all(state_row == state_row[0]):
             B = np.ones((1, paths))
             G, self.Gw = np.array([[float(paths)]]), np.array([[dW_row.sum()]])
+        elif std == 0.0:
+            raise RegressionSingular(f"regression state at step {step} varies, but its "
+                                     "squared deviations underflow to 0", step=step)
         else:
             B[0] = 1.0
             np.divide(x, std, out=x)
@@ -608,15 +607,14 @@ class FlowDiagnostics:
     implied_u: np.ndarray
 
 
-def mv_flow_residual(scenario: MarketScenario, gamma2: float, paths: int,
-                     seed: int, basis_degree: int = DEFAULT_BASIS_DEGREE, *,
+def mv_flow_residual(scenario: MarketScenario, gamma2: float, paths: int, seed: int, *,
                      strategy: StrategyGrid) -> FlowDiagnostics:
     """Solve E_t[X_T] on wealth paths under the caller's ``strategy``, which
     this route never builds itself, and report the mean-variance residual
     theta - 2 gamma2 sigma Z along the flow diagonal. A residual whose rms
     leaves the float range is a ValidationError."""
     fp = wealth_factor_paths(scenario, strategy, paths, seed)
-    means = solve_bsde_means(TERMINAL_STATE, fp, basis_degree)
+    means = solve_bsde_means(TERMINAL_STATE, fp)
     n = scenario.grid_n
     res = scenario.theta[:n] - 2.0 * gamma2 * scenario.sigma[:n] * means.z_mean[:n]
     with np.errstate(over="ignore"):

@@ -8,21 +8,23 @@ verify, moments and mc read the sweep rescaled by [numerics] u_scale.
 
 Exit codes: 0 success/pass, 2 a verification-style command reports failure
 (verify fail, homogeneity violated or in disagreement, mc z-score breach),
-1 any module error (structured JSON diagnostic on stderr). Artifacts are
-deterministic for fixed (scenario, seed, grid_n, paths) regardless of
-EQMO_WORKERS.
+1 any module error or usage error (structured JSON diagnostic on stderr).
+Only mc and bsde draw at random, with the seed of --seed (default 42).
+Artifacts are deterministic for fixed (scenario, seed, grid_n, paths)
+regardless of EQMO_WORKERS.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from .artifacts import FORMATS, Table, emit_outputs, render_json
-from .bsde import TERMINAL_STATE, mv_flow_residual, simulate_factors, solve_bsde_means
+from .bsde import DEFAULT_BASIS_DEGREE, TERMINAL_STATE, mv_flow_residual, simulate_factors, \
+    solve_bsde_means
 from .equilibrium import PERTURBATION_CONVENTION, SCHEMES, backward_sweep, mv_closed_form, \
     mv_gamma2
 from .errors import AmbiguousRoot, EqmoError, ParseError, ValidationError
@@ -40,7 +42,8 @@ Z_THRESHOLD = 4.0  # mc exits 2 when some |z| exceeds it
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters (CLI > EQMO_SEED > scenario > defaults)."""
+    """Fully resolved run parameters: the seed from --seed, the scheme from
+    [numerics], grid_n and paths from their flags over [numerics]."""
 
     command: str
     scenario_path: str
@@ -64,34 +67,27 @@ class RunConfig:
         check_seed(self.seed)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValidationError, so that it exits 1 with one
+    JSON diagnostic: exit 2 is reserved for a failed check."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(f"usage error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="eqmo",
         description="equilibrium-strategy and BSDE experiment runner",
     )
     p.add_argument("--command", required=True, choices=COMMANDS)
     p.add_argument("--scenario", required=True, help="scenario file path")
     p.add_argument("--out", required=True, help="output directory for artifacts")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--grid-n", type=int, default=None, dest="grid_n")
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--format", choices=FORMATS, default="csv")
-    p.add_argument("--scheme", choices=SCHEMES, default=None)
     return p
-
-
-def _resolve_seed(cli_seed: int | None, numerics_seed: int | None) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get("EQMO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"EQMO_SEED must be an integer, got {env!r}") from None
-    if numerics_seed is not None:
-        return numerics_seed
-    return DEFAULT_SEED
 
 
 def resolve_config(args: argparse.Namespace, bundle: ScenarioBundle) -> RunConfig:
@@ -100,11 +96,11 @@ def resolve_config(args: argparse.Namespace, bundle: ScenarioBundle) -> RunConfi
         command=args.command,
         scenario_path=args.scenario,
         out_dir=args.out,
-        seed=_resolve_seed(args.seed, num["seed"]),
+        seed=args.seed,
         grid_n=num["grid_n"],
         paths=args.paths if args.paths is not None else num["paths"],
         format=args.format,
-        scheme=args.scheme if args.scheme is not None else num["scheme"],
+        scheme=num["scheme"],
     )
 
 
@@ -133,7 +129,6 @@ def _cmd_solve(bundle: ScenarioBundle, config: RunConfig):
         "command": "solve",
         "scheme": config.scheme,
         "grid_n": s.grid_n,
-        "seed": config.seed,
         "J_t0": objective_value(bundle.objective, mv),
         "u_first": float(sweep.strategy.values[0]),
         "u_terminal": float(sweep.strategy.values[-1]),
@@ -204,12 +199,11 @@ def _cmd_homogeneity(bundle: ScenarioBundle, config: RunConfig):
 def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
     s = bundle.scenario
     n = s.grid_n
-    basis_degree = bundle.numerics["basis_degree"]
     summary = {"command": "bsde", "kind": "none" if bundle.factor is None else "ou",
-               "basis_degree": basis_degree, "paths": config.paths, "seed": config.seed}
+               "basis_degree": DEFAULT_BASIS_DEGREE, "paths": config.paths, "seed": config.seed}
     if bundle.factor is None:
         gamma2 = mv_gamma2(bundle.objective)
-        diag = mv_flow_residual(s, gamma2, config.paths, config.seed, basis_degree,
+        diag = mv_flow_residual(s, gamma2, config.paths, config.seed,
                                 strategy=mv_closed_form(s, gamma2))
         table = Table(
             ("t", "y_diag", "z_diag", "residual", "implied_u"),
@@ -220,7 +214,7 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
                        residual_max=diag.residual_max)
         return 0, {"bsde_diagonal": table, "bsde_summary": summary}
     fp = simulate_factors(bundle.factor, s.T, s.grid_n, config.paths, config.seed)
-    means = solve_bsde_means(TERMINAL_STATE, fp, basis_degree)
+    means = solve_bsde_means(TERMINAL_STATE, fp)
     table = Table(("t", "y_mean", "z_mean"),
                   (s.times[:n], means.y_mean[:n], means.z_mean[:n]))
     summary.update(y0_mean=float(means.y_mean[0]), y0_se=means.y0_se)
@@ -292,8 +286,8 @@ def _diagnostic(exc: EqmoError) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         bundle = parse_scenario(args.scenario, grid_n=args.grid_n)
         config = resolve_config(args, bundle)
         status, _ = run_command(config, bundle)

@@ -155,8 +155,10 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
     """Stationarity root at one grid point given the future variance-to-go.
 
     Explicit and terminal steps solve the linear equation with D frozen at
-    D(V_plus); D = 0 raises :class:`NoSecondOrderTerm`, and D > 0 (the root
-    is a minimizer) raises :class:`AmbiguousRoot` with the root as candidate.
+    D(V_plus); a zero second-order term 2 D e^{2R} sigma^2 (D = 0, or e^R
+    underflowing to 0) raises :class:`NoSecondOrderTerm`, and D > 0 (the
+    root is a minimizer) raises :class:`AmbiguousRoot` with the root as
+    candidate.
 
     Implicit steps make one :func:`real_roots` call for the root nearest
     ``prev_value`` (u at the next grid point, within O(dt) of the answer):
@@ -173,9 +175,11 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
     s = g * g * sigma ** 2
     if scheme == "explicit" or terminal:
         D = Dpoly(V_plus)
-        if D == 0.0:
-            raise NoSecondOrderTerm(f"D = 0 at variance-to-go {V_plus}")
-        u = -w1 * g * theta / (2.0 * D * s)
+        denominator = 2.0 * D * s
+        if denominator == 0.0:
+            raise NoSecondOrderTerm(f"2 D e^(2R) sigma^2 = 0 with D = {D} and "
+                                    f"e^(2R) sigma^2 = {s} at variance-to-go {V_plus}")
+        u = -w1 * g * theta / denominator
         if D > 0.0:
             raise AmbiguousRoot(f"stationary point {u} is a minimizer: D = {D} > 0 "
                                 f"at variance-to-go {V_plus}", candidates=(u,))

@@ -20,11 +20,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bsde import DEFAULT_BASIS_DEGREE, MAX_BASIS_DEGREE, FactorModel
+from .bsde import FactorModel
 from .equilibrium import SCHEMES
 from .errors import ParseError
 from .model import MAX_GRID_N, MODES, MarketScenario, ObjectiveSpec, ObjectiveTerm
-from .sampling import MAX_PATHS, SEED_LIMIT
+from .sampling import MAX_PATHS
 from .verify import DEFAULT_TOLERANCE
 
 
@@ -128,12 +128,10 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
     "numerics": {
         "grid_n": (_bounded(_int, 1, MAX_GRID_N), 100),
         "paths": (_bounded(_int, 1, MAX_PATHS), 100_000),
-        "seed": (_bounded(_int, 0, SEED_LIMIT - 1), None),
         "scheme": (_choice(SCHEMES), "implicit"),
         # v = 0 lies inside the deviation range, so max Phi >= Phi(0) = 0:
         # a negative tolerance would fail every strategy
         "tolerance": (_bounded(_scalar, 0.0), DEFAULT_TOLERANCE),
-        "basis_degree": (_bounded(_int, 1, MAX_BASIS_DEGREE), DEFAULT_BASIS_DEGREE),
         "u_scale": (_scalar, 1.0),
     },
 }
@@ -242,8 +240,7 @@ def serialize_scenario(bundle: ScenarioBundle) -> str:
         lines = [f"[{section}]"]
         for key in keys:
             value = values[section][key]
-            for item in (value if key == "term" else (value,)):
-                if item is not None:
-                    lines.append(f"{key} = {_format_value(item)}")
+            lines.extend(f"{key} = {_format_value(item)}"
+                         for item in (value if key == "term" else (value,)))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"

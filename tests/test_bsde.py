@@ -530,12 +530,13 @@ class TestBatchedFlow:
 
 def scenario_paths(name, seed, workers, paths=9000):
     """The scenario's factor paths (the zero state of ``FactorModel()`` when
-    it has no factor), drawn on ``workers`` threads, and its basis degree."""
+    it has no factor), drawn on ``workers`` threads, and the basis degree
+    that ``bsde`` solves them with."""
     bundle = parse_scenario(os.path.join(SCENARIOS, f"{name}.scn"))
     with mock.patch.dict(os.environ, {"EQMO_WORKERS": workers}):
         fp = simulate_factors(bundle.factor or FactorModel(), bundle.scenario.T,
                               bundle.scenario.grid_n, paths, seed)
-    return fp, bundle.numerics["basis_degree"]
+    return fp, bsde.DEFAULT_BASIS_DEGREE
 
 
 def bits(values):
@@ -633,6 +634,13 @@ class TestRegressionBasis:
         B = bsde._Regression(np.full(100, 0.37), np.full(100, 0.1), 3).B
         assert B.shape == (1, 100)
         assert np.all(B == 1.0)
+
+    def test_spread_whose_squares_underflow_is_singular(self):
+        # the row varies, but x^2 rounds to 0 for every deviation, so it has
+        # no standardized basis
+        with pytest.raises(RegressionSingular) as exc:
+            bsde._Regression(np.repeat([0.0, 1e-170], 50), np.full(100, 0.1), 3, step=4)
+        assert exc.value.step == 4
 
     @pytest.mark.parametrize("degree", [1, 3])
     def test_coefficient_fit_matches_formed_target(self, degree):
@@ -804,6 +812,14 @@ class TestWealthFlow:
                                 strategy=mv_closed_form(case.scenario, 1.0))
         assert diag.residual_rms < 5e-3
         assert np.max(np.abs(diag.implied_u - 3.75)) < 0.1
+
+    def test_large_wealth_keeps_its_spread(self):
+        # at x0 = 1e12 the date-1 spread (about 0.08) is tiny against the
+        # mean but not zero, so that date regresses on the full basis
+        scenario = MarketScenario(0.0, 0.3, 0.2, 1.0, 1e12, 100)
+        diag = mv_flow_residual(scenario, 1.0, paths=2000, seed=42,
+                                strategy=mv_closed_form(scenario, 1.0))
+        assert diag.residual_max < 0.05
 
     def test_flow_residual_detects_wrong_strategy(self):
         case = mv_base(grid_n=20)

@@ -1,4 +1,4 @@
-"""Command-line front end: exit codes, artifacts, determinism, seed rules."""
+"""Command-line front end: exit codes, artifacts, determinism, the seed."""
 import csv
 import hashlib
 import json
@@ -40,13 +40,16 @@ paths = 4000
 # (scenario, line, replacement, commands): values whose moments, growth
 # factors, Phi, Monte Carlo estimates, factor paths or flow residual overflow
 # the float range under those commands (solve, homogeneity and bsde do not
-# read u_scale), and a [factor] section that still sets the removed ``kind``
+# read u_scale), a growth factor e^R that underflows to 0 and so removes the
+# sweep's second-order term, and a [factor] section that still sets the
+# removed ``kind``
 HOSTILE = {
     "theta_1e300": (MV, "theta = 0.3\n", "theta = 1e300\n", cli.COMMANDS),
     "u_scale_1e200": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e200\n",
                       ("verify", "moments", "mc")),
     "r_1e3": (MV, "r = 0\n", "r = 1e3\n", ("solve", "verify", "moments", "mc", "bsde")),
     "r_-1e3": (MV, "r = 0\n", "r = -1e3\n", ("homogeneity", "bsde")),
+    "r_-1e300": (MV, "r = 0\n", "r = -1e300\n", ("solve", "verify", "moments", "mc")),
     "u_scale_1e100": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e100\n",
                       ("verify",)),
     "u_scale_1e50": (MV, "scheme = explicit\n", "scheme = explicit\nu_scale = 1e50\n",
@@ -100,7 +103,7 @@ class TestSolve:
         out = tmp_path / "solve"
         run("solve", MV, out)
         summary = read_json(out / "solve_summary.json")
-        assert summary["seed"] == DEFAULT_SEED
+        assert "seed" not in summary  # the sweep draws nothing at random
         assert summary["scheme"] == "explicit"
         assert summary["grid_n"] == 100
         assert summary["u_first"] == pytest.approx(3.75, abs=1e-12)
@@ -183,10 +186,23 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "OSError"
 
-    def test_usage_error_is_systemexit_two(self, tmp_path):
+    @pytest.mark.parametrize("extra", [["--command", "fly"],
+                                       ["--command", "verify", "--scheme", "implicit"],
+                                       ["--command", "mc", "--seed", "abc"]])
+    def test_usage_error_is_one_with_diagnostic(self, tmp_path, capsys, extra):
+        # exit 2 means a failed check, so a usage error must not exit 2
+        out = tmp_path / "u"
+        assert main(["--scenario", MV, "--out", str(out), *extra]) == 1
+        err = json.loads(capsys.readouterr().err)  # exactly one JSON object
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith("usage error: ")
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--command", "fly", "--scenario", MV, "--out", str(tmp_path)])
-        assert exc.value.code == 2
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--scheme" not in capsys.readouterr().out
 
     def test_homogeneity_exit_codes(self, tmp_path):
         assert run("homogeneity", MV, tmp_path / "h0") == 0
@@ -326,6 +342,9 @@ class TestHostileInputs:
             kind_line = text.splitlines().index(replacement.splitlines()[-1]) + 1
             assert (diag["error"], diag["line"]) == ("ParseError", kind_line)
             assert "unknown key 'kind' in section [factor]" in diag["message"]
+        if name == "r_-1e300":
+            # e^R = 0 before the last step: 2 D e^(2R) sigma^2 = 0
+            assert (diag["error"], diag["step"]) == ("NoSecondOrderTerm", 99)
         if name == "x0_1e200":
             assert diag["error"] == "ValidationError"
             assert "flow residual" in diag["message"]
@@ -355,39 +374,24 @@ class TestModuleEntryPoint:
         assert (proc.returncode, proc.stderr) == (0, "")
 
 
-class TestSeedPrecedence:
-    def test_env_seed_honored(self, tmp_path):
-        out = tmp_path / "env"
-        with mock.patch.dict(os.environ, {"EQMO_SEED": "7"}):
-            run("solve", MV, out)
-        assert read_json(out / "solve_summary.json")["seed"] == 7
+class TestSeed:
+    def test_flag_sets_the_seed(self, tmp_path):
+        assert run("mc", MV, tmp_path / "s3", "--paths", "2000", "--seed", "3") == 0
+        assert read_json(tmp_path / "s3" / "mc_summary.json")["seed"] == 3
 
-    def test_flag_beats_env(self, tmp_path):
-        out = tmp_path / "flag"
-        with mock.patch.dict(os.environ, {"EQMO_SEED": "7"}):
-            run("solve", MV, out, "--seed", "3")
-        assert read_json(out / "solve_summary.json")["seed"] == 3
+    def test_default_seed(self, tmp_path):
+        assert run("mc", MV, tmp_path / "d", "--paths", "2000") == 0
+        assert read_json(tmp_path / "d" / "mc_summary.json")["seed"] == DEFAULT_SEED == 42
 
-    def test_scenario_seed_beats_default(self, tmp_path):
-        scn = scn_file(tmp_path, MINIMAL + "seed = 11\n")
-        out = tmp_path / "scn"
-        run("solve", scn, out)
-        assert read_json(out / "solve_summary.json")["seed"] == 11
-
-    def test_env_beats_scenario(self, tmp_path):
-        scn = scn_file(tmp_path, MINIMAL + "seed = 11\n")
-        out = tmp_path / "envscn"
-        with mock.patch.dict(os.environ, {"EQMO_SEED": "7"}):
-            run("solve", scn, out)
-        assert read_json(out / "solve_summary.json")["seed"] == 7
+    @pytest.mark.parametrize("env_seed", ["7", "many"])
+    def test_environment_changes_no_byte(self, tmp_path, env_seed):
+        assert run("mc", MV, tmp_path / "plain", "--paths", "2000") == 0
+        with mock.patch.dict(os.environ, {"EQMO_SEED": env_seed}):
+            assert run("mc", MV, tmp_path / "env", "--paths", "2000") == 0
+        assert tree_bytes(tmp_path / "env") == tree_bytes(tmp_path / "plain")
 
     def test_negative_seed_flag_is_module_error(self, tmp_path, capsys):
         assert run("solve", MV, tmp_path / "neg", "--seed", "-1") == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
-
-    def test_bad_env_seed_is_module_error(self, tmp_path, capsys):
-        with mock.patch.dict(os.environ, {"EQMO_SEED": "many"}):
-            assert run("solve", MV, tmp_path / "bad") == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
 
