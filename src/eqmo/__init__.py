@@ -98,7 +98,7 @@ from .bsde import (
     solve_recurrent_system,
     wealth_factor_paths,
 )
-from .scenario_io import ScenarioBundle, parse_scenario, serialize_scenario
+from .scenario_io import ScenarioBundle, parse_scenario
 from .artifacts import Table, emit_outputs, render_csv, render_json
 
 __version__ = "0.1.0"

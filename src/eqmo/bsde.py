@@ -73,7 +73,6 @@ class FactorModel:
     kappa: float = 0.0
     theta_bar: float = 0.0
     eta: float = 0.0
-    rho: float = 0.0
     theta0: float = 0.0
 
     def __post_init__(self) -> None:
@@ -82,8 +81,6 @@ class FactorModel:
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta < 0.0:
             raise ValidationError(f"eta must be nonnegative, got {self.eta}")
-        if self.rho != 0.0:
-            raise ValidationError(f"rho must be 0 (no correlated factor), got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ class FactorPaths:
 
 def brownian_factor() -> FactorModel:
     """Pure Brownian state: OU with kappa = 0, eta = 1, started at 0."""
-    return FactorModel(kappa=0.0, theta_bar=0.0, eta=1.0, rho=0.0, theta0=0.0)
+    return FactorModel(kappa=0.0, theta_bar=0.0, eta=1.0, theta0=0.0)
 
 
 def simulate_factors(model: FactorModel, T: float, grid_n: int, paths: int,
@@ -302,8 +299,12 @@ def _terminals(specs: Sequence[DriverSpec], fp: FactorPaths,
     Y = np.empty((len(specs), fp.paths))
     for k, spec in enumerate(specs):
         Y[k] = np.asarray(spec.terminal(fp, start_index + k), dtype=float)
-    if not np.all(np.isfinite(Y)):
-        raise ValidationError("terminal condition produced non-finite values")
+    # a row sum is finite only if every value is, and then so is the path mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = Y.sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise ValidationError("terminal condition produced non-finite values "
+                              "or a path sum past the float range")
     return Y
 
 

@@ -280,14 +280,18 @@ def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
     up to n are the estimates. The standard errors are the delta-method ones
     with the sample's own mu_k plugged in: mu_2 / N for the mean and
     (mu_2k - mu_k^2 - 2k mu_{k-1} mu_{k+1} + k^2 mu_{k-1}^2 mu_2) / N for
-    m_k. A value past the float range is a ValidationError.
+    m_k. A sample whose paths are all equal has every central moment and
+    standard error exactly 0. A value past the float range is a
+    ValidationError.
     """
     _check_order(n)
     if paths < 1000:
         raise TooFewPaths(f"paths = {paths} < 1000")
     X = simulate_terminal_wealth(scenario, strategy, t, x, paths, seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        m1 = float(np.mean(X))
+        # the mean of equal values still rounds, and the residue would give a
+        # deterministic wealth a tiny nonzero se; equal paths are their mean
+        m1 = float(X[0]) if np.all(X == X[0]) else float(np.mean(X))
         d = np.subtract(X, m1, out=X)  # X is not read again
         p = d * d
         mu = [1.0, 0.0, float(np.mean(p))]  # mu[k]: k-th sample central moment

@@ -1,4 +1,4 @@
-"""Scenario text format: read and write experiment configurations.
+"""Scenario text format: read experiment configurations.
 
 Sections ``[market]``, ``[objective]``, optional ``[factor]`` and
 ``[numerics]`` hold ``key = value`` lines. Arrays are comma-separated with
@@ -103,8 +103,8 @@ def _term(text: str) -> ObjectiveTerm:
 # the default slot of a key that the file must set
 _REQUIRED = object()
 
-# section -> key -> (parser, default), in serialization order; ``term`` is
-# the one key that may repeat and collects a list
+# section -> key -> (parser, default); ``term`` is the one key that may
+# repeat and collects a list
 _SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
     "market": {
         "r": (_scalar_or_array, 0.0),
@@ -121,8 +121,6 @@ _SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         "kappa": (_scalar, 0.0),
         "theta_bar": (_scalar, 0.0),
         "eta": (_bounded(_scalar, 0.0), 0.0),
-        # no correlated factor is implemented, so rho may only restate 0
-        "rho": (_bounded(_scalar, 0.0, 0.0), 0.0),
         "theta0": (_scalar, 0.0),
     },
     "numerics": {
@@ -209,38 +207,3 @@ def parse_scenario(path: str, grid_n: int | None = None) -> ScenarioBundle:
         factor=FactorModel(**values["factor"]) if "factor" in parsed else None,
         numerics=numerics,
     )
-
-
-def _format_value(x: object) -> str:
-    if isinstance(x, np.ndarray):
-        return ", ".join(f"{v:.17g}" for v in (x[:1] if np.all(x == x[0]) else x))
-    if isinstance(x, ObjectiveTerm):
-        return ",".join(f"{k}:{e}" for k, e in x.factors) + f" -> {x.coeff:.17g}"
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def serialize_scenario(bundle: ScenarioBundle) -> str:
-    """Render a bundle back to scenario text (round-trips through
-    parse_scenario up to float formatting); [factor] is written only when
-    the bundle has a factor."""
-    obj = bundle.objective
-    values = {
-        "market": {key: getattr(bundle.scenario, key) for key in _SCHEMA["market"]},
-        "objective": {"mode": obj.mode, "term": obj.terms},
-        "numerics": bundle.numerics,
-    }
-    if bundle.factor is not None:
-        values["factor"] = {key: getattr(bundle.factor, key) for key in _SCHEMA["factor"]}
-    blocks = []
-    for section, keys in _SCHEMA.items():
-        if section not in values:
-            continue
-        lines = [f"[{section}]"]
-        for key in keys:
-            value = values[section][key]
-            lines.extend(f"{key} = {_format_value(item)}"
-                         for item in (value if key == "term" else (value,)))
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"

@@ -63,10 +63,6 @@ class TestFactorModel:
     def test_validation(self):
         with pytest.raises(ValidationError):
             FactorModel(eta=-0.1)
-        # no correlated factor is simulated: a nonzero rho would be ignored
-        for rho in (1.5, 0.7, -1.0, math.nan):
-            with pytest.raises(ValidationError, match="rho must be 0"):
-                FactorModel(rho=rho)
         for field in ("kappa", "theta_bar", "eta", "theta0"):
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValidationError, match=f"^{field} must be finite"):

@@ -41,8 +41,8 @@ paths = 4000
 # factors, Phi, Monte Carlo estimates, factor paths or flow residual overflow
 # the float range under those commands (solve, homogeneity and bsde do not
 # read u_scale), a growth factor e^R that underflows to 0 and so removes the
-# sweep's second-order term, and a [factor] section that still sets the
-# removed ``kind``
+# sweep's second-order term, a terminal whose path sum overflows, and a
+# [factor] section that still sets a removed key
 HOSTILE = {
     "theta_1e300": (MV, "theta = 0.3\n", "theta = 1e300\n", cli.COMMANDS),
     "u_scale_1e200": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e200\n",
@@ -59,9 +59,12 @@ HOSTILE = {
     "sigma_1e160": (MV, "sigma = 0.2\n", "sigma = 1e160\n", ("homogeneity", "bsde")),
     "kappa_-1e3": (OU, "kappa = 1.0\n", "kappa = -1e3\n", ("bsde",)),
     "x0_1e200": (MV, "x0 = 1\n", "x0 = 1e200\n", ("bsde",)),
+    "x0_1e308": (MV, "x0 = 1\n", "x0 = 1e308\n", ("bsde",)),
+    "theta0_1e308": (OU, "theta0 = 0.25\n", "theta0 = 1e308\n", ("bsde",)),
     "sets_kind_ou": (OU, "[factor]\n", "[factor]\nkind = ou\n", cli.COMMANDS),
     "sets_kind_none": (MV, "scheme = explicit\n",
                        "scheme = explicit\n\n[factor]\nkind = none\n", cli.COMMANDS),
+    "sets_rho": (OU, "theta0 = 0.25\n", "theta0 = 0.25\nrho = 0.5\n", cli.COMMANDS),
 }
 
 
@@ -224,6 +227,25 @@ class TestExitCodes:
         assert [r[0] for r in rows] == ["m1", "m2", "m3", "m4", "m5", "m6"]
 
 
+    @pytest.mark.parametrize("name, line, replacement", [
+        ("mv_discounted", "theta = 0.3\n", "theta = 0\n"),
+        ("mvsk", "theta = 0.25\n", "theta = 0\n"),
+        ("mvsk", "[numerics]\n", "[numerics]\nu_scale = 0\n"),
+    ])
+    def test_mc_passes_on_deterministic_wealth(self, tmp_path, name, line, replacement):
+        # every path is x_T: each se is 0 and so is each z, while the
+        # compounded and the analytic m1 differ in their last bits
+        with open(os.path.join(SCN, f"{name}.scn")) as fh:
+            text = fh.read()
+        assert line in text
+        out = tmp_path / "mc"
+        scn = scn_file(tmp_path, text.replace(line, replacement))
+        assert run("mc", scn, out, "--paths", "2000") == 0
+        header, rows = read_csv(out / "mc_check.csv")
+        assert [float(r[header.index("se")]) for r in rows] == [0.0] * 6
+        assert read_json(out / "mc_summary.json")["max_abs_z"] == 0.0
+
+
 class TestMoments:
     def test_row_per_grid_time(self, tmp_path):
         scn = scn_file(tmp_path, MINIMAL)
@@ -338,16 +360,21 @@ class TestHostileInputs:
             # the sweep: u = 1.25e301 at step 99 squares past the float range
             assert (diag["error"], diag["step"]) == ("SolverError", 99)
             assert "variance-to-go overflows" in diag["message"]
-        if name.startswith("sets_kind"):
-            kind_line = text.splitlines().index(replacement.splitlines()[-1]) + 1
-            assert (diag["error"], diag["line"]) == ("ParseError", kind_line)
-            assert "unknown key 'kind' in section [factor]" in diag["message"]
+        if name.startswith("sets_"):
+            key_line = replacement.splitlines()[-1]
+            key = key_line.partition(" = ")[0]
+            assert (diag["error"], diag["line"]) == (
+                "ParseError", text.splitlines().index(key_line) + 1)
+            assert f"unknown key '{key}' in section [factor]" in diag["message"]
         if name == "r_-1e300":
             # e^R = 0 before the last step: 2 D e^(2R) sigma^2 = 0
             assert (diag["error"], diag["step"]) == ("NoSecondOrderTerm", 99)
         if name == "x0_1e200":
             assert diag["error"] == "ValidationError"
             assert "flow residual" in diag["message"]
+        if name.endswith("_1e308"):
+            assert diag["error"] == "ValidationError"
+            assert "path sum past the float range" in diag["message"]
 
     @pytest.mark.parametrize("scenario", [MV, OU])
     @pytest.mark.parametrize("paths", ["1", "4"])

@@ -216,6 +216,17 @@ class TestMcConditionalMoments:
             spread = math.sqrt((gaussian_mean(h ** 4, V) - v * v) / paths)
             assert abs(se * se * paths - v) <= 5.0 * spread, k
 
+    def test_equal_paths_have_zero_moments_and_errors(self):
+        # u = 0: every path is x_T, which is then the mean, not the rounded
+        # np.mean whose residue gave this case an se near 5e-18
+        s = mv_discounted().scenario
+        u = StrategyGrid.constant(s, 0.0)
+        X = simulate_terminal_wealth(s, u, 0.0, s.x0, 2000, 5)
+        est = mc_conditional_moments(s, u, 0.0, s.x0, 6, paths=2000, seed=5)
+        assert est.moments.m1 == X[0]
+        assert est.moments.central == (0.0,) * 5
+        assert est.standard_errors == (0.0,) * 6
+
     def test_too_few_paths(self):
         s, u = case()
         with pytest.raises(TooFewPaths):
