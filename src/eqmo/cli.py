@@ -233,8 +233,11 @@ def _cmd_mc(bundle: ScenarioBundle, config: RunConfig):
     sampled = [est.moments.m1] + list(est.moments.central)
     rows = []
     worst = 0.0
-    for label, a, b, se in zip(labels, exact, sampled, est.standard_errors):
-        z = (b - a) / se if se > 0.0 else 0.0
+    for label, a, b, se, tol in zip(labels, exact, sampled, est.standard_errors, est.rounding):
+        if se > 0.0:
+            z = (b - a) / se
+        else:  # no sampling error: a gap past rounding is as many se as a float holds
+            z = 0.0 if abs(b - a) <= tol else float(np.copysign(np.finfo(float).max, b - a))
         worst = max(worst, abs(z))
         rows.append((label, a, b, se, z))
     table = Table(("moment", "analytic", "estimate", "se", "z"), tuple(zip(*rows)))

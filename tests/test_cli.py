@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, artifacts, determinism, the seed."""
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -231,10 +232,13 @@ class TestExitCodes:
         ("mv_discounted", "theta = 0.3\n", "theta = 0\n"),
         ("mvsk", "theta = 0.25\n", "theta = 0\n"),
         ("mvsk", "[numerics]\n", "[numerics]\nu_scale = 0\n"),
+        ("mv_discounted", "r = 0.05\ntheta = 0.3\n", "r = 350\ntheta = 0\n"),
     ])
     def test_mc_passes_on_deterministic_wealth(self, tmp_path, name, line, replacement):
         # every path is x_T: each se is 0 and so is each z, while the
-        # compounded and the analytic m1 differ in their last bits
+        # compounded and the analytic m1 differ within the rounding bound;
+        # at r T = 350 (near the most the sweep's Phi takes) that gap is
+        # 4e-12 relative, carried by the exponent sums
         with open(os.path.join(SCN, f"{name}.scn")) as fh:
             text = fh.read()
         assert line in text
@@ -244,6 +248,24 @@ class TestExitCodes:
         header, rows = read_csv(out / "mc_check.csv")
         assert [float(r[header.index("se")]) for r in rows] == [0.0] * 6
         assert read_json(out / "mc_summary.json")["max_abs_z"] == 0.0
+
+    def test_mc_fails_on_a_wrong_deterministic_mean(self, tmp_path):
+        # se is 0, so a gap past the rounding bound is no sampling error: an
+        # analytic m1 shifted by 1e-3 fails, and its z is the largest float
+        with open(os.path.join(SCN, "mv_discounted.scn")) as fh:
+            scn = scn_file(tmp_path, fh.read().replace("theta = 0.3\n", "theta = 0\n"))
+        exact = cli.conditional_moments
+
+        def shifted(*args):
+            mv = exact(*args)
+            return dataclasses.replace(mv, m1=mv.m1 + 1e-3)
+
+        out = tmp_path / "mc"
+        with mock.patch.object(cli, "conditional_moments", shifted):
+            assert run("mc", scn, out, "--paths", "2000") == 2
+        header, rows = read_csv(out / "mc_check.csv")
+        assert [float(r[header.index("z")]) for r in rows] == [-sys.float_info.max] + [0.0] * 5
+        assert read_json(out / "mc_summary.json")["max_abs_z"] == sys.float_info.max
 
 
 class TestMoments:
@@ -399,6 +421,20 @@ class TestModuleEntryPoint:
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_package_root_holds_only_the_version(self):
+        # library code imports from the modules, so the package root binds
+        # no other public name and loads none of them, nor numpy
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, eqmo; print(json.dumps([eqmo.__version__, "
+             "[n for n in vars(eqmo) if not n.startswith('_')], 'numpy' in sys.modules]))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        version, public, numpy_loaded = json.loads(proc.stdout)
+        assert (type(version), public, numpy_loaded) == (str, [], False)
 
 
 class TestSeed:
