@@ -59,11 +59,8 @@ from .model import MarketScenario, StrategyGrid, _check_grid, growth_factors, ra
 from .moments import _wealth_step_coeffs
 from .sampling import SEED_LIMIT, _check_int, time_major_normals
 
-# highest regression basis degree: a standardized row has |x| <= sqrt(paths - 1),
-# so every power sum up to x^(2 d) stays below paths^(d + 1) <= 1e248 at MAX_PATHS
-MAX_BASIS_DEGREE = 30
-# the cubic basis of every solve unless its caller picks another
-DEFAULT_BASIS_DEGREE = 3
+# cubic for every fit: each exact Y fitted here (E_t[X_T] affine, W_t^2 + 1 - t) is in its span
+BASIS_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -347,7 +344,7 @@ def _drive(spec: DriverSpec, t: float, state: np.ndarray, C: np.ndarray,
 
 
 def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
-               basis_degree: int, start_index: int, deps: Sequence[BsdeGrid],
+               start_index: int, deps: Sequence[BsdeGrid],
                visit: _Visit) -> tuple[float, float]:
     """The one backward regression loop over dates; returns the standard
     error of row 0's Y at ``start_index`` and the share of Z values at the
@@ -364,12 +361,10 @@ def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
     next date. Z truncation warns at most once, over every clipped member.
     """
     n, paths, dt = fp.grid_n, fp.paths, fp.dt
-    if not 1 <= _check_int("basis degree", basis_degree) <= MAX_BASIS_DEGREE:
-        raise ValidationError(f"basis degree {basis_degree} outside [1, {MAX_BASIS_DEGREE}]")
-    if paths < basis_degree + 2:
+    if paths < BASIS_DEGREE + 2:
         # with no more paths than basis functions the continuation fit
         # interpolates Y, so the centered Z target and every Z fit are 0
-        raise TooFewPaths(f"paths = {paths} < basis degree + 2 = {basis_degree + 2}")
+        raise TooFewPaths(f"paths = {paths} < basis degree + 2 = {BASIS_DEGREE + 2}")
     for k, spec in enumerate(specs):
         missing = [d for d in spec.depends_on if d >= len(deps)]
         if missing:
@@ -383,7 +378,7 @@ def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
         if i == start_index:
             y0_sample = Y[0].copy()
         live = Y[:i + 1]
-        _fit_date(_Regression(fp.state[i], fp.dW[i], basis_degree, i), live, dt, live,
+        _fit_date(_Regression(fp.state[i], fp.dW[i], BASIS_DEGREE, i), live, dt, live,
                   Z[:i + 1])
         t, state = float(fp.times[i]), fp.state[i]
         dep_rows = [(g.Y[i], g.Z[i]) for g in deps]
@@ -403,8 +398,7 @@ def _solve_one(specs: Sequence[DriverSpec], Y: np.ndarray, fp: FactorPaths,
     return y0_se, (saturated / total if total else 0.0)
 
 
-def solve_bsde(spec: DriverSpec, fp: FactorPaths,
-               basis_degree: int = DEFAULT_BASIS_DEGREE, start_index: int = 0,
+def solve_bsde(spec: DriverSpec, fp: FactorPaths, *, start_index: int = 0,
                deps: Sequence[BsdeGrid] = ()) -> BsdeGrid:
     """Backward regression solve of one BSDE on [t_start, T].
 
@@ -419,7 +413,7 @@ def solve_bsde(spec: DriverSpec, fp: FactorPaths,
         Z[i] = z_rows[0]
 
     y0_se, z_saturation = _solve_one([spec], _terminals([spec], fp, start_index), fp,
-                                     basis_degree, start_index, deps, visit)
+                                     start_index, deps, visit)
     return BsdeGrid(Y, Z, float(np.mean(Y[start_index])), y0_se, z_saturation)
 
 
@@ -433,9 +427,8 @@ class BsdeMeans:
     y0_se: float
 
 
-def solve_bsde_means(spec: DriverSpec, fp: FactorPaths,
-                     basis_degree: int = DEFAULT_BASIS_DEGREE) -> BsdeMeans:
-    """``solve_bsde(spec, fp, basis_degree)`` reduced to its per-date path
+def solve_bsde_means(spec: DriverSpec, fp: FactorPaths) -> BsdeMeans:
+    """``solve_bsde(spec, fp)`` reduced to its per-date path
     means, bitwise, without forming the Y and Z grids: beside the state and
     dW it holds O(paths) memory, whatever the number of dates."""
     means = np.zeros((2, fp.grid_n + 1))
@@ -443,7 +436,7 @@ def solve_bsde_means(spec: DriverSpec, fp: FactorPaths,
     def visit(i: int, y_rows: np.ndarray, z_rows: np.ndarray) -> None:
         means[:, i] = np.mean(y_rows[0]), np.mean(z_rows[0])
 
-    y0_se, _ = _solve_one([spec], _terminals([spec], fp, 0), fp, basis_degree, 0, (), visit)
+    y0_se, _ = _solve_one([spec], _terminals([spec], fp, 0), fp, 0, (), visit)
     return BsdeMeans(means[0], means[1], y0_se)
 
 
@@ -461,21 +454,20 @@ class DiagonalProcess:
     z_values: np.ndarray
 
 
-def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
-                        basis_degree: int = DEFAULT_BASIS_DEGREE, *,
-                        deps: Sequence[BsdeGrid] = ()) -> DiagonalProcess:
+def solve_flow_diagonal(family: Callable[[int], DriverSpec],
+                        fp: FactorPaths) -> DiagonalProcess:
     """Solve the flow of BSDEs ``family(s)`` on [s, T], s = 0..n, over the
     shared path set and extract member s at time s.
 
-    The options are those of ``solve_bsde``. The flow is one ``_solve_one``
-    block of n + 1 rows, row s member s from its terminal down to date s:
-    the live members (s <= i) at date i are regressed together on the
-    date's state row, and each member's driver is then called on its own
-    row. When every member is the same ``DriverSpec`` object and all
-    terminals are bitwise equal, the members differ only in where they
-    start, so one row solved on [0, T] gives them all: its value at date s
-    is member s at time s, bitwise a standalone ``solve_bsde``. Z truncation
-    warns at most once per flow, counting over all members with a ``z_bound``.
+    The flow is one ``_solve_one`` block of n + 1 rows, row s member s from
+    its terminal down to date s: the live members (s <= i) at date i are
+    regressed together on the date's state row, and each member's driver is
+    then called on its own row, with no dependency grids. When every member
+    is the same ``DriverSpec`` object and all terminals are bitwise equal,
+    the members differ only in where they start, so one row solved on
+    [0, T] gives them all: its value at date s is member s at time s,
+    bitwise a standalone ``solve_bsde``. Z truncation warns at most once per
+    flow, counting over all members with a ``z_bound``.
 
     Each date regresses on the state X_t at that date alone, so a member's
     terminal may depend on s only deterministically, never on quantities
@@ -495,23 +487,22 @@ def solve_flow_diagonal(family: Callable[[int], DriverSpec], fp: FactorPaths,
             Y[i] = y_rows[0]
             z_diag[i] = np.mean(z_rows[0])
 
-        _solve_one(specs[:1], Y[:1], fp, basis_degree, 0, deps, visit)
+        _solve_one(specs[:1], Y[:1], fp, 0, (), visit)
     else:
         def visit(i: int, y_rows: np.ndarray, z_rows: np.ndarray) -> None:
             if i < n:
                 z_diag[i] = np.mean(z_rows[i])
 
-        _solve_one(specs, Y, fp, basis_degree, 0, deps, visit)
+        _solve_one(specs, Y, fp, 0, (), visit)
     y_diag = np.array([float(np.mean(row)) for row in Y])
     return DiagonalProcess(y_diag, Y, z_diag)
 
 
-def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
-                           basis_degree: int = DEFAULT_BASIS_DEGREE) -> list[BsdeGrid]:
+def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths) -> list[BsdeGrid]:
     """Solve an ordered list of BSDEs where drivers may read the (Y, Z) grids
     of strictly earlier members: each member is ``solve_bsde`` fed the
     earlier members' grids as ``deps``, solved in order once every
-    dependency has been checked. The options are those of ``solve_bsde``."""
+    dependency has been checked."""
     for own, spec in enumerate(specs):
         bad = [d for d in spec.depends_on if d >= own]
         if bad:
@@ -521,7 +512,7 @@ def solve_recurrent_system(specs: Sequence[DriverSpec], fp: FactorPaths,
             )
     grids: list[BsdeGrid] = []
     for spec in specs:
-        grids.append(solve_bsde(spec, fp, basis_degree, deps=grids))
+        grids.append(solve_bsde(spec, fp, deps=grids))
     return grids
 
 
@@ -573,7 +564,7 @@ def convergence_study(paths: int, reps: int, seed: int,
                     np.square(np.subtract(z_rows[0], err, out=err), out=err)
 
             Y = _terminals([spec], fp, 0)
-            _solve_one([spec], Y, fp, 3, 0, (), visit)
+            _solve_one([spec], Y, fp, 0, (), visit)
             y_mses.append(float(np.mean(y_err)))
             z_mses.append(float(np.mean(z_err)))
             y0s.append(float(np.mean(Y[0])))
@@ -613,7 +604,8 @@ def mv_flow_residual(scenario: MarketScenario, gamma2: float, paths: int, seed: 
     """Solve E_t[X_T] on wealth paths under the caller's ``strategy``, which
     this route never builds itself, and report the mean-variance residual
     theta - 2 gamma2 sigma Z along the flow diagonal. A residual whose rms
-    leaves the float range is a ValidationError."""
+    leaves the float range is a ValidationError, and so is a nonzero sigma u
+    under which every path still ends at the same X_T."""
     fp = wealth_factor_paths(scenario, strategy, paths, seed)
     means = solve_bsde_means(TERMINAL_STATE, fp)
     n = scenario.grid_n
@@ -623,6 +615,10 @@ def mv_flow_residual(scenario: MarketScenario, gamma2: float, paths: int, seed: 
     if not math.isfinite(rms):
         raise ValidationError("flow residual theta - 2 gamma2 sigma Z overflows: "
                               f"its rms is {rms}")
+    # sigma u dW can round away against X on every path, which leaves Z at 0
+    x_T = fp.state[n]
+    if np.any(scenario.sigma[:n] * strategy.values[:n]) and np.all(x_T == x_T[0]):
+        raise ValidationError("every wealth path ends at the same X_T under a nonzero sigma u")
     R = rate_to_horizon(scenario)
     implied = means.z_mean[:n] * growth_factors(-R[:n]) / scenario.sigma[:n]
     return FlowDiagnostics(

@@ -23,7 +23,7 @@ from typing import NoReturn
 import numpy as np
 
 from .artifacts import FORMATS, Table, emit_outputs, render_json
-from .bsde import DEFAULT_BASIS_DEGREE, TERMINAL_STATE, mv_flow_residual, simulate_factors, \
+from .bsde import BASIS_DEGREE, TERMINAL_STATE, mv_flow_residual, simulate_factors, \
     solve_bsde_means
 from .equilibrium import PERTURBATION_CONVENTION, SCHEMES, backward_sweep, mv_closed_form, \
     mv_gamma2
@@ -200,7 +200,7 @@ def _cmd_bsde(bundle: ScenarioBundle, config: RunConfig):
     s = bundle.scenario
     n = s.grid_n
     summary = {"command": "bsde", "kind": "none" if bundle.factor is None else "ou",
-               "basis_degree": DEFAULT_BASIS_DEGREE, "paths": config.paths, "seed": config.seed}
+               "basis_degree": BASIS_DEGREE, "paths": config.paths, "seed": config.seed}
     if bundle.factor is None:
         gamma2 = mv_gamma2(bundle.objective)
         diag = mv_flow_residual(s, gamma2, config.paths, config.seed,

@@ -250,11 +250,16 @@ def simulate_terminal_wealth(scenario: MarketScenario, strategy: StrategyGrid,
     Streams the normals one chunk of rows at a time, so memory is
     O(CHUNK_BYTES + paths) per thread rather than O(paths * steps).
     """
-    i0 = scenario.grid_index(t)
-    g, a, b = (c[i0:] for c in _wealth_step_coeffs(scenario, strategy))
+    return _terminal_wealth(scenario, strategy, t, x, paths, seed)[0]
+
+
+def _terminal_wealth(scenario: MarketScenario, strategy: StrategyGrid, t: float, x: float,
+                     paths: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sample of ``simulate_terminal_wealth`` with its compounded weights G and its a."""
+    g, a, b = (c[scenario.grid_index(t):] for c in _wealth_step_coeffs(scenario, strategy))
     paths = check_paths(paths)
     if len(g) == 0:
-        return np.full(paths, float(x))
+        return np.full(paths, float(x)), g, a
     with np.errstate(over="ignore", invalid="ignore"):
         G = np.cumprod(g[::-1])[::-1]
         w = G * b
@@ -269,7 +274,7 @@ def simulate_terminal_wealth(scenario: MarketScenario, strategy: StrategyGrid,
         x_ += x_T
 
     for_each_block(seed, paths, len(w), advance)
-    return X
+    return X, G, a
 
 
 def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
@@ -297,7 +302,7 @@ def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
     _check_order(n)
     if paths < 1000:
         raise TooFewPaths(f"paths = {paths} < 1000")
-    X = simulate_terminal_wealth(scenario, strategy, t, x, paths, seed)
+    X, G, a = _terminal_wealth(scenario, strategy, t, x, paths, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         # the mean of equal values still rounds, and the residue would give a
         # deterministic wealth a tiny nonzero se; equal paths are their mean
@@ -315,11 +320,10 @@ def mc_conditional_moments(scenario: MarketScenario, strategy: StrategyGrid,
         raise ValidationError("Monte Carlo moment estimates overflow under this strategy")
     central = tuple(mu[2:n + 1])
     cumulant = tuple(moments_to_cumulants(central))
-    g, a, _ = (c[scenario.grid_index(t):] for c in _wealth_step_coeffs(scenario, strategy))
     with np.errstate(over="ignore", invalid="ignore"):
         S = scenario.T * float(np.max(np.abs(scenario.r)))
-        B = 16 * 2.0 ** -52 * (len(g) + 1) * (1.0 + S) * (
-            abs(x) * float(np.prod(g)) + float(np.sum(np.cumprod(g[::-1])[::-1] * np.abs(a))))
+        B = 16 * 2.0 ** -52 * (len(G) + 1) * (1.0 + S) * (
+            abs(x) * float(G[0] if len(G) else 1.0) + float(np.sum(G * np.abs(a))))
         rounding = (B,) + tuple(_DOUBLE_FACTORIAL[k] * float(np.float_power(B, k))
                                 if k % 2 == 0 else 0.0 for k in range(2, n + 1))
     return McEstimate(MomentVector(m1, central, cumulant), tuple(map(float, se)), rounding)

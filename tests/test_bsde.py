@@ -257,12 +257,13 @@ class TestSolverOptions:
         assert np.array_equal(grid.Y[8], fp.state[-1])
         assert np.all(grid.Y[:8] == 0.0)
 
-    def test_basis_degree_validation(self):
+    def test_start_index_and_deps_are_keyword_only(self):
+        # a stale third positional argument, once the basis degree, must not
+        # silently become a start index
         fp = simulate_factors(brownian_factor(), T, 4, 64, 1)
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
-        for degree in (0, 31, 2.5, 3.0, True):
-            with pytest.raises(ValidationError):
-                solve_bsde(spec, fp, basis_degree=degree)
+        with pytest.raises(TypeError):
+            solve_bsde(spec, fp, 3)
 
     def test_regression_singular_on_degenerate_state(self):
         # two-point state at date 1 cannot support a cubic basis; the error
@@ -270,14 +271,14 @@ class TestSolverOptions:
         fp = two_point_paths()
         spec = DriverSpec(driver=ZERO_DRIVER, terminal=lambda f, s: f.state[-1])
         with pytest.raises(RegressionSingular) as single:
-            solve_bsde(spec, fp, basis_degree=3)
+            solve_bsde(spec, fp)
 
         def family(s):
             return DriverSpec(driver=ZERO_DRIVER,
                               terminal=lambda f, idx: f.state[-1] + idx)
 
         with pytest.raises(RegressionSingular) as flow:
-            solve_flow_diagonal(family, fp, basis_degree=3)
+            solve_flow_diagonal(family, fp)
         for exc in (single.value, flow.value):
             assert exc.step == 1
             assert "step 1" in str(exc)
@@ -363,13 +364,13 @@ class TestFlows:
         assert np.array_equal(diag.y_values, np.arange(5.0))
 
 
-def per_member_diagonal(family, fp, **kwargs):
+def per_member_diagonal(family, fp):
     """Reference flow diagonal: one standalone solve per member s on [s, T]."""
     n = fp.grid_n
     y_paths = np.zeros((n + 1, fp.paths))
     z_values = np.zeros(n + 1)
     for s in range(n + 1):
-        grid = solve_bsde(family(s), fp, start_index=s, **kwargs)
+        grid = solve_bsde(family(s), fp, start_index=s)
         y_paths[s] = grid.Y[s]
         if s < n:
             z_values[s] = np.mean(grid.Z[s])
@@ -394,7 +395,7 @@ class TestBatchedFlow:
         assert_matches_per_member(solve_flow_diagonal(family, fp),
                                   per_member_diagonal(family, fp))
 
-    def test_quadratic_truncation_and_picard(self):
+    def test_quadratic_truncation_warns_once_per_flow(self):
         fp = simulate_factors(brownian_factor(), T, 10, 2000, 41)
 
         def family(s):
@@ -427,18 +428,14 @@ class TestBatchedFlow:
                 solve()
             assert [w.filename for w in caught] == [__file__]
 
-    def test_driver_reads_dependencies(self):
+    def test_flow_members_take_no_dependency_grids(self):
         fp = simulate_factors(brownian_factor(), T, 8, 2000, 43)
-        base = solve_bsde(DriverSpec(driver=ZERO_DRIVER,
-                                     terminal=lambda f, s: f.state[-1]), fp)
 
         def family(s):
             return DriverSpec(driver=lambda t, st, y, z, deps: deps[0][0] - 0.5 * deps[0][1],
                               terminal=lambda f, idx: np.full(f.paths, float(idx)),
                               depends_on=(0,))
 
-        diag = solve_flow_diagonal(family, fp, deps=[base])
-        assert_matches_per_member(diag, per_member_diagonal(family, fp, deps=[base]))
         with pytest.raises(ValidationError):
             solve_flow_diagonal(family, fp)
 
@@ -466,7 +463,7 @@ class TestBatchedFlow:
     def test_peak_memory_is_y_plus_one_z_buffer(self):
         # the batched fit writes C into the live rows of Y and Z into one
         # buffer: no (members x paths) temporary beyond those two
-        n, paths, degree = 20, 20_000, 3
+        n, paths, degree = 20, 20_000, bsde.BASIS_DEGREE
         fp = simulate_factors(brownian_factor(), T, n, paths, 71)
 
         def family(s):
@@ -475,7 +472,7 @@ class TestBatchedFlow:
 
         tracemalloc.start()
         try:
-            solve_flow_diagonal(family, fp, degree)
+            solve_flow_diagonal(family, fp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -486,13 +483,13 @@ class TestBatchedFlow:
     def test_means_solve_memory_does_not_grow_with_dates(self, n):
         # the means route keeps one Y row and one Z buffer, never a grid:
         # its traced peak is a few rows beside the date's basis at any n
-        paths, degree = 20_000, 3
+        paths, degree = 20_000, bsde.BASIS_DEGREE
         fp = simulate_factors(brownian_factor(), T, n, paths, 73)
         spec = DriverSpec(driver=lambda t, st, y, z: -0.3 * y + 0.1 * z,
                           terminal=lambda f, s: f.state[-1] ** 2)
         tracemalloc.start()
         try:
-            bsde.solve_bsde_means(spec, fp, degree)
+            bsde.solve_bsde_means(spec, fp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -526,13 +523,12 @@ class TestBatchedFlow:
 
 def scenario_paths(name, seed, workers, paths=9000):
     """The scenario's factor paths (the zero state of ``FactorModel()`` when
-    it has no factor), drawn on ``workers`` threads, and the basis degree
-    that ``bsde`` solves them with."""
+    it has no factor), drawn on ``workers`` threads."""
     bundle = parse_scenario(os.path.join(SCENARIOS, f"{name}.scn"))
     with mock.patch.dict(os.environ, {"EQMO_WORKERS": workers}):
         fp = simulate_factors(bundle.factor or FactorModel(), bundle.scenario.T,
                               bundle.scenario.grid_n, paths, seed)
-    return fp, bsde.DEFAULT_BASIS_DEGREE
+    return fp
 
 
 def bits(values):
@@ -555,16 +551,16 @@ class TestReducerRoute:
     @pytest.mark.parametrize("name", ["ou_factor", "mv_base"])
     def test_means_and_flow_equal_full_grid_reductions(self, name, seed, workers,
                                                        spec_name):
-        fp, degree = scenario_paths(name, seed, workers)
+        fp = scenario_paths(name, seed, workers)
         spec = self.SPECS[spec_name]
         n = fp.grid_n
-        grid = solve_bsde(spec, fp, degree)
-        means = bsde.solve_bsde_means(spec, fp, degree)
+        grid = solve_bsde(spec, fp)
+        means = bsde.solve_bsde_means(spec, fp)
         assert np.array_equal(bits(means.y_mean[:n]), bits(np.mean(grid.Y[:n], axis=1)))
         assert np.array_equal(bits(means.z_mean[:n]), bits(np.mean(grid.Z[:n], axis=1)))
         assert (means.y_mean[0], means.y0_se) == (grid.y0_mean, grid.y0_se)
 
-        diag = solve_flow_diagonal(lambda s: spec, fp, degree)
+        diag = solve_flow_diagonal(lambda s: spec, fp)
         z_ref = np.zeros(n + 1)
         z_ref[:n] = [float(np.mean(row)) for row in grid.Z[:n]]
         assert np.array_equal(bits(diag.y_paths), bits(grid.Y))

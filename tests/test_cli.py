@@ -42,8 +42,9 @@ paths = 4000
 # factors, Phi, Monte Carlo estimates, factor paths or flow residual overflow
 # the float range under those commands (solve, homogeneity and bsde do not
 # read u_scale), a growth factor e^R that underflows to 0 and so removes the
-# sweep's second-order term, a terminal whose path sum overflows, and a
-# [factor] section that still sets a removed key
+# sweep's second-order term, a terminal whose path sum overflows, wealth
+# paths that never spread although sigma u is nonzero, and a [factor]
+# section that still sets a removed key
 HOSTILE = {
     "theta_1e300": (MV, "theta = 0.3\n", "theta = 1e300\n", cli.COMMANDS),
     "u_scale_1e200": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e200\n",
@@ -62,6 +63,8 @@ HOSTILE = {
     "x0_1e200": (MV, "x0 = 1\n", "x0 = 1e200\n", ("bsde",)),
     "x0_1e308": (MV, "x0 = 1\n", "x0 = 1e308\n", ("bsde",)),
     "theta0_1e308": (OU, "theta0 = 0.25\n", "theta0 = 1e308\n", ("bsde",)),
+    "T_1e-300": (MV, "T = 1\n", "T = 1e-300\n", ("bsde",)),
+    "sigma_1e100": (MV, "sigma = 0.2\n", "sigma = 1e100\n", ("bsde",)),
     "sets_kind_ou": (OU, "[factor]\n", "[factor]\nkind = ou\n", cli.COMMANDS),
     "sets_kind_none": (MV, "scheme = explicit\n",
                        "scheme = explicit\n\n[factor]\nkind = none\n", cli.COMMANDS),
@@ -397,6 +400,10 @@ class TestHostileInputs:
         if name.endswith("_1e308"):
             assert diag["error"] == "ValidationError"
             assert "path sum past the float range" in diag["message"]
+        if name in ("T_1e-300", "sigma_1e100"):
+            # |sigma u sqrt(dt)| is 7.5e-152 or 1.5e-102: every path stays at x0
+            assert diag["error"] == "ValidationError"
+            assert "same X_T" in diag["message"]
 
     @pytest.mark.parametrize("scenario", [MV, OU])
     @pytest.mark.parametrize("paths", ["1", "4"])
