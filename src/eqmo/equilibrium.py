@@ -121,9 +121,9 @@ def _compose_linear(outer: tuple[float, ...], a0: float, a1: float) -> list[floa
     """Coefficients of outer(a0 + a1 w) as plain floats, by the Horner
     recurrence acc <- acc (a0 + a1 w) + c with trailing zeros stripped.
 
-    Each coefficient is summed from 0.0, as ``Polynomial.__mul__`` sums its
-    products, so a zero comes out as +0.0 and every coefficient is bitwise
-    that of ``Polynomial(outer).compose(Polynomial((a0, a1)))``.
+    Each coefficient is summed from 0.0, as a schoolbook polynomial product
+    sums its terms, so a zero comes out as +0.0 and every coefficient is
+    bitwise that of composing by Horner over polynomial products.
     """
     acc: list[float] = []
     for c in reversed(outer):
@@ -137,22 +137,11 @@ def _compose_linear(outer: tuple[float, ...], a0: float, a1: float) -> list[floa
     return acc
 
 
-def _stationarity_coeffs(w1: float, Dpoly: Polynomial, V_plus: float,
-                         theta: float, g: float, s: float, dt: float) -> tuple[float, ...]:
-    """Coefficients in u of w1 g theta + 2 s u D(V_plus + dt s u^2), the
-    implicit stationarity polynomial, built without intermediate Polynomials."""
-    Dw = _compose_linear(Dpoly.coeffs, V_plus, dt * s)  # D as poly in w = u^2
-    coeffs = [0.0] * (2 * max(len(Dw), 1))
-    coeffs[0] = w1 * g * theta
-    for j, c in enumerate(Dw):
-        coeffs[2 * j + 1] += 2.0 * s * c
-    return tuple(coeffs)
-
-
 def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
-                     sigma: float, g: float, dt: float, prev_value: float,
+                     s: float, g: float, dt: float, prev_value: float,
                      scheme: str, terminal: bool) -> float:
-    """Stationarity root at one grid point given the future variance-to-go.
+    """Stationarity root at one grid point given the future variance-to-go,
+    with s = e^{2R} sigma^2 and g = e^R at the point.
 
     Explicit and terminal steps solve the linear equation with D frozen at
     D(V_plus); a zero second-order term 2 D e^{2R} sigma^2 (D = 0, or e^R
@@ -160,19 +149,20 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
     root is a minimizer) raises :class:`AmbiguousRoot` with the root as
     candidate.
 
-    Implicit steps make one :func:`real_roots` call for the root nearest
-    ``prev_value`` (u at the next grid point, within O(dt) of the answer):
-    a Newton root r alone when its Taylor certificate shows that no other
-    root, touch root or merged pair of the full isolation is nearer, else
-    every root. A lone root on the maximizer branch (D(V_plus + dt s r^2)
-    <= 0) is the step's root; a lone root off it sends the step to isolate
-    every root. The step takes the admissible root nearest ``prev_value``,
-    so errors and their candidates are those of the full isolation. Degree
-    1 (variance-affine objectives) is the closed form -c0 / c1.
+    Implicit steps solve w1 g theta + 2 s u D(V_plus + dt s u^2) = 0, whose
+    coefficients in u come from :func:`_compose_linear` at the odd powers,
+    with one :func:`real_roots` call for the root nearest ``prev_value`` (u
+    at the next grid point, within O(dt) of the answer): a Newton root r
+    alone when its Taylor certificate shows that no other root, touch root
+    or merged pair of the full isolation is nearer, else every root. A lone
+    root on the maximizer branch (D(V_plus + dt s r^2) <= 0) is the step's
+    root; a lone root off it sends the step to isolate every root. The step
+    takes the admissible root nearest ``prev_value``, so errors and their
+    candidates are those of the full isolation. Degree 1 (variance-affine
+    objectives) is the closed form -c0 / c1.
     """
     if theta == 0.0:
         return 0.0  # stationarity degenerates to 2 D e^{2R} sigma^2 u = 0
-    s = g * g * sigma ** 2
     if scheme == "explicit" or terminal:
         D = Dpoly(V_plus)
         denominator = 2.0 * D * s
@@ -184,21 +174,28 @@ def _stationary_root(w1: float, Dpoly: Polynomial, V_plus: float, theta: float,
             raise AmbiguousRoot(f"stationary point {u} is a minimizer: D = {D} > 0 "
                                 f"at variance-to-go {V_plus}", candidates=(u,))
         return u
-    # implicit: substitute V = V_plus + dt * e^{2R} sigma^2 u^2 into D(V); a
-    # zero D leaves the constant w1 g theta, which the degree check refuses
-    poly = Polynomial(_stationarity_coeffs(w1, Dpoly, V_plus, theta, g, s, dt))
-    if poly.degree < 1:
+    # implicit: the coefficient of w^j in D(V_plus + a1 w), w = u^2, times 2 s
+    # is that of u^(2j+1) (Polynomial strips the trailing even 0.0); a zero D
+    # leaves the constant w1 g theta, which the degree check refuses
+    a1 = dt * s
+    two_s = 2.0 * s
+    coeffs = [w1 * g * theta]
+    for c in _compose_linear(Dpoly.coeffs, V_plus, a1):
+        coeffs += (0.0 + two_s * c, 0.0)
+    poly = Polynomial(coeffs)
+    c = poly.coeffs
+    if len(c) < 2:
         raise NoSecondOrderTerm("stationarity polynomial degenerates to a constant")
-    bound = 1.0 + max(map(abs, poly.coeffs[:-1])) / abs(poly.coeffs[-1])  # Cauchy bound
+    bound = 1.0 + max(map(abs, c[:-1])) / abs(c[-1])  # Cauchy bound
     candidates = real_roots(poly, -bound, bound, near=prev_value)
     if len(candidates) == 1:
         u = candidates[0]
-        if Dpoly(V_plus + dt * s * u * u) <= 0.0:
+        if Dpoly(V_plus + a1 * u * u) <= 0.0:
             return u
         candidates = real_roots(poly, -bound, bound)
     if not candidates:
         raise NoRealRoot("stationarity polynomial has no real root")
-    admissible = [u for u in candidates if Dpoly(V_plus + dt * s * u * u) <= 0.0]
+    admissible = [u for u in candidates if Dpoly(V_plus + a1 * u * u) <= 0.0]
     if not admissible:
         raise AmbiguousRoot(
             f"no stationarity root on the maximizer branch (D <= 0); "
@@ -218,7 +215,8 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     |dPhi/dv at 0| re-evaluated at the committed state.
 
     A :class:`SolverError` of step i leaves with ``step = i`` and the step
-    and time before its message; an overflowing V[i] raises one the same way.
+    and time before its message; an overflowing e^{2R} sigma^2 or V[i]
+    raises one the same way.
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -234,14 +232,20 @@ def backward_sweep(scenario: MarketScenario, objective: ObjectiveSpec,
     V = [0.0] * (n + 1)
     i = n
     try:
-        u[n] = _stationary_root(w1, Dpoly, 0.0, theta[n], sigma[n], g[n], dt, 0.0,
-                                scheme, terminal=True)
+        # the terminal step reads s = e^{2R} sigma^2 only where theta != 0
+        s = g[n] * g[n] * sigma[n] ** 2 if theta[n] != 0.0 else 0.0
+        u[n] = _stationary_root(w1, Dpoly, 0.0, theta[n], s, g[n], dt, 0.0,
+                                scheme, True)
+        u_i, V_i = u[n], 0.0  # at i + 1 as each step starts
         for i in range(n - 1, -1, -1):
-            u[i] = _stationary_root(w1, Dpoly, V[i + 1], theta[i], sigma[i], g[i],
-                                    dt, u[i + 1], scheme, terminal=False)
-            V[i] = V[i + 1] + g[i] * g[i] * sigma[i] ** 2 * u[i] ** 2 * dt
+            g_i = g[i]
+            s = g_i * g_i * sigma[i] ** 2
+            u[i] = u_i = _stationary_root(w1, Dpoly, V_i, theta[i], s, g_i, dt, u_i,
+                                          scheme, False)
+            V[i] = V_i = V_i + s * u_i ** 2 * dt
     except OverflowError:  # a float ** int raises where numpy would give inf
-        raise SolverError(f"step {i} (t = {i * dt:.6g}): variance-to-go overflows",
+        what = "e^(2R) sigma^2" if math.isinf(sigma[i] * sigma[i]) else "variance-to-go"
+        raise SolverError(f"step {i} (t = {i * dt:.6g}): {what} overflows",
                           step=i) from None
     except SolverError as e:
         e.step = i

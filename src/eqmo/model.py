@@ -74,8 +74,8 @@ class Polynomial:
 
     coeffs: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        c = tuple(map(float, self.coeffs))
+    def __init__(self, coeffs) -> None:
+        c = tuple(map(float, coeffs))
         if not all(map(math.isfinite, c)):
             raise ValidationError("polynomial coefficients must be finite")
         while c and c[-1] == 0.0:
@@ -86,10 +86,6 @@ class Polynomial:
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coeff(self, power: int) -> float:
         """Coefficient of x**power, 0.0 beyond the stored degree."""
@@ -109,26 +105,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial(())
-        out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """self(inner(x)) by Horner over polynomial arithmetic."""
-        acc = Polynomial(())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial((c,))
-        return acc
 
 
 # ---------------------------------------------------------------------------

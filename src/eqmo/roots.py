@@ -18,6 +18,7 @@ isolated as without ``near``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -75,13 +76,14 @@ def real_roots(poly: Polynomial, lo: float, hi: float, *,
     """
     if hi < lo:
         return []
-    if poly.degree <= 0:
+    degree = poly.degree
+    if degree <= 0:
         return []
-    if near is not None and poly.degree >= 2:
+    if near is not None and degree >= 2:
         r = nearest_root(poly.coeffs, near)
         if r is not None and lo <= r <= hi:
             return [r]
-    if poly.degree == 1:
+    if degree == 1:
         c0, c1 = poly.coeffs
         x = -c0 / c1
         return [x] if lo <= x <= hi else []
@@ -149,24 +151,32 @@ def nearest_root(coeffs: Sequence[float], x0: float) -> float | None:
         x -= step
         if not math.isfinite(x):
             return None
-        if abs(step) <= _TOL * max(1.0, abs(x)):
+        tol = _TOL * (abs(x) if abs(x) > 1.0 else 1.0)  # _TOL max(1, |x|), no call
+        if abs(step) <= tol:
             break
     else:
         return None
-    h = abs(x - x0) + abs(step) + _TOL * max(1.0, abs(x))
-    # Taylor coefficients of p' at x0: q[k] = p'^(k)(x0) / k!
-    q = [k * c for k, c in enumerate(coeffs) if k]
-    m = len(q) - 1
-    for j in range(m):
-        for k in range(m - 1, j - 1, -1):
-            q[k] += x0 * q[k + 1]
+    h = abs(x - x0) + abs(step) + tol
+    # q = coefficients of p'; |q[k - 1]| = k |c_k| is the allowance's scale
+    q = [k * c for k, c in enumerate(coeffs[1:], 1)]
+    y = abs(x0) + h
+    scale = 0.0
+    for c in reversed(q):
+        scale = scale * y + abs(c)
+    # Taylor coefficients of p' at x0 in place: q[k] = p'^(k)(x0) / k!
+    for k in _taylor_shift(deg - 1):
+        q[k] += x0 * q[k + 1]
     tail = 0.0
     for c in q[:0:-1]:
         tail = (tail + abs(c)) * h
-    scale = 0.0
-    y = abs(x0) + h
-    for k in range(deg, 0, -1):
-        scale = scale * y + k * abs(coeffs[k])
     if not abs(q[0]) - tail > 4.0 * (deg + 2) * _EPS * scale:
         return None
     return x
+
+
+@functools.cache
+def _taylor_shift(m: int) -> tuple[int, ...]:
+    """Indices k of the synthetic divisions q[k] += x0 q[k + 1] that turn the
+    coefficients of a degree-m polynomial into its Taylor coefficients at
+    x0: for j = 0, ..., m - 1, k runs from m - 1 down to j."""
+    return tuple(k for j in range(m) for k in range(m - 1, j - 1, -1))

@@ -39,12 +39,12 @@ paths = 4000
 
 
 # (scenario, line, replacement, commands): values whose moments, growth
-# factors, Phi, Monte Carlo estimates, factor paths or flow residual overflow
-# the float range under those commands (solve, homogeneity and bsde do not
-# read u_scale), a growth factor e^R that underflows to 0 and so removes the
-# sweep's second-order term, a terminal whose path sum overflows, wealth
-# paths that never spread although sigma u is nonzero, and a [factor]
-# section that still sets a removed key
+# factors, e^(2R) sigma^2, Phi, Monte Carlo estimates, factor paths or flow
+# residual overflow the float range under those commands (solve, homogeneity
+# and bsde do not read u_scale), a growth factor e^R that underflows to 0
+# and so removes the sweep's second-order term, a terminal whose path sum
+# overflows, wealth paths that never spread although sigma u is nonzero, and
+# a [factor] section that still sets a removed key
 HOSTILE = {
     "theta_1e300": (MV, "theta = 0.3\n", "theta = 1e300\n", cli.COMMANDS),
     "u_scale_1e200": (RAW_M4, "scheme = implicit\n", "scheme = implicit\nu_scale = 1e200\n",
@@ -59,6 +59,8 @@ HOSTILE = {
     "theta_1e100": (MV, "theta = 0.3\n", "theta = 1e100\n", ("bsde",)),
     "theta_1e150": (RAW_M4, "theta = 0.3\n", "theta = 1e150\n", ("bsde",)),
     "sigma_1e160": (MV, "sigma = 0.2\n", "sigma = 1e160\n", ("homogeneity", "bsde")),
+    "sigma_1e160_raw_m4": (RAW_M4, "sigma = 0.2\n", "sigma = 1e160\n",
+                           ("solve", "verify", "moments", "mc")),
     "kappa_-1e3": (OU, "kappa = 1.0\n", "kappa = -1e3\n", ("bsde",)),
     "x0_1e200": (MV, "x0 = 1\n", "x0 = 1e200\n", ("bsde",)),
     "x0_1e308": (MV, "x0 = 1\n", "x0 = 1e308\n", ("bsde",)),
@@ -385,6 +387,11 @@ class TestHostileInputs:
             # the sweep: u = 1.25e301 at step 99 squares past the float range
             assert (diag["error"], diag["step"]) == ("SolverError", 99)
             assert "variance-to-go overflows" in diag["message"]
+        if name == "sigma_1e160_raw_m4":
+            # the terminal step, where V = 0: e^(2R) sigma^2 = 1e320 overflows
+            grid_n = parse_scenario(path).scenario.grid_n
+            assert (diag["error"], diag["step"]) == ("SolverError", grid_n)
+            assert "e^(2R) sigma^2 overflows" in diag["message"]
         if name.startswith("sets_"):
             key_line = replacement.splitlines()[-1]
             key = key_line.partition(" = ")[0]

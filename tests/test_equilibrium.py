@@ -21,7 +21,7 @@ from eqmo.corpus import (
 )
 from eqmo.equilibrium import (
     _compose_linear,
-    _stationarity_coeffs,
+    _phi_coefficients,
     _stationary_root,
     backward_sweep,
     mv_closed_form,
@@ -45,13 +45,16 @@ from eqmo.model import (
     rate_to_horizon,
 )
 from eqmo.moments import conditional_moments, moments_to_go
-from eqmo.roots import nearest_root
+from eqmo.roots import _EPS, _NEWTON_ITER, _TOL, nearest_root
 from eqmo.scenario_io import parse_scenario
 from eqmo.verify import finite_eps_check
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 MV = ObjectiveSpec.from_weights("central", {1: 1.0, 2: -1.0})
 SEEKING = ObjectiveSpec.from_weights("central", {1: 1.0, 2: 1.0})  # D = +1
+
+finite_floats = st.floats(min_value=-10.0, max_value=10.0,
+                          allow_nan=False, allow_infinity=False)
 
 
 def full_isolation():
@@ -70,6 +73,213 @@ def isolations():
     polynomial of degree >= 2 recurses into its derivative through this
     binding, so a ``call_count`` of 0 means no step isolated every root."""
     return mock.patch.object(roots, "real_roots", wraps=roots.real_roots)
+
+
+# ---------------------------------------------------------------------------
+# reference: polynomial algebra over Polynomial objects and the step as it
+# was formulated before its float-only construction, against which the
+# sweep's bytes are pinned
+
+
+def poly_add(p, q):
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Polynomial(tuple(p.coeff(i) + q.coeff(i) for i in range(n)))
+
+
+def poly_mul(p, q):
+    """Schoolbook product: each coefficient summed from 0.0."""
+    if not p.coeffs or not q.coeffs:
+        return Polynomial(())
+    out = [0.0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Polynomial(tuple(out))
+
+
+def poly_compose(outer, inner):
+    """outer(inner(x)) by Horner over polynomial arithmetic."""
+    acc = Polynomial(())
+    for c in reversed(outer.coeffs):
+        acc = poly_add(poly_mul(acc, inner), Polynomial((c,)))
+    return acc
+
+
+def stationarity_coeffs(w1, Dpoly, V_plus, theta, g, s, dt):
+    """Canonical coefficients in u of w1 g theta + 2 s u D(V_plus + dt s u^2)."""
+    Dw = poly_compose(Dpoly, Polynomial((V_plus, dt * s)))
+    coeffs = [0.0] * (2 * max(Dw.degree, 0) + 2)
+    coeffs[0] = w1 * g * theta
+    for j, c in enumerate(Dw.coeffs):
+        coeffs[2 * j + 1] += 2.0 * s * c
+    return Polynomial(tuple(coeffs)).coeffs
+
+
+def reference_nearest_root(coeffs, x0):
+    """Certified Newton root nearest x0 with the Taylor shift in nested loops."""
+    deg = len(coeffs) - 1
+    lead = coeffs[-1]
+    low = coeffs[-2::-1]
+    x = x0
+    for _ in range(_NEWTON_ITER):
+        p, dp = lead, 0.0
+        for c in low:
+            dp = dp * x + p
+            p = p * x + c
+        if dp == 0.0 or not (math.isfinite(p) and math.isfinite(dp)):
+            return None
+        step = p / dp
+        x -= step
+        if not math.isfinite(x):
+            return None
+        if abs(step) <= _TOL * max(1.0, abs(x)):
+            break
+    else:
+        return None
+    h = abs(x - x0) + abs(step) + _TOL * max(1.0, abs(x))
+    q = [k * c for k, c in enumerate(coeffs) if k]
+    m = len(q) - 1
+    for j in range(m):
+        for k in range(m - 1, j - 1, -1):
+            q[k] += x0 * q[k + 1]
+    tail = 0.0
+    for c in q[:0:-1]:
+        tail = (tail + abs(c)) * h
+    scale = 0.0
+    y = abs(x0) + h
+    for k in range(deg, 0, -1):
+        scale = scale * y + k * abs(coeffs[k])
+    if not abs(q[0]) - tail > 4.0 * (deg + 2) * _EPS * scale:
+        return None
+    return x
+
+
+def reference_step(w1, Dpoly, V_plus, theta, sigma, g, dt, prev_value, scheme, terminal):
+    if theta == 0.0:
+        return 0.0
+    s = g * g * sigma ** 2
+    if scheme == "explicit" or terminal:
+        D = Dpoly(V_plus)
+        denominator = 2.0 * D * s
+        if denominator == 0.0:
+            raise NoSecondOrderTerm("2 D e^(2R) sigma^2 = 0")
+        u = -w1 * g * theta / denominator
+        if D > 0.0:
+            raise AmbiguousRoot("minimizer", candidates=(u,))
+        return u
+    poly = Polynomial(stationarity_coeffs(w1, Dpoly, V_plus, theta, g, s, dt))
+    if poly.degree < 1:
+        raise NoSecondOrderTerm("constant")
+    bound = 1.0 + max(map(abs, poly.coeffs[:-1])) / abs(poly.coeffs[-1])
+    r = reference_nearest_root(poly.coeffs, prev_value) if poly.degree >= 2 else None
+    if r is not None and -bound <= r <= bound:
+        if Dpoly(V_plus + dt * s * r * r) <= 0.0:
+            return r
+    candidates = roots.real_roots(poly, -bound, bound)
+    if not candidates:
+        raise NoRealRoot("no real root")
+    admissible = [u for u in candidates if Dpoly(V_plus + dt * s * u * u) <= 0.0]
+    if not admissible:
+        raise AmbiguousRoot("no maximizer", candidates=tuple(candidates))
+    return min(admissible, key=lambda u: abs(u - prev_value))
+
+
+def reference_sweep(scenario, objective, scheme):
+    """(u, V, D, residuals) of the reference step's sweep, or (error type, step)."""
+    Dpoly = gaussian_risk_polynomial(objective).derivative()
+    w1 = objective.mean_weight()
+    n, dt = scenario.grid_n, scenario.dt
+    theta, sigma, g = (a.tolist() for a in (scenario.theta, scenario.sigma, scenario.growth))
+    u = [0.0] * (n + 1)
+    V = [0.0] * (n + 1)
+    i = n
+    try:
+        u[n] = reference_step(w1, Dpoly, 0.0, theta[n], sigma[n], g[n], dt, 0.0, scheme, True)
+        for i in range(n - 1, -1, -1):
+            u[i] = reference_step(w1, Dpoly, V[i + 1], theta[i], sigma[i], g[i], dt, u[i + 1],
+                                  scheme, False)
+            V[i] = V[i + 1] + g[i] * g[i] * sigma[i] ** 2 * u[i] ** 2 * dt
+    except OverflowError:
+        return SolverError, i
+    except SolverError as e:
+        return type(e), i
+    u_arr, V_arr = np.array(u), np.array(V)
+    D = Dpoly(V_arr)
+    a, _ = _phi_coefficients(w1, D, scenario.growth, scenario, u_arr)
+    return u_arr, V_arr, D, np.abs(a)
+
+
+class TestPolynomialReference:
+    """The reference algebra itself: exact on small cases, and evaluation
+    commutes with it."""
+
+    def test_add_mul(self):
+        p = Polynomial((1.0, 1.0))
+        q = Polynomial((-1.0, 1.0))
+        assert poly_add(p, q).coeffs == (0.0, 2.0)
+        assert poly_mul(p, q).coeffs == (-1.0, 0.0, 1.0)
+
+    def test_compose(self):
+        # (x^2)(2 + 3v) = 4 + 12v + 9v^2
+        outer = Polynomial((0.0, 0.0, 1.0))
+        inner = Polynomial((2.0, 3.0))
+        assert poly_compose(outer, inner).coeffs == (4.0, 12.0, 9.0)
+
+    @given(st.lists(finite_floats, min_size=1, max_size=5),
+           st.lists(finite_floats, min_size=1, max_size=3),
+           finite_floats)
+    @settings(max_examples=60, deadline=None)
+    def test_compose_evaluation_property(self, outer, inner, x):
+        p, q = Polynomial(tuple(outer)), Polynomial(tuple(inner))
+        lhs = poly_compose(p, q)(x)
+        rhs = p(q(x))
+        scale = max(1.0, abs(lhs), abs(rhs))
+        assert abs(lhs - rhs) <= 1e-9 * scale
+
+    @given(st.lists(finite_floats, min_size=1, max_size=6),
+           st.lists(finite_floats, min_size=1, max_size=6), finite_floats)
+    @settings(max_examples=60, deadline=None)
+    def test_mul_evaluation_property(self, a, b, x):
+        p, q = Polynomial(tuple(a)), Polynomial(tuple(b))
+        lhs = poly_mul(p, q)(x)
+        rhs = p(x) * q(x)
+        assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
+
+
+class TestSweepByteIdentity:
+    """backward_sweep reproduces the reference sweep byte for byte: strategy,
+    variance-to-go, D and residuals, or the error type and its step."""
+
+    @staticmethod
+    def check(scenario, objective, scheme):
+        want = reference_sweep(scenario, objective, scheme)
+        try:
+            sweep = backward_sweep(scenario, objective, scheme)
+        except SolverError as e:
+            assert (type(e), e.step) == want
+            return False
+        got = (sweep.strategy.values, sweep.variance_to_go, sweep.D, sweep.residuals)
+        assert len(want) == 4, want
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        return True
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_named_corpus(self, scheme):
+        for case in named_corpus():
+            self.check(case.scenario, case.objective, scheme)
+
+    @pytest.mark.parametrize("seed", [20261017, 7])
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_curved_corpora(self, seed, scheme):
+        outcomes = [self.check(case.scenario, case.objective, scheme)
+                    for case in random_curved_corpus(seed=seed)]
+        assert 0 < outcomes.count(False) < 0.1 * len(outcomes)  # error cases compared too
+
+    @pytest.mark.parametrize("name", ["raw_m4", "mvsk"])
+    def test_benchmark_scenarios_at_grid_n_5000(self, name):
+        bundle = parse_scenario(os.path.join(SCENARIOS, f"{name}.scn"), grid_n=5000)
+        assert self.check(bundle.scenario, bundle.objective, "implicit")
 
 
 class TestPhiPolynomial:
@@ -105,7 +315,7 @@ def stationary_root(objective, V_plus, scheme, prev_value=0.0, terminal=False,
     """One step on the mv_base market (sigma 0.2, r = 0, dt 0.01)."""
     return _stationary_root(objective.mean_weight(),
                             gaussian_risk_polynomial(objective).derivative(), V_plus,
-                            theta, 0.2, 1.0, 0.01, prev_value, scheme, terminal)
+                            theta, 0.2 ** 2, 1.0, 0.01, prev_value, scheme, terminal)
 
 
 class TestStationarityStep:
@@ -133,10 +343,11 @@ class TestStationarityStep:
     def test_non_finite_coefficients_are_refused(self):
         # g = 1e200 squares past the float range: s = g^2 sigma^2 = inf; the
         # step's Polynomial refuses the coefficients, at every degree
+        g = 1e200
         for objective in (MV, raw_m4().objective):
             with pytest.raises(ValidationError, match="coefficients must be finite"):
                 _stationary_root(1.0, gaussian_risk_polynomial(objective).derivative(), 0.1,
-                                 0.3, 0.2, 1e200, 0.01, 3.0, "implicit", False)
+                                 0.3, g * g * 0.2 ** 2, g, 0.01, 3.0, "implicit", False)
 
     def test_theta_zero_shortcut(self):
         u = stationary_root(theta_zero().objective, 0.2, "implicit", prev_value=1.0,
@@ -173,16 +384,7 @@ class TestStationarityStep:
 
 class TestFloatStationarityCoefficients:
     """The implicit step builds its coefficients from plain floats; they must
-    equal the Polynomial-object construction bit for bit."""
-
-    @staticmethod
-    def reference(w1, Dpoly, V_plus, theta, g, s, dt):
-        Dw = Dpoly.compose(Polynomial((V_plus, dt * s)))
-        coeffs = [0.0] * (2 * max(Dw.degree, 0) + 2)
-        coeffs[0] = w1 * g * theta
-        for j, c in enumerate(Dw.coeffs):
-            coeffs[2 * j + 1] += 2.0 * s * c
-        return Polynomial(tuple(coeffs)).coeffs
+    equal the polynomial-algebra construction bit for bit."""
 
     def test_compose_linear_matches_polynomial_compose(self):
         rng = np.random.default_rng(21)
@@ -193,11 +395,12 @@ class TestFloatStationarityCoefficients:
             outer = Polynomial(tuple(outer))
             a0, a1 = (float(v) for v in rng.normal(size=2))
             for inner in ((a0, a1), (0.0, a1), (-0.0, a1), (a0, 0.0), (0.0, 0.0)):
-                ref = outer.compose(Polynomial(inner)).coeffs
+                ref = poly_compose(outer, Polynomial(inner)).coeffs
                 got = tuple(_compose_linear(outer.coeffs, *inner))
                 assert np.array(got).tobytes() == np.array(ref).tobytes()
 
-    def test_stationarity_coeffs_match_compose_reference(self):
+    def test_step_coefficients_match_compose_reference(self):
+        # the polynomial the step hands to real_roots, read off the spy
         rng = np.random.default_rng(22)
         cases = [case.objective for case in random_curved_corpus(count=20)]
         cases += [raw_m4().objective, MV]
@@ -209,9 +412,15 @@ class TestFloatStationarityCoefficients:
                 theta, g, sigma = (float(v) for v in rng.uniform(0.05, 1.2, 3))
                 s = g * g * sigma ** 2
                 dt = float(rng.choice([1e-4, 0.01, 0.25]))
-                got = Polynomial(_stationarity_coeffs(w1, Dpoly, V_plus, theta, g, s, dt))
-                ref = self.reference(w1, Dpoly, V_plus, theta, g, s, dt)
-                assert np.array(got.coeffs).tobytes() == np.array(ref).tobytes()
+                with step_calls() as calls:
+                    try:
+                        _stationary_root(w1, Dpoly, V_plus, theta, s, g, dt, 1.0,
+                                         "implicit", False)
+                    except SolverError:
+                        pass  # the coefficients were built all the same
+                got = calls.call_args_list[0].args[0].coeffs
+                ref = stationarity_coeffs(w1, Dpoly, V_plus, theta, g, s, dt)
+                assert np.array(got).tobytes() == np.array(ref).tobytes()
 
 
 class TestBackwardSweep:
@@ -468,14 +677,14 @@ class TestCertifiedNewtonStep:
 
     def test_close_roots_around_prev_value_fall_back(self):
         d0, d1, theta = self.cubic((1.0, 1.001, -2.001))
-        coeffs = _stationarity_coeffs(1.0, Polynomial((d0, d1)), 0.0, theta, 1.0, 1.0, 1.0)
+        coeffs = stationarity_coeffs(1.0, Polynomial((d0, d1)), 0.0, theta, 1.0, 1.0, 1.0)
         assert nearest_root(coeffs, 1.0004) is None
         u = self.check_falls_back(d0, d1, theta, 1.0004)
         assert abs(u - 1.0) < 1e-9
 
     def test_zero_derivative_at_prev_value_falls_back(self):
         # D(V) = -V: theta - 2 u^3 has p'(0) = 0 exactly
-        coeffs = _stationarity_coeffs(1.0, Polynomial((0.0, -1.0)), 0.0, 2.0, 1.0, 1.0, 1.0)
+        coeffs = stationarity_coeffs(1.0, Polynomial((0.0, -1.0)), 0.0, 2.0, 1.0, 1.0, 1.0)
         assert nearest_root(coeffs, 0.0) is None
         u = self.check_falls_back(0.0, -1.0, 2.0, 0.0)
         assert abs(u - 1.0) < 1e-12
@@ -484,7 +693,7 @@ class TestCertifiedNewtonStep:
         # Newton from -2.9 certifies the root -3, where D(9) = 2 > 0; the
         # nearest root on the maximizer branch is 1
         d0, d1, theta = self.cubic((1.0, 2.0, -3.0))
-        coeffs = _stationarity_coeffs(1.0, Polynomial((d0, d1)), 0.0, theta, 1.0, 1.0, 1.0)
+        coeffs = stationarity_coeffs(1.0, Polynomial((d0, d1)), 0.0, theta, 1.0, 1.0, 1.0)
         assert abs(nearest_root(coeffs, -2.9) + 3.0) < 1e-12
         u = self.check_falls_back(d0, d1, theta, -2.9)
         assert abs(u - 1.0) < 1e-12

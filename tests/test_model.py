@@ -30,9 +30,6 @@ from eqmo.model import (
 
 MV = ObjectiveSpec.from_weights("central", {1: 1.0, 2: -1.0})
 
-finite_floats = st.floats(min_value=-10.0, max_value=10.0,
-                          allow_nan=False, allow_infinity=False)
-
 
 # ---------------------------------------------------------------------------
 # Polynomial
@@ -46,7 +43,7 @@ class TestPolynomial:
 
     def test_zero_polynomial(self):
         p = Polynomial((0.0, 0.0))
-        assert p.is_zero
+        assert p.coeffs == ()
         assert p.degree == -1
         assert p(3.0) == 0.0
 
@@ -59,39 +56,7 @@ class TestPolynomial:
     def test_derivative(self):
         p = Polynomial((5.0, 1.0, -2.0, 4.0))
         assert p.derivative().coeffs == (1.0, -4.0, 12.0)
-        assert Polynomial((7.0,)).derivative().is_zero
-
-    def test_add_mul(self):
-        p = Polynomial((1.0, 1.0))
-        q = Polynomial((-1.0, 1.0))
-        assert (p + q).coeffs == (0.0, 2.0)
-        assert (p * q).coeffs == (-1.0, 0.0, 1.0)
-
-    def test_compose(self):
-        # (x^2)(2 + 3v) = 4 + 12v + 9v^2
-        outer = Polynomial((0.0, 0.0, 1.0))
-        inner = Polynomial((2.0, 3.0))
-        assert outer.compose(inner).coeffs == (4.0, 12.0, 9.0)
-
-    @given(st.lists(finite_floats, min_size=1, max_size=5),
-           st.lists(finite_floats, min_size=1, max_size=3),
-           finite_floats)
-    @settings(max_examples=60, deadline=None)
-    def test_compose_evaluation_property(self, outer, inner, x):
-        p, q = Polynomial(tuple(outer)), Polynomial(tuple(inner))
-        lhs = p.compose(q)(x)
-        rhs = p(q(x))
-        scale = max(1.0, abs(lhs), abs(rhs))
-        assert abs(lhs - rhs) <= 1e-9 * scale
-
-    @given(st.lists(finite_floats, min_size=1, max_size=6),
-           st.lists(finite_floats, min_size=1, max_size=6), finite_floats)
-    @settings(max_examples=60, deadline=None)
-    def test_mul_evaluation_property(self, a, b, x):
-        p, q = Polynomial(tuple(a)), Polynomial(tuple(b))
-        lhs = (p * q)(x)
-        rhs = p(x) * q(x)
-        assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
+        assert Polynomial((7.0,)).derivative().coeffs == ()
 
 
 class TestPolynomialScalarPath:
