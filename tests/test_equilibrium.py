@@ -76,9 +76,10 @@ def isolations():
 
 
 # ---------------------------------------------------------------------------
-# reference: polynomial algebra over Polynomial objects and the step as it
-# was formulated before its float-only construction, against which the
-# sweep's bytes are pinned
+# reference: polynomial algebra over Polynomial objects, and a step and sweep
+# built on it (the certificate's Taylor shift in nested loops, e^(2R) sigma^2
+# recomputed in the variance-to-go update); backward_sweep must reproduce
+# its bytes
 
 
 def poly_add(p, q):
@@ -280,6 +281,22 @@ class TestSweepByteIdentity:
     def test_benchmark_scenarios_at_grid_n_5000(self, name):
         bundle = parse_scenario(os.path.join(SCENARIOS, f"{name}.scn"), grid_n=5000)
         assert self.check(bundle.scenario, bundle.objective, "implicit")
+
+    def test_nearest_root_at_every_degree(self):
+        # the sweeps reach degrees 3 and 5 only; real-rooted polynomials of
+        # degree 2 to 7, started near a root, cover the flat Taylor schedule
+        rng = np.random.default_rng(23)
+        certified = 0
+        for _ in range(600):
+            zeros = rng.normal(size=int(rng.integers(2, 8))) * 2.0
+            coeffs = tuple(float(c) for c in np.poly(zeros)[::-1] * rng.uniform(0.5, 2.0))
+            x0 = float(rng.choice(zeros) + rng.normal() * 10.0 ** rng.integers(-6, 0))
+            got, want = nearest_root(coeffs, x0), reference_nearest_root(coeffs, x0)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                certified += 1
+        assert 0.2 * 600 < certified < 600
 
 
 class TestPhiPolynomial:
