@@ -282,6 +282,20 @@ class TestSweepByteIdentity:
         bundle = parse_scenario(os.path.join(SCENARIOS, f"{name}.scn"), grid_n=5000)
         assert self.check(bundle.scenario, bundle.objective, "implicit")
 
+    def test_overflow_stops_at_the_same_step(self):
+        # e^(2R) sigma^2 past the float range at the terminal step; with
+        # theta = 0 the terminal step reads no sigma, so step n - 1 stops;
+        # an explicit variance-to-go that overflows stops at step n - 1 too
+        n = 20
+        for theta, sigma, objective, schemes, step in (
+                (0.3, 1e160, raw_m4().objective, ("explicit", "implicit"), n),
+                (0.0, 1e160, MV, ("explicit", "implicit"), n - 1),
+                (1e300, 0.2, MV, ("explicit",), n - 1)):
+            s = MarketScenario(r=0.0, theta=theta, sigma=sigma, T=1.0, x0=1.0, grid_n=n)
+            for scheme in schemes:
+                assert reference_sweep(s, objective, scheme) == (SolverError, step)
+                assert not self.check(s, objective, scheme)
+
     def test_nearest_root_at_every_degree(self):
         # the sweeps reach degrees 3 and 5 only; real-rooted polynomials of
         # degree 2 to 7, started near a root, cover the flat Taylor schedule
